@@ -84,23 +84,16 @@ def build_config(args) -> TrainConfig:
         raise UsageError(f"invalid configuration: {err}") from err
 
 
-def _add_config_flags(p: argparse.ArgumentParser, include=("seed",)) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    for key in CONFIG_REGISTRY:
-        if include != "all" and key not in include:
-            continue
-        _, conv = CONFIG_REGISTRY[key]
+    for key, (_, conv) in CONFIG_REGISTRY.items():
         flag = "--" + key.replace("_", "-")
         if key == "normalize_features":
             p.add_argument(flag, dest=key, action="store_const", const=True)
         elif key == "residual_kinds":
-            p.add_argument(flag, dest=key, type=CONFIG_REGISTRY[key][1],
-                           metavar="KIND[,KIND...]")
+            p.add_argument(flag, dest=key, type=conv, metavar="KIND[,KIND...]")
         else:
             p.add_argument(flag, dest=key, type=conv)
-
-
-_TRAIN_FLAGS = "all"
 
 
 def build_parser() -> _Parser:
@@ -121,7 +114,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="unsupervised training; writes metrics and checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, include=_TRAIN_FLAGS)
+    _add_config_flags(p)
 
     p = sub.add_parser("embed", help="write eval-mode embeddings from a trained model")
     p.add_argument("--model-dir", required=True)
@@ -151,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--include-homogeneous", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p, include=_TRAIN_FLAGS)
+    _add_config_flags(p)
 
     p = sub.add_parser("exp-oracle-weights", help="probe accuracy under oracle edge weights")
     p.add_argument("--data", required=True)
@@ -162,7 +155,7 @@ def build_parser() -> _Parser:
                    help="comma list of w_same/w_diff (or p_coh/p_disp) pairs")
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p, include=_TRAIN_FLAGS)
+    _add_config_flags(p)
 
     p = sub.add_parser("exp-noise", help="probe accuracy vs noise on oracle weights")
     p.add_argument("--data", required=True)
@@ -171,7 +164,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stddev", type=float, default=0.5)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p, include=_TRAIN_FLAGS)
+    _add_config_flags(p)
 
     p = sub.add_parser("exp-sensitivity", help="sweep lambda_load or hidden dimension")
     p.add_argument("--data", required=True)
@@ -180,7 +173,7 @@ def build_parser() -> _Parser:
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p, include=_TRAIN_FLAGS)
+    _add_config_flags(p)
 
     p = sub.add_parser("motivate", help="per-bucket filter/depth comparison")
     p.add_argument("--data", required=True)
@@ -201,13 +194,15 @@ def _load_graph_checked(path: str) -> graphs.Graph:
         raise UsageError(str(err)) from err
 
 
-def _write_run_config(cfg: TrainConfig, path: str) -> None:
-    lines = []
+def _config_items(cfg: TrainConfig):
+    """(key, text value) per config field; tuples as comma lists."""
     for f in dataclasses.fields(TrainConfig):
         value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(value)
-        lines.append(f"{f.name}={value}")
+        yield f.name, ",".join(value) if isinstance(value, tuple) else value
+
+
+def _write_run_config(cfg: TrainConfig, path: str) -> None:
+    lines = [f"{key}={value}" for key, value in _config_items(cfg)]
     trainer.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -267,9 +262,10 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _require_labels(g: graphs.Graph) -> None:
+def _require_labels(g: graphs.Graph) -> graphs.Graph:
     if g.labels is None:
         raise UsageError("this command requires labels.tsv in the graph directory")
+    return g
 
 
 def cmd_eval_probe(args) -> int:
@@ -341,24 +337,18 @@ def _parse_pairs(raw: str) -> tuple:
 
 def cmd_exp_oracle_weights(args) -> int:
     cfg = build_config(args)
-    g = _load_graph_checked(args.data)
-    _require_labels(g)
+    g = _require_labels(_load_graph_checked(args.data))
     pairs = _parse_pairs(args.pairs)
+    seeds = tuple(range(args.seeds))
     if args.mode == "distinctiveness":
-        rows = experiments.distinctiveness_study(g, cfg, pairs=pairs,
-                                                 seeds=tuple(range(args.seeds)),
+        rows = experiments.distinctiveness_study(g, cfg, pairs=pairs, seeds=seeds,
                                                  jobs=args.jobs)
     else:
-        rows = []
-        for p_coh, p_disp in pairs:
-            spec = experiments.OracleWeightSpec(mode="accuracy", p_coh_correct=p_coh,
-                                                p_disp_correct=p_disp)
-            accs = [experiments.oracle_weight_run(
-                g, spec, dataclasses.replace(cfg, seed=s)).mean
-                for s in range(args.seeds)]
-            rows.append({"value": f"{p_coh}/{p_disp}",
-                         "median_accuracy": float(np.median(accs)),
-                         "mean_accuracy": float(np.mean(accs)), "per_seed": accs})
+        cases = [(f"{p_coh}/{p_disp}",
+                  experiments.OracleWeightSpec(mode="accuracy", p_coh_correct=p_coh,
+                                               p_disp_correct=p_disp))
+                 for p_coh, p_disp in pairs]
+        rows = experiments.oracle_study(g, cfg, cases, seeds=seeds, jobs=args.jobs)
     _write_rows(rows, args.out)
     for row in rows:
         print(f"{row['value']}: median accuracy {row['median_accuracy']:.4f}")
@@ -367,8 +357,7 @@ def cmd_exp_oracle_weights(args) -> int:
 
 def cmd_exp_noise(args) -> int:
     cfg = build_config(args)
-    g = _load_graph_checked(args.data)
-    _require_labels(g)
+    g = _require_labels(_load_graph_checked(args.data))
     ratios = tuple(float(x) for x in args.ratios.split(","))
     rows = experiments.noise_robustness(g, cfg, ratios=ratios, stddev=args.stddev,
                                         seeds=tuple(range(args.seeds)), jobs=args.jobs)
@@ -380,8 +369,7 @@ def cmd_exp_noise(args) -> int:
 
 def cmd_exp_sensitivity(args) -> int:
     cfg = build_config(args)
-    g = _load_graph_checked(args.data)
-    _require_labels(g)
+    g = _require_labels(_load_graph_checked(args.data))
     conv = float if args.axis == "lambda_load" else int
     values = tuple(conv(x) for x in args.values.split(","))
     rows = experiments.sensitivity_sweep(g, args.axis, values, cfg,
@@ -403,8 +391,7 @@ def _write_rows(rows, out_dir: str) -> None:
 
 
 def cmd_motivate(args) -> int:
-    g = _load_graph_checked(args.data)
-    _require_labels(g)
+    g = _require_labels(_load_graph_checked(args.data))
     report = experiments.motivation_analysis(g, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     experiments.write_report_json(report, os.path.join(args.out, "report.json"))
@@ -413,13 +400,8 @@ def cmd_motivate(args) -> int:
 
 
 def cmd_print_config(_args) -> int:
-    cfg = TrainConfig()
-    for f in dataclasses.fields(TrainConfig):
-        module = CONFIG_REGISTRY[f.name][0]
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(value)
-        print(f"{f.name} = {value}  # {module}")
+    for key, value in _config_items(TrainConfig()):
+        print(f"{key} = {value}  # {CONFIG_REGISTRY[key][0]}")
     return 0
 
 

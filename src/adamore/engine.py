@@ -2,10 +2,9 @@
 
 Every value is a 2-d float64 numpy array. Operations append records to an
 ambient :class:`Tape`; :func:`backward` replays the records in exact reverse
-order, so no topological sort is needed. Sparse operands (scipy CSR) are
-gradient-opaque constants; learned per-edge weights enter graph products as
-dense vectors through :func:`gather_rows` / :func:`scatter_rows`, which keeps
-their gradients exact.
+order, so no topological sort is needed. Graph products run through
+:func:`gather_rows` / :func:`scatter_rows`, so learned per-edge weights
+enter them as dense vectors with exact gradients.
 
 A training session owns one tape and is single-threaded. Call
 :func:`reset_tape` at the start of each optimization step; parameters are
@@ -238,23 +237,6 @@ def transpose(a: Tensor) -> Tensor:
     return _record("transpose", out, (a,), lambda g: (g.T,))
 
 
-def spmm(sp, a: Tensor) -> Tensor:
-    """Sparse (scipy CSR, constant) times dense; no gradient into sparsity."""
-    if sp.shape[1] != a.shape[0]:
-        raise ShapeError(f"operation 'spmm' mismatch: {sp.shape} @ {a.shape}")
-    sp_t = sp.T.tocsr()
-    out = Tensor(sp @ a.values)
-    return _record("spmm", out, (a,), lambda g: (sp_t @ g,))
-
-
-def trace(a: Tensor) -> Tensor:
-    n, m = a.shape
-    if n != m:
-        raise ShapeError(f"operation 'trace' requires a square matrix, got {a.shape}")
-    out = Tensor(np.trace(a.values))
-    return _record("trace", out, (a,), lambda g: (g[0, 0] * np.eye(n),))
-
-
 def frobenius(a: Tensor, b: Tensor) -> Tensor:
     """Frobenius inner product <A, B> = sum(A * B), a 1x1 tensor."""
     _same_shape(a, b, "frobenius")
@@ -370,12 +352,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record("sigmoid", out, (a,), lambda g: (g * sv * (1.0 - sv),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    tv = np.tanh(a.values)
-    out = Tensor(tv)
-    return _record("tanh", out, (a,), lambda g: (g * (1.0 - tv * tv),))
-
-
 def exp(a: Tensor) -> Tensor:
     ev = np.exp(a.values)
     out = Tensor(ev)
@@ -400,25 +376,11 @@ def power(a: Tensor, p: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and row-wise ops
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.values))
-    return _record("sum_all", out, (a,),
-                   lambda g: (np.full(a.shape, g[0, 0]),))
-
-
 def mean_all(a: Tensor) -> Tensor:
     n = a.values.size
     out = Tensor(np.mean(a.values))
     return _record("mean_all", out, (a,),
                    lambda g: (np.full(a.shape, g[0, 0] / n),))
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean of each row, as an nx1 column."""
-    cols = a.shape[1]
-    out = Tensor(a.values.mean(axis=1, keepdims=True))
-    return _record("mean_rows", out, (a,),
-                   lambda g: (np.repeat(g / cols, cols, axis=1),))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -440,20 +402,6 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     out = Tensor(lsv)
     return _record("log_softmax_rows", out, (a,),
                    lambda g: (g - pv * g.sum(axis=1, keepdims=True),))
-
-
-def l2_normalize_rows(a: Tensor, eps: float = EPS) -> Tensor:
-    av = a.values
-    norms = np.sqrt((av * av).sum(axis=1, keepdims=True))
-    denom = norms + eps
-    out = Tensor(av / denom)
-
-    def back(g):
-        safe = np.maximum(norms, _TINY)
-        coef = (g * av).sum(axis=1, keepdims=True) / (safe * denom * denom)
-        return (g / denom - av * coef,)
-
-    return _record("l2_normalize_rows", out, (a,), back)
 
 
 def cosine_rows(a: Tensor, b: Tensor, eps: float = EPS) -> Tensor:
@@ -537,10 +485,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 def zeros_param(shape: tuple[int, int]) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def constant(values) -> Tensor:
-    return Tensor(values)
 
 
 # ---------------------------------------------------------------------------

@@ -228,14 +228,15 @@ def sensitivity_sweep(g: Graph, axis: str, values, cfg: TrainConfig,
         raise ValueError("sweep values must be nonempty")
     tasks = [(g, replace(cfg, **{axis: type(getattr(cfg, axis))(v), "seed": int(s)}))
              for v in values for s in seeds]
-    accs = _map_jobs(_train_probe_worker, tasks, jobs)
-    rows = []
-    for i, v in enumerate(values):
-        per_seed = accs[i * len(seeds):(i + 1) * len(seeds)]
-        rows.append({"value": v, "median_accuracy": float(np.median(per_seed)),
-                     "mean_accuracy": float(np.mean(per_seed)),
-                     "per_seed": per_seed})
-    return rows
+    return _accuracy_rows(values, _map_jobs(_train_probe_worker, tasks, jobs), len(seeds))
+
+
+def oracle_study(g: Graph, cfg: TrainConfig, cases, seeds=(0, 1, 2, 3, 4),
+                 jobs: int = 1) -> list[dict]:
+    """Probe accuracy of oracle-weight training, one row per (value, spec) case."""
+    tasks = [(g, spec, replace(cfg, seed=int(s))) for _, spec in cases for s in seeds]
+    accs = _map_jobs(_oracle_probe_worker, tasks, jobs)
+    return _accuracy_rows([value for value, _ in cases], accs, len(seeds))
 
 
 def noise_robustness(g: Graph, cfg: TrainConfig, ratios=(0.0, 0.2, 0.5, 0.8),
@@ -243,34 +244,28 @@ def noise_robustness(g: Graph, cfg: TrainConfig, ratios=(0.0, 0.2, 0.5, 0.8),
                      base: OracleWeightSpec | None = None, jobs: int = 1) -> list[dict]:
     """Probe accuracy as oracle guiding weights get progressively corrupted."""
     base = base or OracleWeightSpec()
-    tasks = []
-    for ratio in ratios:
-        spec = replace(base, noise_ratio=float(ratio),
-                       noise_std=stddev if ratio > 0 else 0.0)
-        tasks += [(g, spec, replace(cfg, seed=int(s))) for s in seeds]
-    accs = _map_jobs(_oracle_probe_worker, tasks, jobs)
-    rows = []
-    for i, ratio in enumerate(ratios):
-        per_seed = accs[i * len(seeds):(i + 1) * len(seeds)]
-        rows.append({"value": float(ratio), "median_accuracy": float(np.median(per_seed)),
-                     "mean_accuracy": float(np.mean(per_seed)), "per_seed": per_seed})
-    return rows
+    cases = [(float(ratio), replace(base, noise_ratio=float(ratio),
+                                    noise_std=stddev if ratio > 0 else 0.0))
+             for ratio in ratios]
+    return oracle_study(g, cfg, cases, seeds, jobs)
 
 
 def distinctiveness_study(g: Graph, cfg: TrainConfig,
                           pairs=((0.9, 0.1), (0.7, 0.3), (0.5, 0.5)),
                           seeds=(0, 1, 2, 3, 4), jobs: int = 1) -> list[dict]:
     """Probe accuracy as the oracle weight separation shrinks."""
-    tasks = []
-    for w_same, w_diff in pairs:
-        spec = OracleWeightSpec(mode="distinctiveness", w_same=w_same, w_diff=w_diff)
-        tasks += [(g, spec, replace(cfg, seed=int(s))) for s in seeds]
-    accs = _map_jobs(_oracle_probe_worker, tasks, jobs)
+    cases = [(f"{w_same}/{w_diff}",
+              OracleWeightSpec(mode="distinctiveness", w_same=w_same, w_diff=w_diff))
+             for w_same, w_diff in pairs]
+    return oracle_study(g, cfg, cases, seeds, jobs)
+
+
+def _accuracy_rows(values, accs: list[float], n_seeds: int) -> list[dict]:
+    """One row per value from the value-major list of per-seed accuracies."""
     rows = []
-    for i, (w_same, w_diff) in enumerate(pairs):
-        per_seed = accs[i * len(seeds):(i + 1) * len(seeds)]
-        rows.append({"value": f"{w_same}/{w_diff}",
-                     "median_accuracy": float(np.median(per_seed)),
+    for i, v in enumerate(values):
+        per_seed = accs[i * n_seeds:(i + 1) * n_seeds]
+        rows.append({"value": v, "median_accuracy": float(np.median(per_seed)),
                      "mean_accuracy": float(np.mean(per_seed)), "per_seed": per_seed})
     return rows
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
-from .filters import AdjacencyView, FilterSpec, filter_bank_outputs, sym_propagate
+from .filters import (AdjacencyView, FilterSpec, filter_bank_outputs, neighbor_mean,
+                      neighbor_sum, sym_propagate)
 from .graphs import StructuralEmbedding
 
 RESIDUAL_KINDS = ("gcn-layer", "sage-mean", "gin0", "gat-1head")
@@ -81,6 +82,20 @@ class RoutingStats:
         return self.p.values.ravel()
 
 
+def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
+    """Per-row softmax over the k largest logits; the others get weight 0.
+
+    Selection is a constant decision given the logit values; a stable sort
+    breaks ties toward the lowest index. Returns (weights, selected), with
+    ``selected`` the boolean top-k mask.
+    """
+    order = np.argsort(-logits.values, axis=1, kind="stable")
+    selected = np.zeros(logits.shape, dtype=bool)
+    np.put_along_axis(selected, order[:, :k], True, axis=1)
+    mask = np.where(selected, 0.0, engine._NEG_INF)
+    return engine.softmax_rows(engine.add(logits, Tensor(mask))), selected
+
+
 def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
                      view: AdjacencyView, collect_expert_outputs: bool = False):
     """Top-K mixture of projected filter outputs per node.
@@ -91,16 +106,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
     n = x.shape[0]
     gate_in = engine.concat_cols(x, Tensor(s.s))
     logits = engine.add_row(engine.matmul(gate_in, bank.gate_w), bank.gate_b)
-
-    # selection is a constant decision given the logit values; stable sort
-    # breaks ties toward the lowest expert index
-    order = np.argsort(-logits.values, axis=1, kind="stable")
-    chosen = order[:, :bank.top_k]
-    selected = np.zeros((n, bank.n_exp), dtype=bool)
-    np.put_along_axis(selected, chosen, True, axis=1)
-    mask = np.where(selected, 0.0, -1e30)
-
-    weights = engine.softmax_rows(engine.add(logits, Tensor(mask)))
+    weights, selected = topk_softmax(logits, bank.top_k)
     outs = filter_bank_outputs(list(bank.specs), x, view)
     h_b = None
     projected = []
@@ -148,12 +154,12 @@ class ResidualExpert:
                 engine.matmul(sym_propagate(view, x), self.params["w"]),
                 self.params["b"]))
         if self.kind == "sage-mean":
-            mean_nb = _weighted_neighbor_mean(view, x)
+            mean_nb = neighbor_mean(view, x)
             out = engine.add(engine.matmul(x, self.params["w_self"]),
                              engine.matmul(mean_nb, self.params["w_nb"]))
             return engine.relu(engine.add_row(out, self.params["b"]))
         if self.kind == "gin0":
-            agg = engine.add(x, _weighted_neighbor_sum(view, x))
+            agg = engine.add(x, neighbor_sum(view, x))
             h = engine.relu(engine.add_row(engine.matmul(agg, self.params["w1"]),
                                            self.params["b1"]))
             return engine.relu(engine.add_row(engine.matmul(h, self.params["w2"]),
@@ -161,22 +167,6 @@ class ResidualExpert:
         if self.kind == "gat-1head":
             return _gat_forward(self.params, x, view)
         raise ValueError(f"unknown residual expert kind {self.kind!r}")
-
-
-def _weighted_neighbor_sum(view: AdjacencyView, x: Tensor) -> Tensor:
-    if view.src.shape[0] == 0:
-        return engine.scale(x, 0.0)
-    msg = engine.mul_col(engine.gather_rows(x, view.src), view.weights)
-    return engine.scatter_rows(msg, view.dst, view.n_nodes)
-
-
-def _weighted_neighbor_mean(view: AdjacencyView, x: Tensor) -> Tensor:
-    if view.src.shape[0] == 0:
-        return engine.scale(x, 0.0)
-    total = _weighted_neighbor_sum(view, x)
-    deg = engine.add_scalar(
-        engine.scatter_rows(view.weights, view.dst, view.n_nodes), engine.EPS)
-    return engine.mul_col(total, engine.power(deg, -1.0))
 
 
 def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:

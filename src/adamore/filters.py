@@ -48,14 +48,6 @@ class FilterSpec:
         return f"{self.kind}:{self.k_hops}"
 
 
-def parse_filter_token(token: str) -> FilterSpec:
-    parts = token.split(":")
-    kind = parts[0]
-    k_hops = int(parts[1]) if len(parts) > 1 else 1
-    alpha = float(parts[2]) if len(parts) > 2 else None
-    return FilterSpec(kind=kind, k_hops=k_hops, alpha=alpha)
-
-
 @dataclass
 class AdjacencyView:
     """Self-looped adjacency whose off-diagonal entries carry learned weights.
@@ -90,6 +82,28 @@ def weighted_degrees(view: AdjacencyView) -> Tensor:
     return engine.add_scalar(engine.scatter_rows(view.weights, view.dst, view.n_nodes), 1.0)
 
 
+def neighbor_sum(view: AdjacencyView, h: Tensor) -> Tensor:
+    """Weighted neighbor sum W h (no self-loop): gather, weight, scatter.
+
+    The filters and the SAGE / GIN experts all propagate through here.
+    """
+    if view.src.shape[0] == 0:
+        return engine.scale(h, 0.0)
+    msg = engine.mul_col(engine.gather_rows(h, view.src), view.weights)
+    return engine.scatter_rows(msg, view.dst, view.n_nodes)
+
+
+def neighbor_mean(view: AdjacencyView, h: Tensor) -> Tensor:
+    """Weighted neighbor average D_edge^-1 W h (no self-loop)."""
+    total = neighbor_sum(view, h)
+    if view.src.shape[0] == 0:
+        return total
+    # the degree is recorded after the sum: backward accumulates the
+    # weight gradients in reverse record order, so this order fixes the bits
+    deg = engine.add_scalar(engine.scatter_rows(view.weights, view.dst, view.n_nodes), engine.EPS)
+    return engine.mul_col(total, engine.power(deg, -1.0))
+
+
 def sym_propagate(view: AdjacencyView, h: Tensor) -> Tensor:
     """One hop of D^-1/2 (W + I) D^-1/2 with weighted degrees."""
     deg = weighted_degrees(view)
@@ -97,42 +111,13 @@ def sym_propagate(view: AdjacencyView, h: Tensor) -> Tensor:
     if view.src.shape[0] == 0:
         return self_term
     dinv_sqrt = engine.power(deg, -0.5)
-    hn = engine.mul_col(h, dinv_sqrt)
-    msg = engine.mul_col(engine.gather_rows(hn, view.src), view.weights)
-    agg = engine.mul_col(engine.scatter_rows(msg, view.dst, view.n_nodes), dinv_sqrt)
-    return engine.add(agg, self_term)
-
-
-def _spline_mix(view: AdjacencyView, h: Tensor) -> Tensor:
-    """Weighted neighbor average D_edge^-1 W h (no self-loop)."""
-    if view.src.shape[0] == 0:
-        return engine.scale(h, 0.0)
-    deg = engine.add_scalar(engine.scatter_rows(view.weights, view.dst, view.n_nodes), engine.EPS)
-    msg = engine.mul_col(engine.gather_rows(h, view.src), view.weights)
-    return engine.mul_col(engine.scatter_rows(msg, view.dst, view.n_nodes),
-                          engine.power(deg, -1.0))
+    agg = neighbor_sum(view, engine.mul_col(h, dinv_sqrt))
+    return engine.add(engine.mul_col(agg, dinv_sqrt), self_term)
 
 
 def apply_filter(spec: FilterSpec, h: Tensor, view: AdjacencyView) -> Tensor:
-    if spec.kind == "sgc":
-        out = h
-        for _ in range(spec.k_hops):
-            out = sym_propagate(view, out)
-        return out
-    if spec.kind == "lapsgc":
-        out = h
-        for _ in range(spec.k_hops):
-            out = engine.sub(out, engine.scale(sym_propagate(view, out), spec.alpha))
-        return out
-    if spec.kind == "free_lpf":
-        return sym_propagate(view, h)
-    if spec.kind == "free_hpf":
-        return engine.sub(h, sym_propagate(view, h))
-    if spec.kind == "spline_lp":
-        return engine.scale(engine.add(h, _spline_mix(view, h)), 0.5)
-    if spec.kind == "spline_hp":
-        return engine.scale(engine.sub(h, _spline_mix(view, h)), 0.5)
-    raise ValueError(f"unknown filter kind {spec.kind!r}")
+    """One filter: the single-spec case of :func:`filter_bank_outputs`."""
+    return filter_bank_outputs([spec], h, view)[0]
 
 
 def filter_bank_outputs(specs: list[FilterSpec], h: Tensor,
@@ -163,6 +148,12 @@ def filter_bank_outputs(specs: list[FilterSpec], h: Tensor,
             outputs.append(sgc_hop(spec.k_hops))
         elif spec.kind == "lapsgc":
             outputs.append(lap_hop(spec.alpha, spec.k_hops))
-        else:
-            outputs.append(apply_filter(spec, h, view))
+        elif spec.kind == "free_lpf":
+            outputs.append(sgc_hop(1))
+        elif spec.kind == "free_hpf":
+            outputs.append(engine.sub(h, sgc_hop(1)))
+        elif spec.kind == "spline_lp":
+            outputs.append(engine.scale(engine.add(h, neighbor_mean(view, h)), 0.5))
+        else:  # spline_hp
+            outputs.append(engine.scale(engine.sub(h, neighbor_mean(view, h)), 0.5))
     return outputs

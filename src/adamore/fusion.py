@@ -54,15 +54,11 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
     return np.clip(score, 0.0, 1.0)
 
 
-def structural_score(views: ViewPair, g: Graph,
-                     statistic: str = "mean") -> np.ndarray:
-    """Statistic of the learned weights over each node's incident edges.
+def structural_score(views: ViewPair, g: Graph) -> np.ndarray:
+    """Mean of the learned weights over each node's incident edges.
 
-    The default is the arithmetic mean; "variance" is an alternative cue
-    (high when a node straddles both confident weight extremes).
+    Isolated nodes get the neutral blend 0.5.
     """
-    if statistic not in ("mean", "variance"):
-        raise ValueError(f"unknown structural statistic {statistic!r}")
     score = np.full(g.n_nodes, ISOLATED_BLEND)
     deg = g.degrees().astype(np.float64)
     if g.n_edges:
@@ -71,14 +67,7 @@ def structural_score(views: ViewPair, g: Graph,
         np.add.at(mean, g.edges[:, 0], w)
         np.add.at(mean, g.edges[:, 1], w)
         mask = deg > 0
-        mean[mask] = mean[mask] / deg[mask]
-        if statistic == "mean":
-            score[mask] = mean[mask]
-        else:
-            sq = np.zeros(g.n_nodes)
-            np.add.at(sq, g.edges[:, 0], w * w)
-            np.add.at(sq, g.edges[:, 1], w * w)
-            score[mask] = sq[mask] / deg[mask] - mean[mask] ** 2
+        score[mask] = mean[mask] / deg[mask]
     return np.clip(score, 0.0, 1.0)
 
 

@@ -57,8 +57,6 @@ class ViewPair:
     w: Tensor                 # (m, 1) per undirected edge
     a_coh: AdjacencyView
     a_disp: AdjacencyView
-    tau: float
-    train_mode: bool
 
 
 def _mlp(params: EdgeGateParams, z: Tensor) -> Tensor:
@@ -95,8 +93,7 @@ def gumbel_sigmoid_weights(logits: Tensor, tau: float, rng: np.random.Generator,
     return engine.sigmoid(engine.scale(noisy, 1.0 / tau))
 
 
-def build_views(g: Graph, w: Tensor, tau: float = 0.5,
-                train_mode: bool = False) -> ViewPair:
+def build_views(g: Graph, w: Tensor) -> ViewPair:
     """Cohesive view carries w on both directions, dispersive carries 1 - w."""
     m = g.n_edges
     if w.shape != (m, 1):
@@ -112,8 +109,6 @@ def build_views(g: Graph, w: Tensor, tau: float = 0.5,
         w=w,
         a_coh=AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=w_dir),
         a_disp=AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=disp_dir),
-        tau=tau,
-        train_mode=train_mode,
     )
 
 

@@ -92,13 +92,6 @@ class Graph:
             np.add.at(deg, src, 1)
         return deg
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        nbrs = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return [np.array(sorted(ns), dtype=np.int64) for ns in nbrs]
-
 
 @dataclass(frozen=True)
 class NormalizedOps:
@@ -312,7 +305,7 @@ def _parse_floats(line: str, path: str, lineno: int) -> list[float]:
         raise GraphFormatError(f"{path}:{lineno}: {err}") from None
 
 
-def load_graph(dir_path: str, normalize_features: bool = False) -> Graph:
+def load_graph(dir_path: str) -> Graph:
     """Load and validate a graph directory (edges/features/labels tsv)."""
     feat_path = os.path.join(dir_path, "features.tsv")
     edge_path = os.path.join(dir_path, "edges.tsv")
@@ -376,9 +369,6 @@ def load_graph(dir_path: str, normalize_features: bool = False) -> Graph:
         if labels.min() < 0:
             raise GraphFormatError(f"{label_path}: negative label")
 
-    if normalize_features:
-        norms = np.linalg.norm(features, axis=1, keepdims=True)
-        features = features / np.maximum(norms, 1e-12)
     return make_graph(n, pairs, features, labels=labels)
 
 

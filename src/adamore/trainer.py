@@ -226,7 +226,7 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
         logits = gating.edge_logits(model.gate, x_input, model.emb, g)
         w = gating.gumbel_sigmoid_weights(logits, cfg.tau, rng, train_mode)
         w_eval = expit(logits.values / cfg.tau)
-    views = gating.build_views(g, w, tau=cfg.tau, train_mode=train_mode)
+    views = gating.build_views(g, w)
 
     h_b_coh, stats_coh, outs_coh = experts.backbone_forward(
         model.bank_coh, x_input, model.emb, views.a_coh, collect_expert_outputs=True)
@@ -246,7 +246,7 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
     if alpha_override is not None:
         alpha = np.asarray(alpha_override, dtype=np.float64).ravel()
     else:
-        eval_views = gating.build_views(g, Tensor(w_eval), tau=cfg.tau, train_mode=False)
+        eval_views = gating.build_views(g, Tensor(w_eval))
         alpha = fusion.compute_fusion(eval_views, h_enh_coh.values, g, model.ops).alpha
     h_final = fusion.fuse(h_enh_coh, h_enh_disp, alpha)
 
@@ -300,6 +300,34 @@ def _channel_mean_diversity(div_targets: dict[str, list[Tensor]]) -> Tensor:
 def _mean_load(fwd: ForwardResult) -> Tensor:
     return engine.scale(engine.add(experts.load_balance_loss(fwd.stats_coh),
                                    experts.load_balance_loss(fwd.stats_disp)), 0.5)
+
+
+def masked_objective(fwd: ForwardResult, model: Model, plan: MaskPlan,
+                     cfg: TrainConfig, epoch: int) -> tuple[Tensor, dict[str, Tensor]]:
+    """The composite masked-reconstruction loss and its three parts.
+
+    Reconstruction targets are the model's own (possibly normalized)
+    features. A non-finite component raises :class:`TrainingError`.
+    """
+    l_mae = _guard("l_mae", epoch, lambda: mae_loss(
+        fwd.h_final, model.decoder, model.graph.features, plan, cfg.gamma))
+    l_load = _guard("l_load", epoch, lambda: _mean_load(fwd))
+    l_div = _guard("l_div", epoch, lambda: _channel_mean_diversity(fwd.diversity_targets))
+    total = _guard("total", epoch, lambda: composite_loss(l_mae, l_load, l_div, cfg))
+    return total, {"l_mae": l_mae, "l_load": l_load, "l_div": l_div}
+
+
+def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[MaskPlan, ForwardResult]:
+    """Start a step: fresh tape, resampled node mask, training-mode forward."""
+    model = state.model
+    engine.reset_tape()
+    engine.zero_grads(model.all_parameters())
+    plan = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
+    x_input = masked_input(model.graph.features, plan, model.mask_token)
+    fwd = _guard("reconstruction forward", state.epoch, lambda: full_forward(
+        model, x_input, train_mode=True, rng=state.rng,
+        fixed_weights=state.fixed_weights))
+    return plan, fwd
 
 
 @dataclass
@@ -365,29 +393,15 @@ def svg_step(state: TrainState) -> float:
 def reconstruction_step(state: TrainState) -> dict:
     """Step 2: resample the mask and update all main-model parameters."""
     model, cfg = state.model, state.cfg
-    g = model.graph
-    epoch = state.epoch
-    engine.reset_tape()
-    engine.zero_grads(model.all_parameters())
-    plan = sample_mask(state.rng, g.n_nodes, cfg.mask_ratio)
-    x_input = masked_input(g.features, plan, model.mask_token)
-    fwd = _guard("reconstruction forward", epoch, lambda: full_forward(
-        model, x_input, train_mode=True, rng=state.rng,
-        fixed_weights=state.fixed_weights))
-    l_mae = _guard("l_mae", epoch, lambda: mae_loss(
-        fwd.h_final, model.decoder, g.features, plan, cfg.gamma))
-    l_load = _guard("l_load", epoch, lambda: _mean_load(fwd))
-    l_div = _guard("l_div", epoch, lambda: _channel_mean_diversity(fwd.diversity_targets))
-    total = composite_loss(l_mae, l_load, l_div, cfg)
+    plan, fwd = _masked_forward(state, cfg)
+    total, parts = masked_objective(fwd, model, plan, cfg, state.epoch)
     engine.backward(total)
     engine.adam_step(model.main_parameters(), state.adam_main)
 
     for stats in (fwd.stats_coh, fwd.stats_disp):
-        for k in range(stats.n_exp):
-            state.routing_log.append(
-                (epoch, stats.channel, k, float(stats.f[k]), float(stats.p_values()[k])))
-    return {"l_mae": l_mae.item(), "l_load": l_load.item(), "l_div": l_div.item(),
-            "total": total.item()}
+        state.routing_log += [(state.epoch, stats.channel, k, float(f), float(p))
+                              for k, (f, p) in enumerate(zip(stats.f, stats.p_values()))]
+    return {**{name: part.item() for name, part in parts.items()}, "total": total.item()}
 
 
 def train_epoch(state: TrainState) -> dict:
@@ -445,7 +459,10 @@ def eval_edge_weights(state: TrainState) -> np.ndarray:
 
 def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
                      cfg: TrainConfig | None = None) -> TrainState:
-    """Add a linear head and fine-tune gating + head with experts frozen."""
+    """Add a linear head and fine-tune gating + head with experts frozen.
+
+    ``g`` supplies the labels; the objective reads the model's own features.
+    """
     cfg = cfg or state.cfg
     model = state.model
     support = np.asarray(support, dtype=np.int64)
@@ -453,6 +470,8 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
         raise ValueError("support set is empty")
     if g.labels is None:
         raise ValueError("few-shot fine-tuning requires labels")
+    if g.n_nodes != model.graph.n_nodes:
+        raise ValueError("label graph and model graph differ in node count")
     present = np.unique(g.labels[support])
     if present.size != g.n_classes:
         missing = sorted(set(range(g.n_classes)) - set(present.tolist()))
@@ -464,17 +483,9 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
     onehot = np.zeros((support.size, g.n_classes))
     onehot[np.arange(support.size), g.labels[support]] = 1.0
 
-    for step in range(cfg.finetune_epochs):
-        engine.reset_tape()
-        engine.zero_grads(model.all_parameters())
-        plan = sample_mask(state.rng, g.n_nodes, cfg.mask_ratio)
-        x_input = masked_input(g.features, plan, model.mask_token)
-        fwd = full_forward(model, x_input, train_mode=True, rng=state.rng,
-                           fixed_weights=state.fixed_weights)
-        l_mae = mae_loss(fwd.h_final, model.decoder, g.features, plan, cfg.gamma)
-        l_load = _mean_load(fwd)
-        l_div = _channel_mean_diversity(fwd.diversity_targets)
-        loss = composite_loss(l_mae, l_load, l_div, cfg)
+    for _ in range(cfg.finetune_epochs):
+        plan, fwd = _masked_forward(state, cfg)
+        loss, _ = masked_objective(fwd, model, plan, cfg, state.epoch)
         if cfg.lambda_cls:
             logits = engine.add_row(
                 engine.matmul(engine.gather_rows(fwd.h_final, support), model.head_w),
@@ -542,12 +553,8 @@ class NaiveMoE:
         view = filters.raw_view(self.graph)
         gate_in = engine.concat_cols(x_input, Tensor(self.emb.s))
         logits = engine.add_row(engine.matmul(gate_in, self.gate_w), self.gate_b)
-        if self.top_k is not None and self.top_k < len(self.experts):
-            order = np.argsort(-logits.values, axis=1, kind="stable")[:, :self.top_k]
-            selected = np.zeros(logits.shape, dtype=bool)
-            np.put_along_axis(selected, order, True, axis=1)
-            logits = engine.add(logits, Tensor(np.where(selected, 0.0, -1e30)))
-        probs = engine.softmax_rows(logits)
+        k = len(self.experts) if self.top_k is None else self.top_k
+        probs, _ = experts.topk_softmax(logits, k)
         h = None
         for k, expert in enumerate(self.experts):
             term = engine.mul_col(expert.forward(x_input, view),
@@ -571,10 +578,8 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
         plan = sample_mask(rng, g.n_nodes, cfg.mask_ratio)
         x_input = masked_input(g.features, plan, moe.mask_token)
         h = _guard("naive forward", epoch, lambda: moe.forward(x_input))
-        rows = engine.gather_rows(h, plan.indices)
-        recon = moe.decoder.forward(rows)
-        l_mae = _guard("l_mae", epoch, lambda: gating.scaled_cosine_error(
-            recon, Tensor(g.features[plan.indices]), cfg.gamma))
+        l_mae = _guard("l_mae", epoch, lambda: mae_loss(
+            h, moe.decoder, g.features, plan, cfg.gamma))
         engine.backward(l_mae)
         engine.adam_step(moe.parameters(), adam)
         history.append({"epoch": epoch, "l_mae": l_mae.item(), "l_load": 0.0,

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from adamore import cli
@@ -105,6 +106,25 @@ def test_exp_sensitivity_single_value(sbm_dir, tmp_path):
     rows = json.loads((out / "report.json").read_text())
     assert len(rows) == 1
     assert (out / "report.csv").exists()
+
+
+def test_exp_oracle_weights_accuracy_mode_jobs_agree(sbm_dir, tmp_path):
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code = run_cli("exp-oracle-weights", "--data", sbm_dir, "--out", str(out),
+                       "--mode", "accuracy", "--pairs", "1.0/1.0,0.6/0.6",
+                       "--seeds", "2", "--jobs", jobs, "--epochs", "2",
+                       "--hidden", "8", "--d-s", "3", "--edge-hidden", "8",
+                       "--n-exp", "2", "--top-k", "1")
+        assert code == 0
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]
+    rows = json.loads(reports[0])
+    assert [row["value"] for row in rows] == ["1.0/1.0", "0.6/0.6"]
+    for row in rows:
+        assert len(row["per_seed"]) == 2
+        assert row["median_accuracy"] == float(np.median(row["per_seed"]))
 
 
 def test_print_config_lists_defaults(capsys):

@@ -1,6 +1,7 @@
+import zlib
+
 import numpy as np
 import pytest
-import scipy.sparse as sps
 
 from adamore import engine
 from adamore.engine import Tensor
@@ -85,7 +86,7 @@ def test_backward_linear_map():
     rng = np.random.default_rng(0)
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     x = Tensor(rng.normal(size=(4, 2)))
-    loss = engine.sum_all(engine.matmul(w, x))
+    loss = engine.frobenius(engine.matmul(w, x), Tensor(np.ones((3, 2))))
     engine.backward(loss)
     expected = np.ones((3, 2)) @ x.values.T
     assert np.allclose(w.grad, expected, atol=1e-12)
@@ -103,7 +104,7 @@ def test_backward_leaves_non_ancestors_untouched():
     engine.reset_tape()
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     other = Tensor(np.ones((2, 2)), requires_grad=True)
-    loss = engine.sum_all(engine.mul(w, w))
+    loss = engine.frobenius(engine.mul(w, w), Tensor(np.ones((2, 2))))
     engine.backward(loss)
     assert other.grad is None
 
@@ -167,19 +168,6 @@ def _(rng):
 def _(rng):
     a, c = _param(rng, (3, 4)), Tensor(rng.normal(size=(4, 3)))
     return [a], lambda: engine.frobenius(engine.transpose(a), c)
-
-
-@op_case("spmm")
-def _(rng):
-    sp = sps.random(5, 4, density=0.5, random_state=7, format="csr")
-    a, c = _param(rng, (4, 3)), Tensor(rng.normal(size=(5, 3)))
-    return [a], lambda: engine.frobenius(engine.spmm(sp, a), c)
-
-
-@op_case("trace")
-def _(rng):
-    a = _param(rng, (4, 4))
-    return [a], lambda: engine.trace(engine.mul(a, a))
 
 
 @op_case("frobenius")
@@ -248,12 +236,6 @@ def _(rng):
     return [a], lambda: engine.mean_all(engine.sigmoid(a))
 
 
-@op_case("tanh")
-def _(rng):
-    a = _param(rng, (4, 4))
-    return [a], lambda: engine.mean_all(engine.tanh(a))
-
-
 @op_case("exp")
 def _(rng):
     a = _param(rng, (4, 4))
@@ -272,23 +254,10 @@ def _(rng):
     return [a], lambda: engine.mean_all(engine.power(a, -0.5))
 
 
-@op_case("sum_all")
-def _(rng):
-    a = _param(rng, (4, 4))
-    return [a], lambda: engine.sum_all(engine.mul(a, a))
-
-
 @op_case("mean_all")
 def _(rng):
     a = _param(rng, (4, 4))
     return [a], lambda: engine.mean_all(engine.mul(a, a))
-
-
-@op_case("mean_rows")
-def _(rng):
-    a = _param(rng, (4, 5))
-    c = Tensor(rng.normal(size=(4, 1)))
-    return [a], lambda: engine.frobenius(engine.mean_rows(a), c)
 
 
 @op_case("softmax_rows")
@@ -305,13 +274,6 @@ def _(rng):
     return [a], lambda: engine.frobenius(engine.log_softmax_rows(a), c)
 
 
-@op_case("l2_normalize_rows")
-def _(rng):
-    a = _param(rng, (4, 5))
-    c = Tensor(rng.normal(size=(4, 5)))
-    return [a], lambda: engine.frobenius(engine.l2_normalize_rows(a), c)
-
-
 @op_case("cosine_rows")
 def _(rng):
     a, b = _param(rng, (5, 4)), _param(rng, (5, 4))
@@ -321,7 +283,7 @@ def _(rng):
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradient_matches_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     params, loss_fn = OP_CASES[name](rng)
     assert check_grad(loss_fn, params, seed=11) <= 1e-4
 
@@ -337,7 +299,7 @@ def test_random_composite_graphs_gradcheck():
         idx = rng.integers(0, 6, size=8)
 
         def loss_fn():
-            h = engine.tanh(engine.matmul(x, w1))
+            h = engine.sigmoid(engine.matmul(x, w1))
             h = engine.matmul(h, w2)
             h = engine.gather_rows(h, idx)
             h = engine.scatter_rows(h, idx, 6)

@@ -35,7 +35,6 @@ def test_spec_validation_and_tokens():
     assert filters.FilterSpec("sgc", 2).token() == "sgc:2"
     spec = filters.FilterSpec("lapsgc", 1)
     assert spec.alpha == 1.0
-    assert filters.parse_filter_token("lapsgc:1:0.5").alpha == 0.5
     with pytest.raises(ValueError):
         filters.FilterSpec("nope", 1)
     with pytest.raises(ValueError):

@@ -68,16 +68,6 @@ def test_structural_score_isolated_sentinel():
     assert fusion.structural_score(views, g)[2] == 0.5
 
 
-def test_structural_score_variance_statistic():
-    g = graphs.make_graph(3, [(0, 1), (0, 2)], np.eye(3))
-    views = gating.build_views(g, Tensor([[1.0], [0.0]]))
-    var = fusion.structural_score(views, g, statistic="variance")
-    assert abs(var[0] - 0.25) < 1e-12  # incident weights {1, 0}
-    assert var[1] == 0.0 and var[2] == 0.0
-    with pytest.raises(ValueError):
-        fusion.structural_score(views, g, statistic="median")
-
-
 # ---------------------------------------------------------------------------
 # propagation
 
@@ -153,7 +143,7 @@ def test_fuse_alpha_is_gradient_constant():
     h_coh = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     h_disp = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     alpha = np.array([0.2, 0.7, 0.5])
-    loss = engine.sum_all(fusion.fuse(h_coh, h_disp, alpha))
+    loss = engine.frobenius(fusion.fuse(h_coh, h_disp, alpha), Tensor(np.ones((3, 4))))
     engine.backward(loss)
     assert np.allclose(h_coh.grad, alpha[:, None] * np.ones((3, 2)))
     assert np.allclose(h_disp.grad, (1.0 - alpha)[:, None] * np.ones((3, 2)))

@@ -278,6 +278,30 @@ def test_finetune_validates_support(sbm):
     assert "misses classes" in str(err.value)
 
 
+def test_finetune_rejects_labels_of_another_graph(sbm):
+    cfg = tiny_cfg(epochs=1)
+    state = trainer.train(sbm, cfg)
+    other = graphs.gen_sbm(10, 2, 0.6, 0.1, feat_dim=5, seed=2)
+    with pytest.raises(ValueError, match="node count"):
+        trainer.finetune_fewshot(state, other, np.array([0, 10]), cfg)
+
+
+def test_finetune_reconstructs_the_features_the_model_trained_on(sbm):
+    # under normalize_features the model holds a normalized copy of the
+    # graph; the caller's graph only lends its labels, so fine-tuning with it
+    # must match fine-tuning with the model's own graph bit for bit
+    cfg = tiny_cfg(epochs=1, normalize_features=True)
+    tuned = []
+    for use_model_graph in (False, True):
+        state = trainer.train(sbm, cfg)
+        g = state.model.graph if use_model_graph else sbm
+        trainer.finetune_fewshot(state, g, support_set(sbm), cfg)
+        tuned.append([p.values for p in state.model.head_parameters()
+                      + state.model.gating_parameters()])
+    for a, b in zip(*tuned):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # naive baseline
 
