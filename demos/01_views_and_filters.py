@@ -35,7 +35,7 @@ print("cohesive + dispersive weights are exactly the adjacency:",
 # low-pass smooths within communities, high-pass accentuates boundaries
 h = Tensor(g.features)
 low = filters.apply_filter(filters.FilterSpec("sgc", 2), h, pair.a_coh)
-high = filters.apply_filter(filters.FilterSpec("lapsgc", 1, alpha=1.0), h, pair.a_disp)
+high = filters.apply_filter(filters.FilterSpec("lapsgc", 1), h, pair.a_disp)
 print("low-pass output row 0: ", np.round(low.values[0], 3))
 print("high-pass output row 0:", np.round(high.values[0], 3))
 

@@ -358,13 +358,6 @@ def exp(a: Tensor) -> Tensor:
     return _record("exp", out, (a,), lambda g: (g * ev,))
 
 
-def log(a: Tensor) -> Tensor:
-    av = a.values
-    with np.errstate(all="ignore"):
-        out = Tensor(np.log(av))
-    return _record("log", out, (a,), lambda g: (g / av,))
-
-
 def power(a: Tensor, p: float) -> Tensor:
     av = a.values
     with np.errstate(all="ignore"):

@@ -43,7 +43,7 @@ class ExpertBank:
     def __post_init__(self):
         if not 1 <= self.top_k <= len(self.specs):
             raise ValueError(f"top_k={self.top_k} out of range for {len(self.specs)} experts")
-        if len(set(s.token() for s in self.specs)) != len(self.specs):
+        if len(set(self.specs)) != len(self.specs):
             raise ValueError("expert specs must be distinct")
 
     @property

@@ -1,16 +1,16 @@
 """Graph filter operators over weighted adjacency views.
 
 All filters are pure propagation (no nonlinearity): SGC applies the
-symmetrically renormalized view k times, LapSGC applies (I - alpha * A~) k
-times, the parameter-free single-hop pair backs the cross-filter loss, and
-the spline pair provides the complementary low/high split whose sum is the
-identity. Degrees are recomputed from the current per-edge weights on every
-forward pass, so weight gradients are exact through the normalization.
+symmetrically renormalized view k times, LapSGC applies (I - A~) k times,
+and the spline pair provides the complementary low/high split whose sum is
+the identity. A view records its weighted degree once, when it is built;
+every hop on the view reads that record, so weight gradients stay exact
+through the normalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,34 +18,21 @@ from . import engine
 from .engine import Tensor
 from .graphs import Graph
 
-FILTER_KINDS = ("sgc", "lapsgc", "free_lpf", "free_hpf", "spline_lp", "spline_hp")
+FILTER_KINDS = ("sgc", "lapsgc", "spline_lp", "spline_hp")
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One configured filter; alpha is meaningful for lapsgc only."""
+    """One configured filter: a kind and its hop count."""
 
     kind: str
     k_hops: int = 1
-    alpha: float | None = None
 
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.k_hops < 0:
             raise ValueError("k_hops must be >= 0")
-        if self.kind == "lapsgc":
-            alpha = 1.0 if self.alpha is None else self.alpha
-            if not (0.0 < alpha <= 1.0):
-                raise ValueError("lapsgc alpha must lie in (0, 1]")
-            object.__setattr__(self, "alpha", alpha)
-        elif self.alpha is not None:
-            raise ValueError(f"alpha is only valid for lapsgc, got kind {self.kind!r}")
-
-    def token(self) -> str:
-        if self.kind == "lapsgc":
-            return f"{self.kind}:{self.k_hops}:{self.alpha}"
-        return f"{self.kind}:{self.k_hops}"
 
 
 @dataclass
@@ -54,18 +41,27 @@ class AdjacencyView:
 
     ``weights`` has one entry per directed edge (both orientations of an
     undirected edge share the same weight) and participates in the tape.
+    The weighted degree is recorded once, on the tape current when the view
+    is built, so build a view after the tape reset of the step that uses it.
     """
 
     n_nodes: int
     src: np.ndarray
     dst: np.ndarray
     weights: Tensor  # (2m, 1)
+    weight_sum: Tensor = field(init=False)    # sum of incident weights, (n, 1)
+    inv_deg: Tensor = field(init=False)       # (1 + weight_sum)^-1
+    inv_sqrt_deg: Tensor = field(init=False)  # (1 + weight_sum)^-1/2
 
     def __post_init__(self):
         if self.weights.shape != (self.src.shape[0], 1):
             raise engine.ShapeError(
                 f"view weights shape {self.weights.shape} does not match "
                 f"{self.src.shape[0]} directed edges")
+        self.weight_sum = engine.scatter_rows(self.weights, self.dst, self.n_nodes)
+        deg = engine.add_scalar(self.weight_sum, 1.0)
+        self.inv_deg = engine.power(deg, -1.0)
+        self.inv_sqrt_deg = engine.power(deg, -0.5)
 
 
 def raw_view(g: Graph) -> AdjacencyView:
@@ -75,20 +71,11 @@ def raw_view(g: Graph) -> AdjacencyView:
                          weights=Tensor(np.ones((src.shape[0], 1))))
 
 
-def weighted_degrees(view: AdjacencyView) -> Tensor:
-    """Self-looped weighted degree per node: 1 + sum of incident weights."""
-    if view.src.shape[0] == 0:
-        return Tensor(np.ones((view.n_nodes, 1)))
-    return engine.add_scalar(engine.scatter_rows(view.weights, view.dst, view.n_nodes), 1.0)
-
-
 def neighbor_sum(view: AdjacencyView, h: Tensor) -> Tensor:
     """Weighted neighbor sum W h (no self-loop): gather, weight, scatter.
 
     The filters and the SAGE / GIN experts all propagate through here.
     """
-    if view.src.shape[0] == 0:
-        return engine.scale(h, 0.0)
     msg = engine.mul_col(engine.gather_rows(h, view.src), view.weights)
     return engine.scatter_rows(msg, view.dst, view.n_nodes)
 
@@ -96,23 +83,18 @@ def neighbor_sum(view: AdjacencyView, h: Tensor) -> Tensor:
 def neighbor_mean(view: AdjacencyView, h: Tensor) -> Tensor:
     """Weighted neighbor average D_edge^-1 W h (no self-loop)."""
     total = neighbor_sum(view, h)
-    if view.src.shape[0] == 0:
-        return total
-    # the degree is recorded after the sum: backward accumulates the
+    # the degree terms are recorded after the sum: backward accumulates the
     # weight gradients in reverse record order, so this order fixes the bits
-    deg = engine.add_scalar(engine.scatter_rows(view.weights, view.dst, view.n_nodes), engine.EPS)
-    return engine.mul_col(total, engine.power(deg, -1.0))
+    inv = engine.power(engine.add_scalar(view.weight_sum, engine.EPS), -1.0)
+    return engine.mul_col(total, inv)
 
 
 def sym_propagate(view: AdjacencyView, h: Tensor) -> Tensor:
-    """One hop of D^-1/2 (W + I) D^-1/2 with weighted degrees."""
-    deg = weighted_degrees(view)
-    self_term = engine.mul_col(h, engine.power(deg, -1.0))
-    if view.src.shape[0] == 0:
-        return self_term
-    dinv_sqrt = engine.power(deg, -0.5)
-    agg = neighbor_sum(view, engine.mul_col(h, dinv_sqrt))
-    return engine.add(engine.mul_col(agg, dinv_sqrt), self_term)
+    """One hop of D^-1/2 (W + I) D^-1/2 with the view's weighted degrees."""
+    # record order fixes the bits of the gradient sums into the degree terms
+    self_term = engine.mul_col(h, view.inv_deg)
+    agg = neighbor_sum(view, engine.mul_col(h, view.inv_sqrt_deg))
+    return engine.add(engine.mul_col(agg, view.inv_sqrt_deg), self_term)
 
 
 def apply_filter(spec: FilterSpec, h: Tensor, view: AdjacencyView) -> Tensor:
@@ -126,32 +108,25 @@ def filter_bank_outputs(specs: list[FilterSpec], h: Tensor,
     if not specs:
         raise ValueError("filter bank needs at least one spec")
     sgc_cache: dict[int, Tensor] = {0: h}
-    lap_cache: dict[tuple[float, int], Tensor] = {}
+    lap_cache: dict[int, Tensor] = {0: h}
 
     def sgc_hop(k: int) -> Tensor:
         if k not in sgc_cache:
             sgc_cache[k] = sym_propagate(view, sgc_hop(k - 1))
         return sgc_cache[k]
 
-    def lap_hop(alpha: float, k: int) -> Tensor:
-        if k == 0:
-            return h
-        key = (alpha, k)
-        if key not in lap_cache:
-            prev = lap_hop(alpha, k - 1)
-            lap_cache[key] = engine.sub(prev, engine.scale(sym_propagate(view, prev), alpha))
-        return lap_cache[key]
+    def lap_hop(k: int) -> Tensor:
+        if k not in lap_cache:
+            prev = lap_hop(k - 1)
+            lap_cache[k] = engine.sub(prev, sym_propagate(view, prev))
+        return lap_cache[k]
 
     outputs = []
     for spec in specs:
         if spec.kind == "sgc":
             outputs.append(sgc_hop(spec.k_hops))
         elif spec.kind == "lapsgc":
-            outputs.append(lap_hop(spec.alpha, spec.k_hops))
-        elif spec.kind == "free_lpf":
-            outputs.append(sgc_hop(1))
-        elif spec.kind == "free_hpf":
-            outputs.append(engine.sub(h, sgc_hop(1)))
+            outputs.append(lap_hop(spec.k_hops))
         elif spec.kind == "spline_lp":
             outputs.append(engine.scale(engine.add(h, neighbor_mean(view, h)), 0.5))
         else:  # spline_hp

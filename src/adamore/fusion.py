@@ -15,7 +15,6 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
-from .gating import ViewPair
 from .graphs import Graph, NormalizedOps
 
 ISOLATED_BLEND = 0.5
@@ -54,15 +53,15 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
     return np.clip(score, 0.0, 1.0)
 
 
-def structural_score(views: ViewPair, g: Graph) -> np.ndarray:
-    """Mean of the learned weights over each node's incident edges.
+def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
+    """Mean of the per-edge weights ``w`` over each node's incident edges.
 
     Isolated nodes get the neutral blend 0.5.
     """
     score = np.full(g.n_nodes, ISOLATED_BLEND)
     deg = g.degrees().astype(np.float64)
     if g.n_edges:
-        w = views.w.values.ravel()
+        w = np.asarray(w).ravel()
         mean = np.zeros(g.n_nodes)
         np.add.at(mean, g.edges[:, 0], w)
         np.add.at(mean, g.edges[:, 1], w)
@@ -76,9 +75,10 @@ def propagate_alpha(init: np.ndarray, ops: NormalizedOps) -> np.ndarray:
     return np.clip(ops.a_tilde @ init, 0.0, 1.0)
 
 
-def compute_fusion(views: ViewPair, h_coh: np.ndarray, g: Graph,
+def compute_fusion(w: np.ndarray, h_coh: np.ndarray, g: Graph,
                    ops: NormalizedOps) -> FusionState:
-    a_struct = structural_score(views, g)
+    """Blend coefficients from the eval-mode edge weights ``w``, one per edge."""
+    a_struct = structural_score(w, g)
     a_sem = semantic_score(h_coh, g)
     alpha = propagate_alpha(0.5 * (a_struct + a_sem), ops)
     return FusionState(alpha_struct=a_struct, alpha_sem=a_sem, alpha=alpha)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
-from .filters import AdjacencyView, FilterSpec, apply_filter
+from .filters import AdjacencyView, sym_propagate
 from .graphs import Graph, StructuralEmbedding
 
 
@@ -52,9 +52,8 @@ def init_edge_gate(feat_dim: int, d_s: int, hidden: int,
 
 @dataclass
 class ViewPair:
-    """Learned per-edge weights plus the derived cohesive/dispersive views."""
+    """The cohesive and dispersive views derived from per-edge weights."""
 
-    w: Tensor                 # (m, 1) per undirected edge
     a_coh: AdjacencyView
     a_disp: AdjacencyView
 
@@ -106,7 +105,6 @@ def build_views(g: Graph, w: Tensor) -> ViewPair:
     w_dir = engine.gather_rows(w, both)
     disp_dir = engine.sub(Tensor(np.ones((2 * m, 1))), w_dir)
     return ViewPair(
-        w=w,
         a_coh=AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=w_dir),
         a_disp=AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=disp_dir),
     )
@@ -128,8 +126,8 @@ def svg_loss(views: ViewPair, h_b_coh: Tensor, h_b_disp: Tensor,
     """
     coh_target = h_b_coh.detach()
     disp_target = h_b_disp.detach()
-    lpf_recon = apply_filter(FilterSpec("free_lpf", 1), disp_target, views.a_disp)
-    hpf_recon = apply_filter(FilterSpec("free_hpf", 1), coh_target, views.a_coh)
+    lpf_recon = sym_propagate(views.a_disp, disp_target)
+    hpf_recon = engine.sub(coh_target, sym_propagate(views.a_coh, coh_target))
     return engine.add(scaled_cosine_error(lpf_recon, disp_target, gamma_svg),
                       scaled_cosine_error(hpf_recon, coh_target, gamma_svg))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -132,7 +132,7 @@ class Model:
         self.gate: EdgeGateParams = gating.init_edge_gate(
             f_dim, cfg.d_s, cfg.edge_hidden, rng)
         coh_specs = [FilterSpec("sgc", k) for k in range(1, cfg.n_exp + 1)]
-        disp_specs = [FilterSpec("lapsgc", k, alpha=1.0) for k in range(1, cfg.n_exp + 1)]
+        disp_specs = [FilterSpec("lapsgc", k) for k in range(1, cfg.n_exp + 1)]
         self.bank_coh: ExpertBank = experts.init_expert_bank(
             "coh", coh_specs, cfg.top_k, f_dim, cfg.d_s, d_e, rng)
         self.bank_disp: ExpertBank = experts.init_expert_bank(
@@ -221,7 +221,7 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
     g, cfg = model.graph, model.cfg
     if fixed_weights is not None:
         w = Tensor(np.asarray(fixed_weights).reshape(-1, 1))
-        w_eval = w.values.copy()
+        w_eval = w.values
     else:
         logits = gating.edge_logits(model.gate, x_input, model.emb, g)
         w = gating.gumbel_sigmoid_weights(logits, cfg.tau, rng, train_mode)
@@ -246,8 +246,7 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
     if alpha_override is not None:
         alpha = np.asarray(alpha_override, dtype=np.float64).ravel()
     else:
-        eval_views = gating.build_views(g, Tensor(w_eval))
-        alpha = fusion.compute_fusion(eval_views, h_enh_coh.values, g, model.ops).alpha
+        alpha = fusion.compute_fusion(w_eval, h_enh_coh.values, g, model.ops).alpha
     h_final = fusion.fuse(h_enh_coh, h_enh_disp, alpha)
 
     targets = {
@@ -344,14 +343,18 @@ class TrainState:
     adam_head: AdamState | None = None
 
 
+def training_graph(g: Graph, cfg: TrainConfig) -> Graph:
+    """The graph a model trains on: ``g``, with unit-norm feature rows when
+    ``cfg.normalize_features`` is set."""
+    if not cfg.normalize_features:
+        return g
+    norms = np.linalg.norm(g.features, axis=1, keepdims=True)
+    return replace(g, features=g.features / np.maximum(norms, 1e-12))
+
+
 def init_state(g: Graph, cfg: TrainConfig,
                fixed_weights: np.ndarray | None = None) -> TrainState:
-    if cfg.normalize_features:
-        norms = np.linalg.norm(g.features, axis=1, keepdims=True)
-        feats = g.features / np.maximum(norms, 1e-12)
-        g = Graph(n_nodes=g.n_nodes, edges=g.edges, features=feats,
-                  labels=g.labels, n_classes=g.n_classes)
-    model = Model(g, cfg)
+    model = Model(training_graph(g, cfg), cfg)
     return TrainState(model=model, cfg=cfg,
                       adam_svg=AdamState(lr=cfg.lr),
                       adam_main=AdamState(lr=cfg.lr),
@@ -425,12 +428,9 @@ def train(g: Graph, cfg: TrainConfig,
     return state
 
 
-def embed(state: TrainState, g: Graph | None = None,
-          alpha_override: np.ndarray | None = None) -> np.ndarray:
+def embed(state: TrainState, alpha_override: np.ndarray | None = None) -> np.ndarray:
     """Deterministic eval-mode embedding (no noise, no masking)."""
     model = state.model
-    if g is not None and g is not model.graph:
-        raise ValueError("embed expects the graph the model was trained on")
     engine.reset_tape()
     fwd = full_forward(model, Tensor(model.graph.features), train_mode=False,
                        rng=np.random.default_rng(0),
@@ -568,6 +568,7 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
                        top_k: int | None = 1) -> list[dict]:
     """Per-epoch loss curve of the flat MoE trained on the same objective."""
     kinds = tuple(kinds) if kinds is not None else experts.RESIDUAL_KINDS
+    g = training_graph(g, cfg)
     moe = NaiveMoE(g, cfg, kinds, top_k=top_k)
     adam = AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
@@ -629,6 +630,9 @@ def load_model(state: TrainState, path: str) -> None:
     if "head.w" in named and state.model.head_w is None:
         state.model.add_head(named["head.w"].shape[1], state.rng)
     params = state.model.named_parameters()
+    missing = sorted(params.keys() - named.keys())
+    if missing:
+        raise ValueError(f"checkpoint lacks model entries {missing}")
     for name, values in named.items():
         if name not in params:
             raise ValueError(f"checkpoint entry {name!r} does not match the model")

@@ -61,8 +61,8 @@ def test_scalar_and_shape_errors():
 
 def test_non_finite_aborts_with_op_name():
     with pytest.raises(engine.NonFiniteError) as err:
-        engine.log(Tensor([[0.0]]))
-    assert "log" in str(err.value)
+        engine.power(Tensor([[0.0]]), -1.0)
+    assert "power" in str(err.value)
 
 
 def test_ops_do_not_mutate_inputs():
@@ -240,12 +240,6 @@ def _(rng):
 def _(rng):
     a = _param(rng, (4, 4))
     return [a], lambda: engine.mean_all(engine.exp(a))
-
-
-@op_case("log")
-def _(rng):
-    a = _param(rng, (4, 4), positive=True)
-    return [a], lambda: engine.mean_all(engine.log(a))
 
 
 @op_case("power")

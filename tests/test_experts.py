@@ -110,6 +110,9 @@ def test_backbone_rejects_k_above_n_exp():
     with pytest.raises(ValueError):
         experts.init_expert_bank("coh", [FilterSpec("sgc", 1)], 2,
                                  g.feat_dim, emb.d_s, 4, rng)
+    with pytest.raises(ValueError, match="distinct"):
+        experts.init_expert_bank("coh", [FilterSpec("sgc", 1)] * 2, 1,
+                                 g.feat_dim, emb.d_s, 4, rng)
 
 
 def test_backbone_gradients_match_finite_differences():

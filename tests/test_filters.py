@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adamore import engine, filters, graphs
+from adamore import engine, filters, gating, graphs
 from adamore.engine import Tensor
 
 from _oracles import check_grad, dense_sym_norm, random_adjacency
@@ -32,15 +32,10 @@ def dense_weighted_sym(g, w):
 
 
 def test_spec_validation_and_tokens():
-    assert filters.FilterSpec("sgc", 2).token() == "sgc:2"
-    spec = filters.FilterSpec("lapsgc", 1)
-    assert spec.alpha == 1.0
     with pytest.raises(ValueError):
         filters.FilterSpec("nope", 1)
     with pytest.raises(ValueError):
         filters.FilterSpec("sgc", -1)
-    with pytest.raises(ValueError):
-        filters.FilterSpec("sgc", 1, alpha=0.5)
 
 
 def test_sgc_zero_hops_is_identity():
@@ -59,7 +54,7 @@ def test_sgc_one_hop_two_node_path():
 
 def test_lapsgc_one_hop_two_node_path():
     g = path2()
-    out = filters.apply_filter(filters.FilterSpec("lapsgc", 1, alpha=1.0),
+    out = filters.apply_filter(filters.FilterSpec("lapsgc", 1),
                                Tensor(np.eye(2)), filters.raw_view(g))
     assert np.allclose(out.values, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
@@ -106,7 +101,7 @@ def test_linearity():
     h2 = rng.normal(size=(g.n_nodes, 3))
     a, b = 0.7, -1.3
     for kind, k in (("sgc", 2), ("lapsgc", 2), ("spline_lp", 1), ("spline_hp", 1)):
-        spec = filters.FilterSpec(kind, k, alpha=1.0 if kind == "lapsgc" else None)
+        spec = filters.FilterSpec(kind, k)
         mixed = filters.apply_filter(spec, Tensor(a * h1 + b * h2), view)
         f1 = filters.apply_filter(spec, Tensor(h1), view)
         f2 = filters.apply_filter(spec, Tensor(h2), view)
@@ -135,19 +130,6 @@ def test_spline_perfect_reconstruction_regular_graphs():
         for u, v in g.edges:
             adj[u, v] = adj[v, u] = 1.0
         assert np.allclose(lp.values, 0.5 * (h.values + adj @ h.values / d), atol=1e-12)
-
-
-def test_free_filters_are_single_hops():
-    rng = np.random.default_rng(7)
-    g = graphs.gen_sbm(5, 2, 0.5, 0.2, feat_dim=3, seed=4)
-    view = view_with_weights(g, rng.uniform(0.2, 0.8, size=g.n_edges))
-    h = Tensor(rng.normal(size=(g.n_nodes, 3)))
-    lpf = filters.apply_filter(filters.FilterSpec("free_lpf", 1), h, view)
-    sgc1 = filters.apply_filter(filters.FilterSpec("sgc", 1), h, view)
-    assert np.allclose(lpf.values, sgc1.values, atol=1e-14)
-    hpf = filters.apply_filter(filters.FilterSpec("free_hpf", 1), h, view)
-    lap1 = filters.apply_filter(filters.FilterSpec("lapsgc", 1, alpha=1.0), h, view)
-    assert np.allclose(hpf.values, lap1.values, atol=1e-14)
 
 
 def test_filter_bank_consistency_and_order():
@@ -183,7 +165,40 @@ def test_gradients_flow_through_h_and_weights():
     def loss_fn():
         w_dir = engine.gather_rows(w_und, np.concatenate([np.arange(m), np.arange(m)]))
         view = filters.AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=w_dir)
-        out = filters.apply_filter(filters.FilterSpec("lapsgc", 2, alpha=0.8), h, view)
+        out = filters.apply_filter(filters.FilterSpec("lapsgc", 2), h, view)
         return engine.frobenius(out, target)
 
     assert check_grad(loss_fn, [h, w_und], seed=1) <= 1e-4
+
+
+def test_view_records_its_degree_once():
+    rng = np.random.default_rng(10)
+    g = graphs.gen_sbm(5, 2, 0.6, 0.2, feat_dim=3, seed=8)
+    engine.reset_tape()
+    w = Tensor(rng.uniform(0.2, 0.8, size=(g.n_edges, 1)), requires_grad=True)
+    view = gating.build_views(g, w).a_coh
+    specs = [filters.FilterSpec(kind, k) for kind in ("sgc", "lapsgc") for k in (1, 2, 3, 4)]
+    filters.filter_bank_outputs(specs, Tensor(g.features), view)
+    reads = [rec for rec in engine.current_tape().records
+             if rec[0] == "scatter_rows" and rec[2][0] is view.weights]
+    assert len(reads) == 1
+
+
+def test_edgeless_graph_gives_closed_forms():
+    rng = np.random.default_rng(11)
+    g = graphs.make_graph(4, np.zeros((0, 2)), np.eye(4))
+    h = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    target = Tensor(rng.normal(size=(4, 3)))
+    gain = {"sgc": 1.0, "lapsgc": 0.0, "spline_lp": 0.5, "spline_hp": 0.5}
+    for kind in filters.FILTER_KINDS:
+        for k in (1, 2):
+            spec = filters.FilterSpec(kind, k)
+
+            def loss_fn():
+                view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
+                return engine.frobenius(filters.apply_filter(spec, h, view), target)
+
+            view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
+            out = filters.apply_filter(spec, h, view)
+            assert np.allclose(out.values, gain[kind] * h.values, atol=1e-12), spec
+            assert check_grad(loss_fn, [h], seed=3) <= 1e-4, spec

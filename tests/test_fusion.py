@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adamore import engine, fusion, gating, graphs
+from adamore import engine, fusion, graphs
 from adamore.engine import Tensor
 
 
@@ -53,19 +53,16 @@ def test_semantic_score_clamps_negative_cosine():
 
 def test_structural_score_extremes_and_mean():
     g = graphs.make_graph(3, [(0, 1), (0, 2)], np.eye(3))
-    views = gating.build_views(g, Tensor([[0.8], [0.2]]))
-    score = fusion.structural_score(views, g)
+    score = fusion.structural_score(np.array([[0.8], [0.2]]), g)
     assert abs(score[0] - 0.5) < 1e-12
     assert abs(score[1] - 0.8) < 1e-12
     assert abs(score[2] - 0.2) < 1e-12
-    ones = gating.build_views(g, Tensor(np.ones((2, 1))))
-    assert np.allclose(fusion.structural_score(ones, g), 1.0)
+    assert np.allclose(fusion.structural_score(np.ones((2, 1)), g), 1.0)
 
 
 def test_structural_score_isolated_sentinel():
     g = graphs.make_graph(3, [(0, 1)], np.eye(3))
-    views = gating.build_views(g, Tensor([[0.9]]))
-    assert fusion.structural_score(views, g)[2] == 0.5
+    assert fusion.structural_score(np.array([[0.9]]), g)[2] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +91,8 @@ def test_propagate_alpha_two_node_path():
 def test_compute_fusion_bounds():
     rng = np.random.default_rng(0)
     g = graphs.gen_sbm(10, 2, 0.5, 0.2, feat_dim=4, seed=1)
-    views = gating.build_views(g, Tensor(rng.random((g.n_edges, 1))))
-    state = fusion.compute_fusion(views, rng.normal(size=(g.n_nodes, 6)),
-                                  g, graphs.normalize(g))
+    state = fusion.compute_fusion(rng.random((g.n_edges, 1)),
+                                  rng.normal(size=(g.n_nodes, 6)), g, graphs.normalize(g))
     for vec in (state.alpha_struct, state.alpha_sem, state.alpha):
         assert (vec >= 0.0).all() and (vec <= 1.0).all()
 

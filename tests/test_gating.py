@@ -166,11 +166,11 @@ def test_scaled_cosine_error_half_cosine_gamma_two():
 
 
 def test_svg_loss_perfect_low_pass_term_vanishes():
-    """Isolated node: both free filters act trivially, loss = 0 + 1."""
+    """Isolated node: both single-hop filters act trivially, loss = 0 + 1."""
     g = graphs.make_graph(1, np.zeros((0, 2)), np.ones((1, 1)))
     pair = gating.build_views(g, Tensor(np.zeros((0, 1))))
     h = Tensor(np.array([[1.0, 2.0]]))
-    # free_lpf returns h itself (term ~0); free_hpf returns zeros (term 1)
+    # the low-pass hop returns h itself (term ~0), its complement zeros (term 1)
     loss = gating.svg_loss(pair, h, h, gamma_svg=1.0)
     assert abs(loss.item() - 1.0) < 1e-6
 

@@ -314,6 +314,16 @@ def test_naive_baseline_deterministic_curves(sbm):
     assert all(rec["total"] == rec["l_mae"] for rec in a)
 
 
+def test_naive_baseline_honours_normalize_features(sbm):
+    norms = np.linalg.norm(sbm.features, axis=1, keepdims=True)
+    unit = graphs.make_graph(sbm.n_nodes, sbm.edges, sbm.features / norms,
+                             labels=sbm.labels)
+    want = trainer.naive_moe_baseline(unit, tiny_cfg(epochs=3))
+    got = trainer.naive_moe_baseline(sbm, tiny_cfg(epochs=3, normalize_features=True))
+    assert got == want
+    assert got != trainer.naive_moe_baseline(sbm, tiny_cfg(epochs=3))
+
+
 def test_naive_baseline_homogeneous_variant(sbm):
     cfg = tiny_cfg(epochs=2)
     hom = trainer.naive_moe_baseline(sbm, cfg, kinds=("gcn-layer",) * 4)
@@ -357,3 +367,13 @@ def test_checkpoint_roundtrip_restores_embeddings(tmp_path, sbm):
     assert not np.array_equal(trainer.embed(fresh), want)
     trainer.load_model(fresh, str(path))
     assert np.array_equal(trainer.embed(fresh), want)
+
+
+def test_load_model_rejects_a_checkpoint_missing_a_parameter(tmp_path, sbm):
+    state = trainer.init_state(sbm, tiny_cfg())
+    named = {name: p.values for name, p in state.model.named_parameters().items()
+             if name != "decoder.0"}
+    path = tmp_path / "model.ckpt"
+    engine.save_checkpoint(str(path), named)
+    with pytest.raises(ValueError, match="decoder.0"):
+        trainer.load_model(trainer.init_state(sbm, tiny_cfg()), str(path))
