@@ -14,10 +14,7 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import evaluation, experiments, fusion, gating, graphs, trainer
-from .engine import Tensor
 from .trainer import TrainConfig
 
 # every tunable key, its owning module, and how to parse it from text
@@ -243,9 +240,7 @@ def cmd_train(args) -> int:
                               os.path.abspath(args.data) + "\n")
     weights = trainer.eval_edge_weights(state)
     gating.export_weights_tsv(g, weights, os.path.join(args.out, "weights.tsv"))
-    alpha = trainer.full_forward(state.model, Tensor(g.features), train_mode=False,
-                                 rng=np.random.default_rng(0),
-                                 fixed_weights=state.fixed_weights).alpha
+    alpha = trainer.eval_forward(state).alpha
     fusion.export_alpha_tsv(alpha, os.path.join(args.out, "alpha.tsv"))
     print(f"trained {cfg.epochs} epochs; final loss "
           f"{state.history[-1]['total']:.6f}; outputs in {args.out}")

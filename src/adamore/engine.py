@@ -2,9 +2,16 @@
 
 Every value is a 2-d float64 numpy array. Operations append records to an
 ambient :class:`Tape`; :func:`backward` replays the records in exact reverse
-order, so no topological sort is needed. Graph products run through
-:func:`gather_rows` / :func:`scatter_rows`, so learned per-edge weights
-enter them as dense vectors with exact gradients.
+order, so no topological sort is needed. An op is recorded only when one of
+its inputs needs a gradient, and its backward rule forms only the products
+for such inputs. Inside :func:`frozen`, the given parameters count as
+constants, so a step differentiates only the groups it updates.
+
+Graph products run through :func:`edge_sum`, one sparse product per
+weighted propagation, and :func:`gather_rows` / :func:`scatter_rows`.
+Learned per-edge weights enter them as dense vectors with exact gradients.
+Every sparse pattern is built once per index array and sums each row in
+ascending edge order.
 
 A training session owns one tape and is single-threaded. Call
 :func:`reset_tape` at the start of each optimization step; parameters are
@@ -14,10 +21,12 @@ leaves and survive the reset.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sps
 from scipy.special import expit
 
 EPS = 1e-8
@@ -174,6 +183,25 @@ def zero_grads(params: Sequence[Tensor]) -> None:
         p.grad = None
 
 
+@contextmanager
+def frozen(params: Sequence[Tensor]):
+    """Treat ``params`` as constants for the duration of the block.
+
+    Ops whose only differentiable inputs are frozen record nothing, and no
+    backward rule forms a product for a frozen input, so its ``grad`` stays
+    untouched. The flags are restored on exit, also when the block raises.
+    """
+    saved = [p._needs_grad for p in params]
+    for p in params:
+        p._needs_grad = False
+    try:
+        yield
+    finally:
+        # reversed, so a parameter listed twice gets its first saved flag
+        for p, flag in zip(reversed(params), reversed(saved)):
+            p._needs_grad = flag
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"operation '{op}' requires equal shapes, got {a.shape} and {b.shape}")
@@ -198,7 +226,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     av, bv = a.values, b.values
     out = Tensor(av * bv)
-    return _record("mul", out, (a, b), lambda g: (g * bv, g * av))
+    need_a, need_b = a._needs_grad, b._needs_grad
+    return _record("mul", out, (a, b), lambda g: (g * bv if need_a else None,
+                                                  g * av if need_b else None))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -217,8 +247,10 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(f"operation 'scale_by' requires a 1x1 scalar, got {s.shape}")
     av, sv = a.values, s.values[0, 0]
     out = Tensor(av * sv)
+    need_a, need_s = a._needs_grad, s._needs_grad
     return _record("scale_by", out, (a, s),
-                   lambda g: (g * sv, np.array([[np.sum(g * av)]])))
+                   lambda g: (g * sv if need_a else None,
+                              np.array([[np.sum(g * av)]]) if need_s else None))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +261,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"operation 'matmul' mismatch: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
     out = Tensor(av @ bv)
-    return _record("matmul", out, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    need_a, need_b = a._needs_grad, b._needs_grad
+    return _record("matmul", out, (a, b), lambda g: (g @ bv.T if need_a else None,
+                                                     av.T @ g if need_b else None))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -253,8 +287,9 @@ def add_row(a: Tensor, r: Tensor) -> Tensor:
     if r.shape != (1, a.shape[1]):
         raise ShapeError(f"operation 'add_row' requires (1, {a.shape[1]}), got {r.shape}")
     out = Tensor(a.values + r.values)
+    need_r = r._needs_grad
     return _record("add_row", out, (a, r),
-                   lambda g: (g, g.sum(axis=0, keepdims=True)))
+                   lambda g: (g, g.sum(axis=0, keepdims=True) if need_r else None))
 
 
 def mul_col(a: Tensor, v: Tensor) -> Tensor:
@@ -263,30 +298,88 @@ def mul_col(a: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"operation 'mul_col' requires ({a.shape[0]}, 1), got {v.shape}")
     av, vv = a.values, v.values
     out = Tensor(av * vv)
+    need_a, need_v = a._needs_grad, v._needs_grad
     return _record("mul_col", out, (a, v),
-                   lambda g: (g * vv, np.einsum("ij,ij->i", g, av)[:, None]))
+                   lambda g: (g * vv if need_a else None,
+                              np.einsum("ij,ij->i", g, av)[:, None] if need_v else None))
 
 
 _AGG_CACHE: dict = {}
 
 
-def _aggregator(idx: np.ndarray, n_rows: int):
-    """Cached sparse matrix whose product performs a segment sum over idx.
+def _cached(key, build):
+    """The one cache of sparse index patterns.
 
     Index arrays repeat every forward pass (a graph's edge endpoints), so
-    the n_rows x len(idx) selection matrix is built once per distinct array.
+    each pattern is built once per distinct array and kept under its bytes.
     """
-    import scipy.sparse as sps
-
-    key = (idx.tobytes(), n_rows)
-    agg = _AGG_CACHE.get(key)
-    if agg is None:
-        m = idx.shape[0]
-        agg = sps.csr_matrix((np.ones(m), (idx, np.arange(m))), shape=(n_rows, m))
+    hit = _AGG_CACHE.get(key)
+    if hit is None:
+        hit = build()
         if len(_AGG_CACHE) >= 64:
             _AGG_CACHE.clear()
-        _AGG_CACHE[key] = agg
-    return agg
+        _AGG_CACHE[key] = hit
+    return hit
+
+
+def _row_pattern(rows: np.ndarray, cols: np.ndarray, n_rows: int):
+    """CSR layout (order, indices, indptr) of the entries (rows[e], cols[e]).
+
+    The stable sort keeps each row's entries in ascending e, so every
+    product with the pattern sums a row in ascending entry order.
+    """
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise IndexError(f"index out of range for {n_rows} rows")
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return order, cols[order], indptr
+
+
+def _aggregator(idx: np.ndarray, n_rows: int):
+    """Cached n_rows x len(idx) 0/1 matrix whose product segment-sums over idx."""
+    def build():
+        m = idx.shape[0]
+        _, cols, indptr = _row_pattern(idx, np.arange(m), n_rows)
+        return sps.csr_matrix((np.ones(m), cols, indptr), shape=(n_rows, m))
+
+    return _cached((idx.tobytes(), n_rows), build)
+
+
+def edge_sum(h: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
+             n_rows: int) -> Tensor:
+    """Weighted edge sum: row i is the sum of w[e] * h[src[e]] over dst[e] = i.
+
+    One sparse product A h with A[dst[e], src[e]] = w[e]; the backward is
+    A^T g for ``h`` and the per-edge dot <g[dst[e]], h[src[e]]> for ``w``.
+    Both patterns sum in ascending edge order, so values and gradients
+    equal those of ``scatter_rows(mul_col(gather_rows(h, src), w), dst)``
+    bit for bit, without the edges x columns message matrix.
+    """
+    src = np.asarray(src, dtype=np.int64).ravel()
+    dst = np.asarray(dst, dtype=np.int64).ravel()
+    m, n_cols = src.shape[0], h.shape[0]
+    if dst.shape[0] != m or w.shape != (m, 1):
+        raise ShapeError(f"operation 'edge_sum' needs {m} destinations and ({m}, 1) "
+                         f"weights, got {dst.shape[0]} and {w.shape}")
+    fwd, bwd = _cached((src.tobytes(), dst.tobytes(), n_rows, n_cols),
+                       lambda: (_row_pattern(dst, src, n_rows),
+                                _row_pattern(src, dst, n_cols)))
+    hv, wv = h.values, w.values[:, 0]
+    order, cols, indptr = fwd
+    out = Tensor(sps.csr_matrix((wv[order], cols, indptr), shape=(n_rows, n_cols)) @ hv)
+    need_h, need_w = h._needs_grad, w._needs_grad
+
+    def back(g):
+        gh = gw = None
+        if need_h:
+            order, cols, indptr = bwd
+            gh = sps.csr_matrix((wv[order], cols, indptr), shape=(n_cols, n_rows)) @ g
+        if need_w:
+            gw = np.einsum("ij,ij->i", g[dst], hv[src])[:, None]
+        return gh, gw
+
+    return _record("edge_sum", out, (h, w), back)
 
 
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:

@@ -187,8 +187,8 @@ def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> T
     z = engine.mul(e, w_all)
     denom = engine.add_scalar(engine.scatter_rows(z, dst_all, n), engine.EPS)
     alpha = engine.mul(z, engine.power(engine.gather_rows(denom, dst_all), -1.0))
-    msg = engine.mul_col(engine.gather_rows(xe, src_all), alpha)
-    return engine.scatter_rows(msg, dst_all, n)
+    # the message step sum_j alpha_ij xe_j is one sparse product
+    return engine.edge_sum(xe, alpha, src_all, dst_all, n)
 
 
 def _stack_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -282,40 +282,47 @@ def cka(e_i: Tensor, e_j: Tensor, eps: float = engine.EPS) -> Tensor:
         raise engine.ShapeError(f"cka row mismatch: {e_i.shape} vs {e_j.shape}")
     if e_i.shape[0] < 2:
         raise ValueError("cka needs at least 2 rows")
-    ci = _center_columns(e_i)
-    cj = _center_columns(e_j)
-    cross = engine.matmul(engine.transpose(ci), cj)
-    hsic_ij = engine.frobenius(cross, cross)
-    hsic_ii = _self_hsic(ci)
-    hsic_jj = _self_hsic(cj)
-    if hsic_ii.item() < eps or hsic_jj.item() < eps:
-        return Tensor([[0.0]])
-    denom = engine.power(engine.add_scalar(engine.mul(hsic_ii, hsic_jj), eps), -0.5)
-    return engine.mul(hsic_ij, denom)
+    return _centered_cka(_centered(e_i), _centered(e_j), eps)
 
 
-def _center_columns(e: Tensor) -> Tensor:
+def _centered(e: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """(Xc^T, Xc, HSIC(X, X)) of one output, with Xc its column-centered copy."""
     n = e.shape[0]
     col_means = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), e)
-    return engine.add_row(e, engine.scale(col_means, -1.0))
+    c = engine.add_row(e, engine.scale(col_means, -1.0))
+    ct = engine.transpose(c)
+    gram = engine.matmul(ct, c)
+    return ct, c, engine.frobenius(gram, gram)
 
 
-def _self_hsic(centered: Tensor) -> Tensor:
-    gram = engine.matmul(engine.transpose(centered), centered)
-    return engine.frobenius(gram, gram)
+def _centered_cka(a: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
+                  eps: float) -> Tensor:
+    """CKA of two outputs given their :func:`_centered` triples."""
+    (a_t, _, hsic_aa), (_, b_c, hsic_bb) = a, b
+    if hsic_aa.item() < eps or hsic_bb.item() < eps:
+        return Tensor([[0.0]])
+    cross = engine.matmul(a_t, b_c)
+    hsic_ab = engine.frobenius(cross, cross)
+    denom = engine.power(engine.add_scalar(engine.mul(hsic_aa, hsic_bb), eps), -0.5)
+    return engine.mul(hsic_ab, denom)
 
 
 def diversity_loss(outputs: list[Tensor]) -> Tensor:
-    """Mean pairwise CKA over all unordered output pairs."""
+    """Mean pairwise CKA over all unordered output pairs.
+
+    Each output is centered, and its self-HSIC computed, once for all the
+    pairs it is in.
+    """
     if len(outputs) < 2:
         warnings.warn("diversity_loss needs at least 2 outputs; returning 0",
                       stacklevel=2)
         return Tensor([[0.0]])
+    centered = [_centered(out) for out in outputs]
     total = None
     count = 0
     for i in range(len(outputs)):
         for j in range(i + 1, len(outputs)):
-            term = cka(outputs[i], outputs[j])
+            term = _centered_cka(centered[i], centered[j], engine.EPS)
             total = term if total is None else engine.add(total, term)
             count += 1
     return engine.scale(total, 1.0 / count)

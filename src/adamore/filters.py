@@ -72,12 +72,12 @@ def raw_view(g: Graph) -> AdjacencyView:
 
 
 def neighbor_sum(view: AdjacencyView, h: Tensor) -> Tensor:
-    """Weighted neighbor sum W h (no self-loop): gather, weight, scatter.
+    """Weighted neighbor sum W h (no self-loop), one :func:`engine.edge_sum`.
 
-    The filters and the SAGE / GIN experts all propagate through here.
+    The filters and the SAGE / GIN experts all propagate through here; no
+    per-edge message matrix is formed or kept on the tape.
     """
-    msg = engine.mul_col(engine.gather_rows(h, view.src), view.weights)
-    return engine.scatter_rows(msg, view.dst, view.n_nodes)
+    return engine.edge_sum(h, view.weights, view.src, view.dst, view.n_nodes)
 
 
 def neighbor_mean(view: AdjacencyView, h: Tensor) -> Tensor:

@@ -6,7 +6,9 @@ detached). Step 2 resamples the node mask, substitutes a learnable mask
 token for masked feature rows, and updates every main-model parameter
 (gating excluded) by the composite masked-reconstruction objective. The
 fusion coefficient is recomputed once per epoch from eval-mode edge weights
-and the current cohesive embeddings, and is constant on the tape.
+and the current cohesive embeddings, and is constant on the tape. Every
+step freezes the parameter groups it does not update, so its tape and
+backward hold only what it differentiates; eval passes record nothing.
 """
 
 from __future__ import annotations
@@ -216,7 +218,9 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
 
     ``backbone_only`` stops after the two backbone outputs (all the
     cross-filter loss consumes); it changes no random draws, so training
-    trajectories are identical with or without the skipped work.
+    trajectories are identical with or without the skipped work. That loss
+    holds the backbone outputs constant, so here they run on views of the
+    detached weights and record nothing.
     """
     g, cfg = model.graph, model.cfg
     if fixed_weights is not None:
@@ -227,11 +231,12 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
         w = gating.gumbel_sigmoid_weights(logits, cfg.tau, rng, train_mode)
         w_eval = expit(logits.values / cfg.tau)
     views = gating.build_views(g, w)
+    bank_views = gating.build_views(g, w.detach()) if backbone_only else views
 
     h_b_coh, stats_coh, outs_coh = experts.backbone_forward(
-        model.bank_coh, x_input, model.emb, views.a_coh, collect_expert_outputs=True)
+        model.bank_coh, x_input, model.emb, bank_views.a_coh, collect_expert_outputs=True)
     h_b_disp, stats_disp, outs_disp = experts.backbone_forward(
-        model.bank_disp, x_input, model.emb, views.a_disp, collect_expert_outputs=True)
+        model.bank_disp, x_input, model.emb, bank_views.a_disp, collect_expert_outputs=True)
     if backbone_only:
         return ForwardResult(views=views, h_b_coh=h_b_coh, h_b_disp=h_b_disp,
                              stats_coh=stats_coh, stats_disp=stats_disp,
@@ -369,6 +374,13 @@ def _guard(component: str, epoch: int, fn):
         raise TrainingError(f"epoch {epoch}: non-finite {component}: {err}") from err
 
 
+def _updating(model: Model, params: Sequence[Tensor]):
+    """Freeze every model parameter outside ``params`` for one step, so the
+    tape holds and backward forms only what the step updates."""
+    keep = {id(p) for p in params}
+    return engine.frozen([p for p in model.all_parameters() if id(p) not in keep])
+
+
 def svg_step(state: TrainState) -> float:
     """Step 1: update the view-gating MLP only, by the cross-filter loss.
 
@@ -384,11 +396,12 @@ def svg_step(state: TrainState) -> float:
     engine.reset_tape()
     engine.zero_grads(model.all_parameters())
     x_raw = Tensor(model.graph.features)
-    fwd = _guard("l_svg forward", epoch, lambda: full_forward(
-        model, x_raw, train_mode=True, rng=state.rng, backbone_only=True))
-    l_svg = _guard("l_svg", epoch, lambda: gating.svg_loss(
-        fwd.views, fwd.h_b_coh, fwd.h_b_disp, cfg.gamma_svg))
-    engine.backward(engine.scale(l_svg, -1.0))
+    with _updating(model, model.gating_parameters()):
+        fwd = _guard("l_svg forward", epoch, lambda: full_forward(
+            model, x_raw, train_mode=True, rng=state.rng, backbone_only=True))
+        l_svg = _guard("l_svg", epoch, lambda: gating.svg_loss(
+            fwd.views, fwd.h_b_coh, fwd.h_b_disp, cfg.gamma_svg))
+        engine.backward(engine.scale(l_svg, -1.0))
     engine.adam_step(model.gating_parameters(), state.adam_svg)
     return l_svg.item()
 
@@ -396,9 +409,10 @@ def svg_step(state: TrainState) -> float:
 def reconstruction_step(state: TrainState) -> dict:
     """Step 2: resample the mask and update all main-model parameters."""
     model, cfg = state.model, state.cfg
-    plan, fwd = _masked_forward(state, cfg)
-    total, parts = masked_objective(fwd, model, plan, cfg, state.epoch)
-    engine.backward(total)
+    with _updating(model, model.main_parameters()):
+        plan, fwd = _masked_forward(state, cfg)
+        total, parts = masked_objective(fwd, model, plan, cfg, state.epoch)
+        engine.backward(total)
     engine.adam_step(model.main_parameters(), state.adam_main)
 
     for stats in (fwd.stats_coh, fwd.stats_disp):
@@ -428,30 +442,37 @@ def train(g: Graph, cfg: TrainConfig,
     return state
 
 
-def embed(state: TrainState, alpha_override: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic eval-mode embedding (no noise, no masking)."""
+def eval_forward(state: TrainState,
+                 alpha_override: np.ndarray | None = None) -> ForwardResult:
+    """Deterministic eval-mode forward pass (no noise, no masking).
+
+    Every parameter is frozen, so nothing is recorded; the tape of the
+    previous step is dropped first.
+    """
     model = state.model
     engine.reset_tape()
-    fwd = full_forward(model, Tensor(model.graph.features), train_mode=False,
-                       rng=np.random.default_rng(0),
-                       fixed_weights=state.fixed_weights,
-                       alpha_override=alpha_override)
-    out = fwd.h_final.values.copy()
-    engine.reset_tape()
-    return out
+    with _updating(model, []):
+        return full_forward(model, Tensor(model.graph.features), train_mode=False,
+                            rng=np.random.default_rng(0),
+                            fixed_weights=state.fixed_weights,
+                            alpha_override=alpha_override)
+
+
+def embed(state: TrainState, alpha_override: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic eval-mode embedding (no noise, no masking)."""
+    return eval_forward(state, alpha_override).h_final.values.copy()
 
 
 def eval_edge_weights(state: TrainState) -> np.ndarray:
-    """Eval-mode per-edge weights (deterministic)."""
+    """Eval-mode per-edge weights (deterministic; records nothing)."""
     model = state.model
     if state.fixed_weights is not None:
         return np.asarray(state.fixed_weights).ravel().copy()
     engine.reset_tape()
-    logits = gating.edge_logits(model.gate, Tensor(model.graph.features),
-                                model.emb, model.graph)
-    out = expit(logits.values / state.cfg.tau).ravel()
-    engine.reset_tape()
-    return out
+    with _updating(model, []):
+        logits = gating.edge_logits(model.gate, Tensor(model.graph.features),
+                                    model.emb, model.graph)
+    return expit(logits.values / state.cfg.tau).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +505,18 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
     onehot[np.arange(support.size), g.labels[support]] = 1.0
 
     for _ in range(cfg.finetune_epochs):
-        plan, fwd = _masked_forward(state, cfg)
-        loss, _ = masked_objective(fwd, model, plan, cfg, state.epoch)
-        if cfg.lambda_cls:
-            logits = engine.add_row(
-                engine.matmul(engine.gather_rows(fwd.h_final, support), model.head_w),
-                model.head_b)
-            log_probs = engine.log_softmax_rows(logits)
-            l_cls = engine.scale(engine.frobenius(log_probs, Tensor(onehot)),
-                                 -1.0 / support.size)
-            loss = engine.add(loss, engine.scale(l_cls, cfg.lambda_cls))
-        engine.backward(loss)
+        with _updating(model, trainable):
+            plan, fwd = _masked_forward(state, cfg)
+            loss, _ = masked_objective(fwd, model, plan, cfg, state.epoch)
+            if cfg.lambda_cls:
+                logits = engine.add_row(
+                    engine.matmul(engine.gather_rows(fwd.h_final, support), model.head_w),
+                    model.head_b)
+                log_probs = engine.log_softmax_rows(logits)
+                l_cls = engine.scale(engine.frobenius(log_probs, Tensor(onehot)),
+                                     -1.0 / support.size)
+                loss = engine.add(loss, engine.scale(l_cls, cfg.lambda_cls))
+            engine.backward(loss)
         engine.adam_step(trainable, state.adam_head)
     engine.reset_tape()
     return state

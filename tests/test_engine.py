@@ -2,6 +2,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adamore import engine
 from adamore.engine import Tensor
@@ -275,6 +277,32 @@ def _(rng):
     return [a, b], lambda: engine.frobenius(engine.cosine_rows(a, b), c)
 
 
+def _edge_sum_case(rng, h_grad: bool, w_grad: bool):
+    # node 4 has no edges; nodes 0-3 receive one or two edges each
+    src = np.array([0, 1, 1, 3, 2, 0, 3])
+    dst = np.array([1, 0, 3, 1, 0, 2, 2])
+    h = Tensor(_safe_values(rng, (5, 3)), requires_grad=h_grad)
+    w = Tensor(rng.uniform(0.2, 1.0, size=(7, 1)), requires_grad=w_grad)
+    c = Tensor(rng.normal(size=(5, 3)))
+    params = [t for t in (h, w) if t.requires_grad]
+    return params, lambda: engine.frobenius(engine.edge_sum(h, w, src, dst, 5), c)
+
+
+@op_case("edge_sum_h")
+def _(rng):
+    return _edge_sum_case(rng, h_grad=True, w_grad=False)
+
+
+@op_case("edge_sum_w")
+def _(rng):
+    return _edge_sum_case(rng, h_grad=False, w_grad=True)
+
+
+@op_case("edge_sum")
+def _(rng):
+    return _edge_sum_case(rng, h_grad=True, w_grad=True)
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradient_matches_finite_differences(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -303,6 +331,99 @@ def test_random_composite_graphs_gradcheck():
                               engine.mean_all(engine.mul(sm, sm)))
 
         assert check_grad(loss_fn, [w1, w2], seed=trial, n_entries=3) <= 1e-4
+
+
+def _edge_sum_and_grads(h_values, w_values, src, dst, c, fused: bool):
+    engine.reset_tape()
+    h = Tensor(h_values, requires_grad=True)
+    w = Tensor(w_values, requires_grad=True)
+    if fused:
+        out = engine.edge_sum(h, w, src, dst, c.shape[0])
+    else:
+        msg = engine.mul_col(engine.gather_rows(h, src), w)
+        out = engine.scatter_rows(msg, dst, c.shape[0])
+    engine.backward(engine.frobenius(out, Tensor(c)))
+    engine.reset_tape()
+    return out.values, h.grad, w.grad
+
+
+def test_edge_sum_equals_gather_weight_scatter_bitwise():
+    """The fused op keeps the summation order of the triple it replaces:
+    every row sums its edges in ascending edge order (the np.add.at order)."""
+    rng = np.random.default_rng(7)
+    n, m = 30, 240
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    h_values, w_values = rng.normal(size=(n, 6)), rng.uniform(size=(m, 1))
+    c = rng.normal(size=(n, 6))   # the loss is linear, so c is the output gradient
+    out, grad_h = np.zeros((n, 6)), np.zeros((n, 6))
+    np.add.at(out, dst, h_values[src] * w_values)
+    np.add.at(grad_h, src, c[dst] * w_values)
+    grad_w = np.einsum("ij,ij->i", c[dst], h_values[src])[:, None]
+    fused = _edge_sum_and_grads(h_values, w_values, src, dst, c, fused=True)
+    triple = _edge_sum_and_grads(h_values, w_values, src, dst, c, fused=False)
+    for a, b, ref in zip(fused, triple, (out, grad_h, grad_w)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, ref)
+
+
+def test_edge_sum_rejects_out_of_range_endpoints():
+    h, w = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1)))
+    with pytest.raises(IndexError):
+        engine.edge_sum(h, w, np.array([0, 3]), np.array([1, 2]), 3)
+    with pytest.raises(IndexError):
+        engine.edge_sum(h, w, np.array([0, 1]), np.array([1, -1]), 3)
+    with pytest.raises(engine.ShapeError):
+        engine.edge_sum(h, Tensor(np.ones((3, 1))), np.array([0, 1]), np.array([1, 2]), 3)
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 20))
+    nodes = st.integers(0, n - 1)
+    src = np.array(draw(st.lists(nodes, min_size=m, max_size=m)), dtype=np.int64)
+    dst = np.array(draw(st.lists(nodes, min_size=m, max_size=m)), dtype=np.int64)
+    return n, src, dst, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+_NO_EDGES = np.zeros(0, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_edge_lists())
+@example((3, _NO_EDGES, _NO_EDGES, 2, 5))
+def test_edge_sum_matches_dense_oracle(case):
+    """Random graphs, isolated nodes and empty edge sets included."""
+    n, src, dst, f, seed = case
+    rng = np.random.default_rng(seed)
+    h = Tensor(rng.normal(size=(n, f)), requires_grad=True)
+    w = Tensor(rng.uniform(0.1, 1.0, size=(src.shape[0], 1)), requires_grad=True)
+    dense = np.zeros((n, n))
+    np.add.at(dense, (dst, src), w.values[:, 0])
+    engine.reset_tape()
+    out = engine.edge_sum(h, w, src, dst, n)
+    assert np.allclose(out.values, dense @ h.values, rtol=1e-12, atol=1e-12)
+    c = Tensor(rng.normal(size=(n, f)))
+    params = [h, w] if src.shape[0] else [h]
+    loss_fn = lambda: engine.frobenius(engine.sigmoid(engine.edge_sum(h, w, src, dst, n)), c)
+    assert check_grad(loss_fn, params, seed=seed % 1000) <= 1e-4
+
+
+def test_frozen_parameters_record_nothing_and_get_no_gradient():
+    engine.reset_tape()
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(5, 3)))
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    with engine.frozen([w, b]):
+        engine.add_row(engine.matmul(x, w), b)
+        assert len(engine.current_tape()) == 0
+        live = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        loss = engine.mean_all(engine.add_row(engine.matmul(live, w), b))
+        engine.backward(loss)
+    assert w.grad is None and b.grad is None
+    assert np.allclose(live.grad, np.ones((5, 2)) @ w.values.T / 10.0)
+    assert w._needs_grad and b._needs_grad
 
 
 def test_tape_replay_determinism():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adamore import engine, graphs, trainer
+from adamore import engine, gating, graphs, trainer
 from adamore.engine import Tensor
 from adamore.trainer import TrainConfig
 
@@ -157,6 +157,78 @@ def test_stale_gradients_do_not_leak_between_steps(sbm):
     for pa, pb in zip(a.model.gating_parameters(), b.model.gating_parameters()):
         assert np.array_equal(pa.values, pb.values)
     del grads_before
+
+
+def _named_grads(model, params):
+    names = {id(p): name for name, p in model.named_parameters().items()}
+    return {names[id(p)]: p.grad for p in params}
+
+
+def _tape_after(monkeypatch, module, name, counts):
+    """Record the tape length each time ``module.name`` returns."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        counts.append(len(engine.current_tape()))
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_each_step_differentiates_only_what_it_updates(sbm, monkeypatch):
+    state = trainer.init_state(sbm, tiny_cfg())
+    trainer.svg_step(state)
+    trainer.reconstruction_step(state)
+    gate = _named_grads(state.model, state.model.gating_parameters())
+    assert gate and all(g is None for g in gate.values()), gate.keys()
+
+    trainer.finetune_fewshot(state, sbm, support_set(sbm))
+    main = _named_grads(state.model, state.model.main_parameters())
+    assert all(g is None for g in main.values())
+
+    forward_tapes, logit_tapes = [], []
+    _tape_after(monkeypatch, trainer, "full_forward", forward_tapes)
+    _tape_after(monkeypatch, gating, "edge_logits", logit_tapes)
+    trainer.embed(state)
+    trainer.eval_edge_weights(state)
+    assert forward_tapes == [0]
+    assert logit_tapes == [0, 0]     # inside embed, then eval_edge_weights
+    assert len(engine.current_tape()) == 0
+
+
+def test_step_tape_record_counts(sbm, monkeypatch):
+    """Pinned census: a re-materialized edge message or a frozen group that
+    is taped again changes these counts."""
+    state = trainer.init_state(sbm, tiny_cfg(residual_kinds=(
+        "gcn-layer", "sage-mean", "gin0", "gat-1head")))
+    at_backward, at_forward = [], []
+    _tape_after(monkeypatch, trainer, "full_forward", at_forward)
+    original = engine.backward
+    monkeypatch.setattr(engine, "backward", lambda loss: (
+        at_backward.append(len(engine.current_tape())), original(loss)))
+    trainer.svg_step(state)
+    trainer.reconstruction_step(state)
+    trainer.embed(state)
+    trainer.finetune_fewshot(state, sbm, support_set(sbm),
+                             tiny_cfg(finetune_epochs=1))
+    assert at_backward == [46, 313, 266]   # svg, recon, fine-tune
+    assert at_forward[2] == 0                # embed
+
+
+@pytest.mark.parametrize("poisoned", ["gate", "main"])
+def test_failed_step_restores_gradient_flags(sbm, poisoned):
+    """A step aborted by a non-finite value leaves no parameter frozen."""
+    state = trainer.init_state(sbm, tiny_cfg())
+    model = state.model
+    if poisoned == "gate":
+        target, step = model.gate.w1, trainer.svg_step
+    else:
+        target, step = model.bank_coh.proj_w, trainer.reconstruction_step
+    target.values = np.full_like(target.values, np.nan)
+    with pytest.raises(trainer.TrainingError):
+        step(state)
+    assert all(p._needs_grad for p in model.all_parameters())
 
 
 # ---------------------------------------------------------------------------
