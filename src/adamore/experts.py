@@ -5,8 +5,13 @@ hop count; a per-node gate picks the top-K by logit (ties to the lowest
 expert index) and renormalizes the selected logits with a softmax. All
 filter outputs are computed densely at desk scale; sparsity lives in the
 mixture weights only. The residual pool is dense-activated message-passing
-experts summed with learnable scaling factors, regularized toward pairwise
-dissimilar outputs through linear-kernel CKA.
+experts summed with learnable scaling factors; every one of them, GAT
+included, aggregates its input features before projecting them. Outputs are
+regularized toward pairwise dissimilarity through linear-kernel CKA. A
+foundational output reaches the regularizer as its factors (filter output
+Y, projection W): centering drops the bias, so each HSIC comes from F x F
+blocks of centered filter outputs and S = W W^T, never from the n x d_e
+projection, unless F >= d_e, where projecting first is the cheaper basis.
 """
 
 from __future__ import annotations
@@ -100,8 +105,9 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
                      view: AdjacencyView, collect_expert_outputs: bool = False):
     """Top-K mixture of projected filter outputs per node.
 
-    Returns (h_b, stats), or (h_b, stats, projected_outputs) when
-    ``collect_expert_outputs`` is set (used by the diversity regularizer).
+    Returns (h_b, stats), or (h_b, stats, factored_outputs) when
+    ``collect_expert_outputs`` is set: one (filter output, ``bank.proj_w``)
+    pair per expert, the form the diversity regularizer takes.
     """
     n = x.shape[0]
     gate_in = engine.concat_cols(x, Tensor(s.s))
@@ -109,10 +115,8 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
     weights, selected = topk_softmax(logits, bank.top_k)
     outs = filter_bank_outputs(list(bank.specs), x, view)
     h_b = None
-    projected = []
     for k, out in enumerate(outs):
         proj = engine.add_row(engine.matmul(out, bank.proj_w), bank.proj_b)
-        projected.append(proj)
         term = engine.mul_col(proj, engine.slice_cols(weights, k, k + 1))
         h_b = term if h_b is None else engine.add(h_b, term)
 
@@ -121,7 +125,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
     stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
                          f=selected.mean(axis=0), p=mean_p)
     if collect_expert_outputs:
-        return h_b, stats, projected
+        return h_b, stats, [(out, bank.proj_w) for out in outs]
     return h_b, stats
 
 
@@ -170,11 +174,15 @@ class ResidualExpert:
 
 
 def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
-    """Single-head attention over view-weighted neighbors plus self."""
+    """Single-head attention over view-weighted neighbors plus self.
+
+    Scores are x (W a) and the message sum_j alpha_ij x_j is projected by W
+    after the sum, so every per-edge product is F wide, not d_e wide.
+    """
     n = view.n_nodes
-    xe = engine.matmul(x, params["w"])
-    s_src = engine.matmul(xe, params["a_src"])
-    s_dst = engine.matmul(xe, params["a_dst"])
+    w = params["w"]
+    s_src = engine.matmul(x, engine.matmul(w, params["a_src"]))
+    s_dst = engine.matmul(x, engine.matmul(w, params["a_dst"]))
     self_idx = np.arange(n)
     src_all = np.concatenate([view.src, self_idx])
     dst_all = np.concatenate([view.dst, self_idx])
@@ -187,8 +195,8 @@ def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> T
     z = engine.mul(e, w_all)
     denom = engine.add_scalar(engine.scatter_rows(z, dst_all, n), engine.EPS)
     alpha = engine.mul(z, engine.power(engine.gather_rows(denom, dst_all), -1.0))
-    # the message step sum_j alpha_ij xe_j is one sparse product
-    return engine.edge_sum(xe, alpha, src_all, dst_all, n)
+    # the message step sum_j alpha_ij x_j is one sparse product
+    return engine.matmul(engine.edge_sum(x, alpha, src_all, dst_all, n), w)
 
 
 def _stack_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -270,6 +278,9 @@ def enhance(h_b: Tensor, h_r: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # representation similarity
 
+Output = Tensor | tuple[Tensor, Tensor]   # plain, or factored as (Y, W)
+
+
 def cka(e_i: Tensor, e_j: Tensor, eps: float = engine.EPS) -> Tensor:
     """Linear-kernel centered kernel alignment in [0, 1].
 
@@ -282,42 +293,63 @@ def cka(e_i: Tensor, e_j: Tensor, eps: float = engine.EPS) -> Tensor:
         raise engine.ShapeError(f"cka row mismatch: {e_i.shape} vs {e_j.shape}")
     if e_i.shape[0] < 2:
         raise ValueError("cka needs at least 2 rows")
-    return _centered_cka(_centered(e_i), _centered(e_j), eps)
+    return _centered_cka(_centered(e_i, {}), _centered(e_j, {}), eps)
 
 
-def _centered(e: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """(Xc^T, Xc, HSIC(X, X)) of one output, with Xc its column-centered copy."""
+def _centered(e: Output, grams: dict) -> tuple[Tensor, Tensor, Tensor | None, Tensor]:
+    """(Xc^T, Xc, S, HSIC(X, X)) of one output, Xc its column-centered copy.
+
+    A factored output (Y, W) centers Y alone, since centering drops the
+    bias: the centered output is Yc W, and an HSIC block Wa^T C Wb has the
+    norm <S_a C, C S_b> with S = W W^T, formed once per W in ``grams``.
+    When W is not wider than Y (F >= d_e), W is multiplied in first and
+    S is None, the identity, as for a plain output.
+    """
+    s = None
+    if isinstance(e, tuple):
+        y, w = e
+        if y.shape[1] >= w.shape[1]:
+            e = engine.matmul(y, w)
+        else:
+            if w not in grams:
+                grams[w] = engine.matmul(w, engine.transpose(w))
+            e, s = y, grams[w]
     n = e.shape[0]
     col_means = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), e)
     c = engine.add_row(e, engine.scale(col_means, -1.0))
     ct = engine.transpose(c)
-    gram = engine.matmul(ct, c)
-    return ct, c, engine.frobenius(gram, gram)
+    return ct, c, s, _hsic(engine.matmul(ct, c), s, s)
 
 
-def _centered_cka(a: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
-                  eps: float) -> Tensor:
-    """CKA of two outputs given their :func:`_centered` triples."""
-    (a_t, _, hsic_aa), (_, b_c, hsic_bb) = a, b
+def _hsic(cross: Tensor, s_a: Tensor | None, s_b: Tensor | None) -> Tensor:
+    """<S_a C, C S_b> for the cross Gram C of two centered factors."""
+    left = cross if s_a is None else engine.matmul(s_a, cross)
+    right = cross if s_b is None else engine.matmul(cross, s_b)
+    return engine.frobenius(left, right)
+
+
+def _centered_cka(a: tuple, b: tuple, eps: float) -> Tensor:
+    """CKA of two outputs given their :func:`_centered` quadruples."""
+    (a_t, _, s_a, hsic_aa), (_, b_c, s_b, hsic_bb) = a, b
     if hsic_aa.item() < eps or hsic_bb.item() < eps:
         return Tensor([[0.0]])
-    cross = engine.matmul(a_t, b_c)
-    hsic_ab = engine.frobenius(cross, cross)
+    hsic_ab = _hsic(engine.matmul(a_t, b_c), s_a, s_b)
     denom = engine.power(engine.add_scalar(engine.mul(hsic_aa, hsic_bb), eps), -0.5)
     return engine.mul(hsic_ab, denom)
 
 
-def diversity_loss(outputs: list[Tensor]) -> Tensor:
+def diversity_loss(outputs: list[Output]) -> Tensor:
     """Mean pairwise CKA over all unordered output pairs.
 
     Each output is centered, and its self-HSIC computed, once for all the
-    pairs it is in.
+    pairs it is in; each projection's S = W W^T is formed once.
     """
     if len(outputs) < 2:
         warnings.warn("diversity_loss needs at least 2 outputs; returning 0",
                       stacklevel=2)
         return Tensor([[0.0]])
-    centered = [_centered(out) for out in outputs]
+    grams = {}
+    centered = [_centered(out, grams) for out in outputs]
     total = None
     count = 0
     for i in range(len(outputs)):

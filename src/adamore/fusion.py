@@ -44,10 +44,11 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
     score = np.full(g.n_nodes, ISOLATED_BLEND)
     deg = g.degrees().astype(np.float64)
     if g.n_edges:
-        src, dst = g.directed_pairs()
-        per_edge = (unit[src] * unit[dst]).sum(axis=1)
+        # the cosine is symmetric: one per undirected edge, counted at both ends
+        per_edge = (unit[g.edges[:, 0]] * unit[g.edges[:, 1]]).sum(axis=1)
+        _, dst = g.directed_pairs()
         acc = np.zeros(g.n_nodes)
-        np.add.at(acc, dst, per_edge)
+        np.add.at(acc, dst, np.concatenate([per_edge, per_edge]))
         mask = deg > 0
         score[mask] = acc[mask] / deg[mask]
     return np.clip(score, 0.0, 1.0)

@@ -206,7 +206,7 @@ class ForwardResult:
     h_enh_disp: Tensor | None
     h_final: Tensor | None
     alpha: np.ndarray | None
-    diversity_targets: dict[str, list[Tensor]]
+    diversity_targets: dict[str, list[experts.Output]]
 
 
 def full_forward(model: Model, x_input: Tensor, train_mode: bool,
@@ -290,7 +290,7 @@ def composite_loss(l_mae: Tensor, l_load: Tensor, l_div: Tensor,
     return total
 
 
-def _channel_mean_diversity(div_targets: dict[str, list[Tensor]]) -> Tensor:
+def _channel_mean_diversity(div_targets: dict[str, list[experts.Output]]) -> Tensor:
     terms = [experts.diversity_loss(outs) for outs in div_targets.values()
              if len(outs) >= 2]
     if not terms:

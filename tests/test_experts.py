@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adamore import engine, experts, filters, gating, graphs
 from adamore.engine import Tensor
@@ -250,12 +252,13 @@ def test_gin_matches_dense_oracle():
     assert np.allclose(out.values, expect, atol=1e-12)
 
 
-def test_gat_matches_dense_oracle():
+@pytest.mark.parametrize("feat_dim,d_e", [(3, 4), (4, 4), (6, 2)])
+def test_gat_matches_dense_oracle(feat_dim, d_e):
     rng = np.random.default_rng(12)
-    g, _ = setup_graph(seed=12)
+    g, _ = setup_graph(seed=12, feat_dim=feat_dim)
     w_und = rng.uniform(0.2, 0.9, size=g.n_edges)
     pair = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
-    gat = experts.init_residual_expert("gat-1head", g.feat_dim, 4, rng)
+    gat = experts.init_residual_expert("gat-1head", g.feat_dim, d_e, rng)
     out = gat.forward(Tensor(g.features), pair.a_coh)
 
     xe = g.features @ gat.params["w"].values
@@ -273,12 +276,13 @@ def test_gat_matches_dense_oracle():
     assert np.allclose(out.values, expect, atol=1e-6)
 
 
-def test_residual_experts_gradients_match_finite_differences():
+@pytest.mark.parametrize("feat_dim,d_e", [(3, 3), (2, 5), (6, 2)])
+def test_residual_experts_gradients_match_finite_differences(feat_dim, d_e):
     rng = np.random.default_rng(13)
-    g, _ = setup_graph(seed=13)
-    target = Tensor(rng.normal(size=(g.n_nodes, 3)))
+    g, _ = setup_graph(seed=13, feat_dim=feat_dim)
+    target = Tensor(rng.normal(size=(g.n_nodes, d_e)))
     for kind in experts.RESIDUAL_KINDS:
-        expert = experts.init_residual_expert(kind, g.feat_dim, 3, rng)
+        expert = experts.init_residual_expert(kind, g.feat_dim, d_e, rng)
         for p in expert.parameters():
             # keep pre-activations away from exact relu kinks under FD
             p.values = p.values + rng.uniform(0.05, 0.15, size=p.values.shape)
@@ -296,10 +300,27 @@ def test_residual_experts_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 # CKA and diversity
 
+# (F, d_e) of factored outputs: the F x F basis, the tie, and F > d_e, where
+# the projection is multiplied in first
+FACTOR_SHAPES = [(3, 6), (4, 4), (7, 3)]
+
+
+def factored(rng, n, f, d_e, w=None):
+    """A factored output (Y, W) and its materialized Y W + b, b random."""
+    y = Tensor(rng.normal(size=(n, f)), requires_grad=True)
+    if w is None:
+        w = Tensor(rng.normal(size=(f, d_e)), requires_grad=True)
+    b = rng.normal(size=(1, w.shape[1]))
+    return (y, w), Tensor(y.values @ w.values + b)
+
+
 def test_cka_self_similarity_is_one():
     rng = np.random.default_rng(14)
     e = Tensor(rng.normal(size=(10, 4)))
     assert abs(experts.cka(e, e).item() - 1.0) < 1e-9
+    for f, d_e in FACTOR_SHAPES:
+        fac, _ = factored(rng, 10, f, d_e)
+        assert abs(experts.diversity_loss([fac, fac]).item() - 1.0) < 1e-9
 
 
 def test_cka_invariances():
@@ -343,12 +364,36 @@ def test_cka_matches_kernel_space_oracle():
         hsic_bb = np.trace(kb @ kb)
         expect = hsic_ab / np.sqrt(hsic_aa * hsic_bb + engine.EPS)
         assert abs(got - expect) < 1e-9
+    # a factored pair's diversity equals the CKA of the materialized pair
+    for f, d_e in FACTOR_SHAPES:
+        fac_a, mat_a = factored(rng, 9, f, d_e)
+        fac_b, mat_b = factored(rng, 9, f, d_e)
+        plain = Tensor(rng.normal(size=(9, 5)))
+        for x, y, expect in ((fac_a, fac_b, experts.cka(mat_a, mat_b)),
+                             (fac_a, plain, experts.cka(mat_a, plain)),
+                             (plain, fac_b, experts.cka(plain, mat_b))):
+            assert abs(experts.diversity_loss([x, y]).item() - expect.item()) < 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def factored_matches_materialized(n, f_a, f_b, d_e, seed):
+        rng = np.random.default_rng(seed)
+        fac_a, mat_a = factored(rng, n, f_a, d_e)
+        fac_b, mat_b = factored(rng, n, f_b, d_e)
+        expect = experts.cka(mat_a, mat_b).item()
+        assert abs(experts.diversity_loss([fac_a, fac_b]).item() - expect) < 1e-12
+        assert abs(experts.diversity_loss([fac_a, mat_b]).item() - expect) < 1e-12
+
+    factored_matches_materialized()
 
 
 def test_cka_constant_input_returns_zero():
     e = Tensor(np.ones((5, 3)))
     other = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
     assert experts.cka(e, other).item() == 0.0
+    w = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
+    assert experts.diversity_loss([(e, w), other]).item() == 0.0
 
 
 def test_cka_rejects_tiny_inputs():
@@ -370,6 +415,20 @@ def test_diversity_loss_values():
     third = experts.diversity_loss([zero_a, Tensor(zero_a.values.copy()), zero_b]).item()
     assert abs(third - 1.0 / 3.0) < 1e-9
 
+    # the "both" mode: one bank's factored outputs sharing W, residual
+    # outputs, and a constant filter output below the eps guard
+    for f, d_e in FACTOR_SHAPES:
+        fac_1, mat_1 = factored(rng, 8, f, d_e)
+        fac_2, mat_2 = factored(rng, 8, f, d_e, w=fac_1[1])
+        flat_y = Tensor(np.tile(rng.normal(size=(1, f)), (8, 1)))
+        flat = (flat_y, fac_1[1])
+        residual = [Tensor(rng.normal(size=(8, d_e))) for _ in range(2)]
+        mats = [mat_1, mat_2, Tensor(flat_y.values @ fac_1[1].values)] + residual
+        pairs = [experts.cka(mats[i], mats[j]).item()
+                 for i in range(len(mats)) for j in range(i + 1, len(mats))]
+        got = experts.diversity_loss([fac_1, fac_2, flat] + residual).item()
+        assert abs(got - np.mean(pairs)) < 1e-12
+
 
 def test_diversity_loss_warns_below_two():
     with pytest.warns(UserWarning):
@@ -386,3 +445,13 @@ def test_diversity_loss_gradient_matches_finite_differences():
         return experts.diversity_loss([a, b])
 
     assert check_grad(loss_fn, [a, b], seed=19, n_entries=5) <= 1e-4
+
+    # factored outputs: gradients reach both Y and the shared W
+    for f, d_e in FACTOR_SHAPES:
+        fac_1, _ = factored(rng, 6, f, d_e)
+        fac_2, _ = factored(rng, 6, f, d_e, w=fac_1[1])
+        plain = Tensor(rng.normal(size=(6, d_e)), requires_grad=True)
+        params = [fac_1[0], fac_2[0], fac_1[1], plain]
+        err = check_grad(lambda: experts.diversity_loss([fac_1, fac_2, plain]), params,
+                         seed=19, n_entries=5)
+        assert err <= 1e-4, (f, d_e, err)

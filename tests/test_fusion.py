@@ -42,6 +42,23 @@ def test_semantic_score_isolated_sentinel():
     assert np.array_equal(fusion.semantic_score(np.eye(2), g), [0.5, 0.5])
 
 
+def test_semantic_score_equals_directed_pair_formula():
+    """One cosine per undirected edge gives the bits of one per directed pair."""
+    rng = np.random.default_rng(3)
+    edges = [(0, 1), (0, 2), (2, 3), (1, 3), (3, 5), (0, 5), (2, 5)]
+    g = graphs.make_graph(8, edges, np.eye(8))        # nodes 4, 6, 7 isolated
+    for _ in range(10):
+        h = rng.normal(size=(g.n_nodes, 6))
+        unit = h / np.maximum(np.linalg.norm(h, axis=1, keepdims=True), engine.EPS)
+        src, dst = g.directed_pairs()
+        acc = np.zeros(g.n_nodes)
+        np.add.at(acc, dst, (unit[src] * unit[dst]).sum(axis=1))
+        deg = g.degrees().astype(np.float64)
+        expect = np.full(g.n_nodes, fusion.ISOLATED_BLEND)
+        expect[deg > 0] = acc[deg > 0] / deg[deg > 0]
+        assert np.array_equal(fusion.semantic_score(h, g), np.clip(expect, 0.0, 1.0))
+
+
 def test_semantic_score_clamps_negative_cosine():
     g = path2()
     h = np.array([[1.0, 0.0], [-1.0, 0.0]])

@@ -212,8 +212,23 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
-    assert at_backward == [46, 313, 266]   # svg, recon, fine-tune
+    assert at_backward == [46, 345, 292]   # svg, recon, fine-tune
     assert at_forward[2] == 0                # embed
+
+
+def test_recon_tape_holds_no_embedding_square(sbm, monkeypatch):
+    """With F < d_e the diversity term works in F x F blocks: no record of
+    the recon step is d_e x d_e, as a Gram of projected outputs would be."""
+    cfg = tiny_cfg()
+    assert sbm.feat_dim < cfg.hidden and cfg.diversity_targets == "foundational"
+    state = trainer.init_state(sbm, cfg)
+    shapes = []
+    original = engine.backward
+    monkeypatch.setattr(engine, "backward", lambda loss: (
+        shapes.extend(rec[1].shape for rec in engine.current_tape().records),
+        original(loss)))
+    trainer.reconstruction_step(state)
+    assert shapes and (cfg.hidden, cfg.hidden) not in shapes
 
 
 @pytest.mark.parametrize("poisoned", ["gate", "main"])
