@@ -204,15 +204,24 @@ def _write_run_config(cfg: TrainConfig, path: str) -> None:
 
 
 def _load_model_dir(model_dir: str):
+    """(state, graph) of a trained model directory; the graph its
+    data_path.txt names must still be the one the model was trained on."""
     cfg_path = os.path.join(model_dir, "config.txt")
     data_path = os.path.join(model_dir, "data_path.txt")
+    sha_path = os.path.join(model_dir, "graph_sha256.txt")
     ckpt_path = os.path.join(model_dir, "model.ckpt")
-    for required in (cfg_path, data_path, ckpt_path):
+    for required in (cfg_path, data_path, sha_path, ckpt_path):
         if not os.path.exists(required):
             raise UsageError(f"missing model file: {required}")
     cfg = TrainConfig(**read_config_file(cfg_path))
     with open(data_path) as fh:
-        g = _load_graph_checked(fh.read().strip())
+        graph_dir = fh.read().strip()
+    g = _load_graph_checked(graph_dir)
+    with open(sha_path) as fh:
+        trained_on = fh.read().strip()
+    if graphs.fingerprint(g) != trained_on:
+        raise UsageError(f"graph in {graph_dir} has changed since the model in "
+                         f"{model_dir} was trained on it (sha256 {trained_on})")
     state = trainer.init_state(g, cfg)
     trainer.load_model(state, ckpt_path)
     return state, g
@@ -238,6 +247,8 @@ def cmd_train(args) -> int:
     _write_run_config(cfg, os.path.join(args.out, "config.txt"))
     trainer.atomic_write_text(os.path.join(args.out, "data_path.txt"),
                               os.path.abspath(args.data) + "\n")
+    trainer.atomic_write_text(os.path.join(args.out, "graph_sha256.txt"),
+                              graphs.fingerprint(g) + "\n")
     weights = trainer.eval_edge_weights(state)
     gating.export_weights_tsv(g, weights, os.path.join(args.out, "weights.tsv"))
     alpha = trainer.eval_forward(state).alpha
@@ -263,10 +274,15 @@ def _require_labels(g: graphs.Graph) -> graphs.Graph:
     return g
 
 
-def cmd_eval_probe(args) -> int:
-    state, g = _load_model_dir(args.model_dir)
+def _labeled_embeddings(model_dir: str):
+    """(embeddings, graph) of a trained model whose graph carries labels."""
+    state, g = _load_model_dir(model_dir)
     _require_labels(g)
-    emb = trainer.embed(state)
+    return trainer.embed(state), g
+
+
+def cmd_eval_probe(args) -> int:
+    emb, g = _labeled_embeddings(args.model_dir)
     res = evaluation.linear_probe(emb, g.labels, g, repeats=args.repeats,
                                   seed=args.seed)
     report = {"accuracy_mean": res.mean, "accuracy_std": res.std,
@@ -278,9 +294,7 @@ def cmd_eval_probe(args) -> int:
 
 
 def cmd_eval_cluster(args) -> int:
-    state, g = _load_model_dir(args.model_dir)
-    _require_labels(g)
-    emb = trainer.embed(state)
+    emb, g = _labeled_embeddings(args.model_dir)
     res = evaluation.kmeans_eval(emb, g.labels, k=g.n_classes,
                                  seeds=tuple(range(args.seed, args.seed + 5)))
     report = {"acc": res.acc, "nmi": res.nmi, "ari": res.ari}
@@ -291,9 +305,7 @@ def cmd_eval_cluster(args) -> int:
 
 
 def cmd_eval_fewshot(args) -> int:
-    state, g = _load_model_dir(args.model_dir)
-    _require_labels(g)
-    emb = trainer.embed(state)
+    emb, g = _labeled_embeddings(args.model_dir)
     res = evaluation.prototype_fewshot(emb, g.labels, k=args.k,
                                        n_tasks=args.tasks, seed=args.seed)
     report = {"k": args.k, "accuracy_mean": res.mean, "accuracy_std": res.std}

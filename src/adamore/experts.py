@@ -4,14 +4,16 @@ Each channel owns a bank of same-architecture filter experts differing in
 hop count; a per-node gate picks the top-K by logit (ties to the lowest
 expert index) and renormalizes the selected logits with a softmax. All
 filter outputs are computed densely at desk scale; sparsity lives in the
-mixture weights only. The residual pool is dense-activated message-passing
-experts summed with learnable scaling factors; every one of them, GAT
-included, aggregates its input features before projecting them. Outputs are
-regularized toward pairwise dissimilarity through linear-kernel CKA. A
-foundational output reaches the regularizer as its factors (filter output
-Y, projection W): centering drops the bias, so each HSIC comes from F x F
-blocks of centered filter outputs and S = W W^T, never from the n x d_e
-projection, unless F >= d_e, where projecting first is the cheaper basis.
+mixture weights only. The selected weights of a row sum to 1, so the bank
+mixes its F-wide filter outputs first and projects the mixture once to d_e.
+The residual pool is dense-activated message-passing experts summed with
+learnable scaling factors; every one of them, GAT included, aggregates its
+input features before projecting them. Outputs are regularized toward
+pairwise dissimilarity through linear-kernel CKA. A foundational output
+reaches the regularizer as its factors (filter output Y, projection W):
+centering drops the bias, so each HSIC comes from F x F blocks of centered
+filter outputs and S = W W^T, never from the n x d_e projection, unless
+F >= d_e, where projecting first is the cheaper basis.
 """
 
 from __future__ import annotations
@@ -105,27 +107,33 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
                      view: AdjacencyView, collect_expert_outputs: bool = False):
     """Top-K mixture of projected filter outputs per node.
 
-    Returns (h_b, stats), or (h_b, stats, factored_outputs) when
-    ``collect_expert_outputs`` is set: one (filter output, ``bank.proj_w``)
-    pair per expert, the form the diversity regularizer takes.
+    The selected gate weights of a row sum to 1, so the mixture of the
+    projections Y_k W + b is the projection of the mixture: the filter
+    outputs are mixed first, M = sum_k g_k Y_k (n x F), and projected
+    once, h_b = M W + b.
+
+    Returns (h_b, stats), or (h_b, stats, mix, factored_outputs) when
+    ``collect_expert_outputs`` is set: the mixture M, and one (filter
+    output, ``bank.proj_w``) pair per expert, the form the diversity
+    regularizer takes.
     """
     n = x.shape[0]
     gate_in = engine.concat_cols(x, Tensor(s.s))
     logits = engine.add_row(engine.matmul(gate_in, bank.gate_w), bank.gate_b)
     weights, selected = topk_softmax(logits, bank.top_k)
     outs = filter_bank_outputs(list(bank.specs), x, view)
-    h_b = None
+    mix = None
     for k, out in enumerate(outs):
-        proj = engine.add_row(engine.matmul(out, bank.proj_w), bank.proj_b)
-        term = engine.mul_col(proj, engine.slice_cols(weights, k, k + 1))
-        h_b = term if h_b is None else engine.add(h_b, term)
+        term = engine.mul_col(out, engine.slice_cols(weights, k, k + 1))
+        mix = term if mix is None else engine.add(mix, term)
+    h_b = engine.add_row(engine.matmul(mix, bank.proj_w), bank.proj_b)
 
     full_probs = engine.softmax_rows(logits)
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
     stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
                          f=selected.mean(axis=0), p=mean_p)
     if collect_expert_outputs:
-        return h_b, stats, [(out, bank.proj_w) for out in outs]
+        return h_b, stats, mix, [(out, bank.proj_w) for out in outs]
     return h_b, stats
 
 

@@ -7,7 +7,10 @@ carries w per edge and the dispersive view 1 - w, so the two views sum to
 the original adjacency entrywise. The cross-filter loss trains only this
 module: a parameter-free low-pass filter must reproduce the dispersive
 backbone output on the dispersive view (and the high-pass mirror on the
-cohesive view), with backbone outputs held constant.
+cohesive view), with backbone outputs held constant. Propagation commutes
+with the constant projection, P(M W + 1 b^T) = P([M, 1]) [W; b^T], so a
+backbone output handed over with its factors is propagated as the F + 1
+wide [M, 1] and projected after the hop, unless F + 1 >= d_e.
 """
 
 from __future__ import annotations
@@ -117,17 +120,36 @@ def scaled_cosine_error(recon: Tensor, target: Tensor, gamma: float) -> Tensor:
         engine.sub(Tensor(np.ones(cos.shape)), engine.power(cos, gamma)))
 
 
-def svg_loss(views: ViewPair, h_b_coh: Tensor, h_b_disp: Tensor,
+Target = Tensor | tuple[Tensor, Tensor, Tensor, Tensor]   # plain, or (h, M, W, b)
+
+
+def _propagated_target(view: AdjacencyView, target: Target) -> tuple[Tensor, Tensor]:
+    """(P h, h) for the detached target h, P the view's one-hop propagation."""
+    if isinstance(target, tuple):
+        h, mix, w, b = target
+        if mix.shape[1] + 1 < w.shape[1]:
+            basis = Tensor(np.hstack([mix.values, np.ones((mix.shape[0], 1))]))
+            proj = Tensor(np.vstack([w.values, b.values]))
+            return engine.matmul(sym_propagate(view, basis), proj), h.detach()
+        target = h
+    h = target.detach()
+    return sym_propagate(view, h), h
+
+
+def svg_loss(views: ViewPair, h_b_coh: Target, h_b_disp: Target,
              gamma_svg: float = 1.0) -> Tensor:
     """Cross-filter reconstruction loss; trains the edge gate only.
 
     Backbone outputs are detached here, so the only gradient path runs
-    through the views' weights back into the gating MLP.
+    through the views' weights back into the gating MLP. An output may come
+    with its factors, (h_b, M, W, b) with h_b = M W + 1 b^T: then the F + 1
+    wide [M, 1] is propagated and projected after the hop,
+    P h_b = P([M, 1]) [W; b^T], so the per-edge weight gradient is F + 1
+    wide instead of d_e wide. When F + 1 >= d_e, h_b itself is propagated.
     """
-    coh_target = h_b_coh.detach()
-    disp_target = h_b_disp.detach()
-    lpf_recon = sym_propagate(views.a_disp, disp_target)
-    hpf_recon = engine.sub(coh_target, sym_propagate(views.a_coh, coh_target))
+    lpf_recon, disp_target = _propagated_target(views.a_disp, h_b_disp)
+    lp_coh, coh_target = _propagated_target(views.a_coh, h_b_coh)
+    hpf_recon = engine.sub(coh_target, lp_coh)
     return engine.add(scaled_cosine_error(lpf_recon, disp_target, gamma_svg),
                       scaled_cosine_error(hpf_recon, coh_target, gamma_svg))
 

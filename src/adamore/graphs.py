@@ -2,11 +2,12 @@
 
 A graph directory holds edges.tsv ("u v" per line, 0-indexed), features.tsv
 (one row of floats per node) and optionally labels.tsv (one integer per
-line). Splits travel as splits.tsv with lines "index set_name".
+line).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -372,6 +373,16 @@ def load_graph(dir_path: str) -> Graph:
     return make_graph(n, pairs, features, labels=labels)
 
 
+def fingerprint(g: Graph) -> str:
+    """sha256 hex digest of the edge list and feature matrix (shapes included)."""
+    digest = hashlib.sha256()
+    for arr in (np.ascontiguousarray(g.edges, dtype=np.int64),
+                np.ascontiguousarray(g.features, dtype=np.float64)):
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 def save_graph(g: Graph, dir_path: str) -> None:
     os.makedirs(dir_path, exist_ok=True)
     with open(os.path.join(dir_path, "edges.tsv"), "w") as fh:
@@ -384,26 +395,3 @@ def save_graph(g: Graph, dir_path: str) -> None:
         with open(os.path.join(dir_path, "labels.tsv"), "w") as fh:
             for y in g.labels:
                 fh.write(f"{y}\n")
-
-
-def save_splits(split: SplitSpec, path: str) -> None:
-    with open(path, "w") as fh:
-        for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
-            for i in idx:
-                fh.write(f"{i} {name}\n")
-
-
-def load_splits(path: str, seed: int = -1) -> SplitSpec:
-    parts: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            toks = line.split()
-            if len(toks) != 2 or toks[1] not in parts:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'index set_name'")
-            parts[toks[1]].append(int(toks[0]))
-    return SplitSpec(train=np.array(sorted(parts["train"]), dtype=np.int64),
-                     val=np.array(sorted(parts["val"]), dtype=np.int64),
-                     test=np.array(sorted(parts["test"]), dtype=np.int64),
-                     seed=seed)

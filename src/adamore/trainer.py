@@ -198,8 +198,8 @@ class Model:
 @dataclass
 class ForwardResult:
     views: ViewPair
-    h_b_coh: Tensor
-    h_b_disp: Tensor
+    h_b_coh: gating.Target    # with its factors when backbone_only
+    h_b_disp: gating.Target
     stats_coh: RoutingStats
     stats_disp: RoutingStats
     h_enh_coh: Tensor | None
@@ -220,7 +220,8 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
     cross-filter loss consumes); it changes no random draws, so training
     trajectories are identical with or without the skipped work. That loss
     holds the backbone outputs constant, so here they run on views of the
-    detached weights and record nothing.
+    detached weights and record nothing, and each comes with its factors
+    (h_b, M, W, b) for the loss to propagate in the filter basis.
     """
     g, cfg = model.graph, model.cfg
     if fixed_weights is not None:
@@ -233,12 +234,15 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
     views = gating.build_views(g, w)
     bank_views = gating.build_views(g, w.detach()) if backbone_only else views
 
-    h_b_coh, stats_coh, outs_coh = experts.backbone_forward(
+    h_b_coh, stats_coh, mix_coh, outs_coh = experts.backbone_forward(
         model.bank_coh, x_input, model.emb, bank_views.a_coh, collect_expert_outputs=True)
-    h_b_disp, stats_disp, outs_disp = experts.backbone_forward(
+    h_b_disp, stats_disp, mix_disp, outs_disp = experts.backbone_forward(
         model.bank_disp, x_input, model.emb, bank_views.a_disp, collect_expert_outputs=True)
     if backbone_only:
-        return ForwardResult(views=views, h_b_coh=h_b_coh, h_b_disp=h_b_disp,
+        coh, disp = model.bank_coh, model.bank_disp
+        return ForwardResult(views=views,
+                             h_b_coh=(h_b_coh, mix_coh, coh.proj_w, coh.proj_b),
+                             h_b_disp=(h_b_disp, mix_disp, disp.proj_w, disp.proj_b),
                              stats_coh=stats_coh, stats_disp=stats_disp,
                              h_enh_coh=None, h_enh_disp=None, h_final=None,
                              alpha=None, diversity_targets={})

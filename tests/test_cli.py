@@ -89,6 +89,28 @@ def test_eval_commands(model_dir, tmp_path):
     assert report["k"] == 1
 
 
+def test_model_dir_rejects_a_changed_graph(tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    gen = ("gen-sbm", "--blocks", "2", "--per-block", "8", "--p-in", "0.6",
+           "--p-out", "0.1", "--feat-dim", "4", "--out", str(data))
+    assert run_cli(*gen, "--seed", "0") == 0
+    assert run_cli("train", "--data", str(data), "--out", str(run), "--epochs", "1",
+                   "--hidden", "4", "--d-s", "2", "--edge-hidden", "4",
+                   "--n-exp", "2", "--top-k", "1") == 0
+    embed = ("embed", "--model-dir", str(run), "--out", str(tmp_path / "emb.tsv"))
+    # rewriting the same graph keeps the model directory usable
+    assert run_cli(*gen, "--seed", "0") == 0
+    assert run_cli(*embed) == 0
+    assert run_cli(*gen, "--seed", "7") == 0
+    capsys.readouterr()
+    assert run_cli(*embed) == 1
+    assert "has changed" in capsys.readouterr().err
+    assert run_cli("eval-probe", "--model-dir", str(run)) == 1
+    (run / "graph_sha256.txt").unlink()
+    assert run_cli(*embed) == 1
+    assert "missing model file" in capsys.readouterr().err
+
+
 def test_motivate_command(sbm_dir, tmp_path):
     out = tmp_path / "motivate"
     assert run_cli("motivate", "--data", sbm_dir, "--out", str(out)) == 0

@@ -211,6 +211,43 @@ def test_svg_loss_gradient_matches_finite_differences():
     assert check_grad(loss_fn, params.parameters(), seed=2, n_entries=4) <= 1e-4
 
 
+def _factored_targets(rng, n, feat_dim, d_e):
+    """Two (M W + b, M, W, b) targets, one per channel."""
+    out = []
+    for _ in range(2):
+        mix, w, b = (Tensor(rng.normal(size=shape))
+                     for shape in ((n, feat_dim), (feat_dim, d_e), (1, d_e)))
+        out.append((engine.add_row(engine.matmul(mix, w), b), mix, w, b))
+    return out
+
+
+# F + 1 < d_e propagates [M, 1]; F + 1 >= d_e propagates M W + b itself
+@pytest.mark.parametrize("feat_dim,d_e", [(3, 6), (4, 5), (6, 3)])
+def test_svg_loss_on_factors_equals_projected_targets(feat_dim, d_e):
+    g, _ = small_graph(seed=12)
+    rng = np.random.default_rng(13)
+    pair = gating.build_views(g, Tensor(rng.uniform(0.1, 0.9, size=(g.n_edges, 1))))
+    coh, disp = _factored_targets(rng, g.n_nodes, feat_dim, d_e)
+    factored = gating.svg_loss(pair, coh, disp, gamma_svg=2.0).item()
+    plain = gating.svg_loss(pair, coh[0], disp[0], gamma_svg=2.0).item()
+    assert abs(factored - plain) <= 1e-12 * abs(plain)
+
+
+@pytest.mark.parametrize("feat_dim,d_e", [(3, 6), (4, 5), (6, 3)])
+def test_svg_loss_on_factors_gradient_matches_finite_differences(feat_dim, d_e):
+    g, emb = small_graph(seed=14)
+    rng = np.random.default_rng(15)
+    params = gating.init_edge_gate(g.feat_dim, emb.d_s, hidden=4, rng=rng)
+    coh, disp = _factored_targets(rng, g.n_nodes, feat_dim, d_e)
+
+    def loss_fn():
+        logits = gating.edge_logits(params, Tensor(g.features), emb, g)
+        pair = gating.build_views(g, engine.sigmoid(logits))
+        return gating.svg_loss(pair, coh, disp, gamma_svg=2.0)
+
+    assert check_grad(loss_fn, params.parameters(), seed=3, n_entries=4) <= 1e-4
+
+
 def test_export_weights_tsv(tmp_path):
     g, _ = small_graph(seed=10)
     w = np.linspace(0.1, 0.9, g.n_edges)

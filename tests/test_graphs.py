@@ -326,14 +326,3 @@ def test_split_rejects_starved_class():
                           labels=np.array([0] * 9 + [1]))
     with pytest.raises(ValueError):
         graphs.make_splits(g, (0.1, 0.1, 0.8), seed=0)
-
-
-def test_split_tsv_roundtrip(tmp_path):
-    g = graphs.gen_sbm(20, 2, 0.5, 0.1, feat_dim=4, seed=0)
-    sp = graphs.make_splits(g, (0.2, 0.2, 0.6), seed=5)
-    path = tmp_path / "splits.tsv"
-    graphs.save_splits(sp, str(path))
-    back = graphs.load_splits(str(path))
-    assert np.array_equal(back.train, sp.train)
-    assert np.array_equal(back.val, sp.val)
-    assert np.array_equal(back.test, sp.test)

@@ -212,7 +212,7 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
-    assert at_backward == [46, 345, 292]   # svg, recon, fine-tune
+    assert at_backward == [48, 337, 284]   # svg, recon, fine-tune
     assert at_forward[2] == 0                # embed
 
 
@@ -229,6 +229,22 @@ def test_recon_tape_holds_no_embedding_square(sbm, monkeypatch):
         original(loss)))
     trainer.reconstruction_step(state)
     assert shapes and (cfg.hidden, cfg.hidden) not in shapes
+
+
+def test_svg_tape_propagates_in_the_filter_basis(sbm, monkeypatch):
+    """With F + 1 < d_e the cross-filter loss propagates the F + 1 wide
+    [M, 1]: no edge sum of the svg step takes a d_e-wide input."""
+    cfg = tiny_cfg()
+    assert sbm.feat_dim + 1 < cfg.hidden
+    state = trainer.init_state(sbm, cfg)
+    widths = []
+    original = engine.backward
+    monkeypatch.setattr(engine, "backward", lambda loss: (
+        widths.extend(rec[2][0].shape[1] for rec in engine.current_tape().records
+                      if rec[0] == "edge_sum"),
+        original(loss)))
+    trainer.svg_step(state)
+    assert widths and cfg.hidden not in widths
 
 
 @pytest.mark.parametrize("poisoned", ["gate", "main"])
