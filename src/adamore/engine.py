@@ -8,7 +8,8 @@ for such inputs. Inside :func:`frozen`, the given parameters count as
 constants, so a step differentiates only the groups it updates.
 
 Graph products run through :func:`edge_sum`, one sparse product per
-weighted propagation, and :func:`gather_rows` / :func:`scatter_rows`.
+weighted propagation, :func:`pair_relu`, the edge gate's hidden layer
+over row pairs, and :func:`gather_rows` / :func:`scatter_rows`.
 Learned per-edge weights enter them as dense vectors with exact gradients.
 Every sparse pattern is built once per index array and sums each row in
 ascending edge order.
@@ -392,6 +393,33 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
         return (_aggregator(idx, av.shape[0]) @ g,)
 
     return _record("gather_rows", out, (a,), back)
+
+
+def pair_relu(a: Tensor, b: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
+    """Row-pair hidden layer: row e is relu(a[src[e]] + b[dst[e]]).
+
+    One output buffer (gather, add and clip in place) and one mask in the
+    backward, which segment-sums the masked gradient over ``src`` for ``a``
+    and over ``dst`` for ``b``. Values and gradients equal those of
+    ``relu(add(gather_rows(a, src), gather_rows(b, dst)))`` bit for bit.
+    """
+    src = np.asarray(src, dtype=np.int64).ravel()
+    dst = np.asarray(dst, dtype=np.int64).ravel()
+    if a.shape[1] != b.shape[1] or src.shape != dst.shape:
+        raise ShapeError(f"operation 'pair_relu' needs equal widths and index lengths, "
+                         f"got {a.shape}, {b.shape} and {src.shape[0]}, {dst.shape[0]} pairs")
+    ov = a.values[src]
+    ov += b.values[dst]
+    np.maximum(ov, 0.0, out=ov)
+    out = Tensor(ov)
+    need_a, need_b = a._needs_grad, b._needs_grad
+
+    def back(g):
+        gm = g * (ov > 0.0)
+        return (_aggregator(src, a.shape[0]) @ gm if need_a else None,
+                _aggregator(dst, b.shape[0]) @ gm if need_b else None)
+
+    return _record("pair_relu", out, (a, b), back)
 
 
 def scatter_rows(a: Tensor, index: np.ndarray, n_rows: int) -> Tensor:

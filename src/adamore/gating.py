@@ -2,6 +2,9 @@
 
 An edge MLP scores each undirected edge from the concatenated features and
 structural embeddings of its endpoints, symmetrized over both orderings.
+Its first layer is linear in the two endpoint blocks,
+[u_i, u_j] W1 = u_i W1[:F + d_s] + u_j W1[F + d_s:] with u = [x, s], so it
+runs on the n node rows and only the hidden ReLU runs per directed edge.
 Gumbel-Sigmoid turns logits into soft weights in (0, 1); the cohesive view
 carries w per edge and the dispersive view 1 - w, so the two views sum to
 the original adjacency entrywise. The cross-filter loss trains only this
@@ -61,28 +64,32 @@ class ViewPair:
     a_disp: AdjacencyView
 
 
-def _mlp(params: EdgeGateParams, z: Tensor) -> Tensor:
-    h = engine.relu(engine.add_row(engine.matmul(z, params.w1), params.b1))
-    return engine.add_row(engine.matmul(h, params.w2), params.b2)
-
-
 def edge_logits(params: EdgeGateParams, x: Tensor, s: StructuralEmbedding,
                 g: Graph) -> Tensor:
-    """Symmetric per-edge logits: the MLP averaged over both orderings."""
-    feat_dim = x.shape[1]
-    if params.in_dim != 2 * (feat_dim + s.d_s):
+    """Symmetric per-edge logits: the MLP averaged over both orderings.
+
+    The MLP reads [x_i, s_i, x_j, s_j]. Its first layer is formed per node,
+    top = u W1[:half] + b1 and bot = u W1[half:] with u = [x, s] and
+    half = F + d_s, so the directed pair (i, j) has the hidden layer
+    relu(top_i + bot_j). Both orderings of every edge run as the 2m
+    directed pairs, and the two logits of an edge are averaged.
+    """
+    half = x.shape[1] + s.d_s
+    if params.in_dim != 2 * half:
         raise engine.ShapeError(
             f"edge gate expects input width {params.in_dim}, "
-            f"got 2*({feat_dim}+{s.d_s})")
-    i_idx, j_idx = g.edges[:, 0], g.edges[:, 1]
-    s_const = Tensor(s.s)
-    xi = engine.gather_rows(x, i_idx)
-    xj = engine.gather_rows(x, j_idx)
-    si = engine.gather_rows(s_const, i_idx)
-    sj = engine.gather_rows(s_const, j_idx)
-    z_ij = engine.concat_cols(engine.concat_cols(xi, si), engine.concat_cols(xj, sj))
-    z_ji = engine.concat_cols(engine.concat_cols(xj, sj), engine.concat_cols(xi, si))
-    return engine.scale(engine.add(_mlp(params, z_ij), _mlp(params, z_ji)), 0.5)
+            f"got 2*({x.shape[1]}+{s.d_s})")
+    u = engine.concat_cols(x, Tensor(s.s))
+    w_top = engine.gather_rows(params.w1, np.arange(half))
+    w_bot = engine.gather_rows(params.w1, np.arange(half, 2 * half))
+    top = engine.add_row(engine.matmul(u, w_top), params.b1)
+    bot = engine.matmul(u, w_bot)
+    src, dst = g.directed_pairs()
+    hidden = engine.pair_relu(top, bot, src, dst)
+    out = engine.add_row(engine.matmul(hidden, params.w2), params.b2)
+    m = g.n_edges
+    both = np.concatenate([np.arange(m), np.arange(m)])
+    return engine.scale(engine.scatter_rows(out, both, m), 0.5)
 
 
 def gumbel_sigmoid_weights(logits: Tensor, tau: float, rng: np.random.Generator,

@@ -161,19 +161,29 @@ def normalize(g: Graph) -> NormalizedOps:
 
 def structural_embeddings(ops: NormalizedOps, d_s: int = 8,
                           block: int = 1024) -> StructuralEmbedding:
-    """Diagonals of T, T^2, ..., T^d_s via blocked indicator probes."""
+    """Diagonals of T, T^2, ..., T^d_s via blocked indicator probes.
+
+    T = D^-1/2 A~ D^1/2 shares its power diagonals with the symmetric A~,
+    so with the probe columns e_i the half-power identity
+    diag(T^p)_i = <A~^floor(p/2) e_i, A~^ceil(p/2) e_i> (for even p the
+    squared norm of A~^(p/2) e_i) needs only ceil(d_s / 2) products with A~
+    per block.
+    """
     if d_s < 1:
         raise ValueError("d_s must be >= 1")
-    n = ops.t_walk.shape[0]
+    n = ops.a_tilde.shape[0]
     s = np.zeros((n, d_s))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        probes = np.zeros((n, stop - start))
-        probes[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        cur = probes
-        for p in range(d_s):
-            cur = ops.t_walk @ cur
-            s[start:stop, p] = cur[np.arange(start, stop), np.arange(stop - start)]
+        cur = np.zeros((n, stop - start))
+        cur[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        for p in range(1, d_s + 1):
+            # lo = A~^floor(p/2) e_i, cur = A~^ceil(p/2) e_i
+            if p % 2:
+                lo, cur = cur, ops.a_tilde @ cur
+            else:
+                lo = cur
+            s[start:stop, p - 1] = np.einsum("ij,ij->j", lo, cur)
     return StructuralEmbedding(s=s)
 
 

@@ -303,6 +303,32 @@ def _(rng):
     return _edge_sum_case(rng, h_grad=True, w_grad=True)
 
 
+def _pair_relu_case(rng, a_grad: bool, b_grad: bool):
+    # node 3 of a and node 0 of b appear in no pair; pairs repeat rows
+    src = np.array([0, 1, 2, 2, 0, 4, 1])
+    dst = np.array([1, 3, 1, 2, 4, 4, 3])
+    a = Tensor(_safe_values(rng, (5, 3)), requires_grad=a_grad)
+    b = Tensor(_safe_values(rng, (5, 3), low=0.4, high=0.9), requires_grad=b_grad)
+    c = Tensor(rng.normal(size=(7, 3)))
+    params = [t for t in (a, b) if t.requires_grad]
+    return params, lambda: engine.frobenius(engine.pair_relu(a, b, src, dst), c)
+
+
+@op_case("pair_relu_a")
+def _(rng):
+    return _pair_relu_case(rng, a_grad=True, b_grad=False)
+
+
+@op_case("pair_relu_b")
+def _(rng):
+    return _pair_relu_case(rng, a_grad=False, b_grad=True)
+
+
+@op_case("pair_relu")
+def _(rng):
+    return _pair_relu_case(rng, a_grad=True, b_grad=True)
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_op_gradient_matches_finite_differences(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -364,6 +390,46 @@ def test_edge_sum_equals_gather_weight_scatter_bitwise():
     for a, b, ref in zip(fused, triple, (out, grad_h, grad_w)):
         assert np.array_equal(a, b)
         assert np.array_equal(a, ref)
+
+
+def _pair_relu_and_grads(a_values, b_values, src, dst, c, fused: bool,
+                         a_grad: bool, b_grad: bool):
+    engine.reset_tape()
+    a = Tensor(a_values, requires_grad=a_grad)
+    b = Tensor(b_values, requires_grad=b_grad)
+    if fused:
+        out = engine.pair_relu(a, b, src, dst)
+    else:
+        out = engine.relu(engine.add(engine.gather_rows(a, src), engine.gather_rows(b, dst)))
+    engine.backward(engine.frobenius(out, Tensor(c)))
+    engine.reset_tape()
+    return out.values, a.grad, b.grad
+
+
+@pytest.mark.parametrize("a_grad, b_grad", [(True, True), (True, False), (False, True)])
+def test_pair_relu_equals_gather_add_relu_bitwise(a_grad, b_grad):
+    """One buffer and one mask give the composition's values and gradients
+    bit for bit; a frozen input gets no gradient."""
+    rng = np.random.default_rng(11)
+    n_a, n_b, pairs = 20, 15, 300
+    src, dst = rng.integers(0, n_a, pairs), rng.integers(0, n_b, pairs)
+    a_values, b_values = rng.normal(size=(n_a, 8)), rng.normal(size=(n_b, 8))
+    c = rng.normal(size=(pairs, 8))
+    fused = _pair_relu_and_grads(a_values, b_values, src, dst, c, True, a_grad, b_grad)
+    composed = _pair_relu_and_grads(a_values, b_values, src, dst, c, False, a_grad, b_grad)
+    assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
+    for x, y in zip(fused, composed):
+        assert (x is None) == (y is None)
+        assert x is None or np.array_equal(x, y)
+    assert (fused[1] is None) != a_grad and (fused[2] is None) != b_grad
+
+
+def test_pair_relu_rejects_mismatched_operands():
+    a, b = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 4)))
+    with pytest.raises(engine.ShapeError):
+        engine.pair_relu(a, b, np.array([0]), np.array([1]))
+    with pytest.raises(engine.ShapeError):
+        engine.pair_relu(a, a, np.array([0, 1]), np.array([1]))
 
 
 def test_edge_sum_rejects_out_of_range_endpoints():

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adamore import engine, gating, graphs
 from adamore.engine import Tensor
@@ -52,6 +56,57 @@ def test_edge_logits_match_dense_oracle():
         # symmetric by construction: swapping endpoint order changes nothing
         swapped = 0.5 * (mlp(zj[None, :]) + mlp(zi[None, :]))
         assert expect[0, 0] == swapped[0, 0]
+
+
+def _concatenation_oracle(params, x, s, edges):
+    """The gate MLP on [x_i, s_i, x_j, s_j], averaged over both orderings."""
+    w1, b1, w2, b2 = (p.values for p in params.parameters())
+    u = np.hstack([x, s])
+    i, j = edges[:, 0], edges[:, 1]
+
+    def mlp(z):
+        return np.maximum(z @ w1 + b1, 0.0) @ w2 + b2
+
+    return 0.5 * (mlp(np.hstack([u[i], u[j]])) + mlp(np.hstack([u[j], u[i]])))
+
+
+def _with_swapped_endpoints(g):
+    """The same graph with every edge stored as (v, u)."""
+    swapped = copy.copy(g)
+    object.__setattr__(swapped, "edges", np.ascontiguousarray(g.edges[:, ::-1]))
+    return swapped
+
+
+@st.composite
+def _gate_cases(draw):
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=25))
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6)))
+    return n, pairs, dims, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_gate_cases())
+@example((3, [], (2, 2, 4), 1))
+def test_edge_logits_match_concatenation_oracle(case):
+    """Per-node first layer vs the per-edge concatenation form, on random
+    graphs with an isolated node (the last one) and the empty edge set."""
+    n, pairs, (feat_dim, d_s, hidden), seed = case
+    rng = np.random.default_rng(seed)
+    g = graphs.make_graph(n + 1, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                          rng.normal(size=(n + 1, feat_dim)))
+    emb = graphs.structural_embeddings(graphs.normalize(g), d_s=d_s)
+    params = gating.init_edge_gate(feat_dim, d_s, hidden, rng)
+    params.b1.values = rng.normal(size=params.b1.shape)
+    params.b2.values = rng.normal(size=params.b2.shape)
+    logits = gating.edge_logits(params, Tensor(g.features), emb, g)
+    expect = _concatenation_oracle(params, g.features, emb.s, g.edges)
+    assert logits.shape == expect.shape == (g.n_edges, 1)
+    assert np.abs(logits.values - expect).max(initial=0.0) <= \
+        1e-12 * np.abs(expect).max(initial=0.0)
+    swapped = gating.edge_logits(params, Tensor(g.features), emb, _with_swapped_endpoints(g))
+    assert np.array_equal(swapped.values, logits.values)
 
 
 def test_edge_logits_dimension_mismatch():

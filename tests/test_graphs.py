@@ -185,6 +185,21 @@ def test_structural_embedding_matches_dense_powers():
             assert np.allclose(emb.s[:, p], np.diag(cur), atol=1e-12)
 
 
+@pytest.mark.parametrize("d_s", [1, 3, 6, 7])
+def test_structural_embedding_half_powers_match_dense_powers(d_s):
+    """Odd and even d_s, with a block size that does not divide n."""
+    rng = np.random.default_rng(23 + d_s)
+    adj = random_adjacency(rng, 11, p=0.3)
+    adj[10, :] = adj[:, 10] = 0.0          # one isolated node
+    emb = graphs.structural_embeddings(graphs.normalize(_graph_from_adj(adj)),
+                                       d_s=d_s, block=4)
+    t = dense_walk_norm(adj)
+    expect = np.stack([np.diag(np.linalg.matrix_power(t, p))
+                       for p in range(1, d_s + 1)], axis=1)
+    assert emb.s.shape == (11, d_s)
+    assert np.allclose(emb.s, expect, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # homophily and clustering
 

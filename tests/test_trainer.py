@@ -212,7 +212,7 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
-    assert at_backward == [48, 337, 284]   # svg, recon, fine-tune
+    assert at_backward == [46, 326, 282]   # svg, recon, fine-tune
     assert at_forward[2] == 0                # embed
 
 
@@ -245,6 +245,22 @@ def test_svg_tape_propagates_in_the_filter_basis(sbm, monkeypatch):
         original(loss)))
     trainer.svg_step(state)
     assert widths and cfg.hidden not in widths
+
+
+def test_gate_tape_holds_no_edge_concatenation(sbm, monkeypatch):
+    """The gate's first layer runs on node rows: no tensor on the svg or
+    recon tape is m x 2(F + d_s), the per-edge input of a concatenated MLP."""
+    cfg = tiny_cfg()
+    state = trainer.init_state(sbm, cfg)
+    shapes = []
+    original = engine.backward
+    monkeypatch.setattr(engine, "backward", lambda loss: (
+        shapes.extend(t.shape for rec in engine.current_tape().records
+                      for t in (rec[1],) + rec[2]),
+        original(loss)))
+    trainer.svg_step(state)
+    trainer.reconstruction_step(state)
+    assert shapes and (sbm.n_edges, 2 * (sbm.feat_dim + cfg.d_s)) not in shapes
 
 
 @pytest.mark.parametrize("poisoned", ["gate", "main"])
