@@ -277,7 +277,9 @@ def frobenius(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "frobenius")
     av, bv = a.values, b.values
     out = Tensor(np.sum(av * bv))
-    return _record("frobenius", out, (a, b), lambda g: (g[0, 0] * bv, g[0, 0] * av))
+    need_a, need_b = a._needs_grad, b._needs_grad
+    return _record("frobenius", out, (a, b), lambda g: (g[0, 0] * bv if need_a else None,
+                                                        g[0, 0] * av if need_b else None))
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +529,15 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = EPS) -> Tensor:
     nb = np.sqrt((bv * bv).sum(axis=1, keepdims=True))
     denom = na * nb + eps
     out = Tensor(dots / denom)
+    need_a, need_b = a._needs_grad, b._needs_grad
 
     def back(g):
-        na_safe = np.maximum(na, _TINY)
-        nb_safe = np.maximum(nb, _TINY)
         common = g * dots / (denom * denom)
-        ga = g * bv / denom - common * nb * av / na_safe
-        gb = g * av / denom - common * na * bv / nb_safe
+        ga = gb = None
+        if need_a:
+            ga = g * bv / denom - common * nb * av / np.maximum(na, _TINY)
+        if need_b:
+            gb = g * av / denom - common * na * bv / np.maximum(nb, _TINY)
         return (ga, gb)
 
     return _record("cosine_rows", out, (a, b), back)

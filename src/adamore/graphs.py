@@ -2,13 +2,18 @@
 
 A graph directory holds edges.tsv ("u v" per line, 0-indexed), features.tsv
 (one row of floats per node) and optionally labels.tsv (one integer per
-line).
+line). :func:`load_graph` parses each file in one bulk pass and re-reads it
+line by line only to locate an error or to accept text numpy's reader
+refuses. Edges are deduplicated and checked on one int64 key per undirected
+pair, ``lo * n + hi``, whose order is the lexicographic order of the pairs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,12 +54,13 @@ class Graph:
                 raise GraphFormatError("self-loop in canonical edge list")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            canon = np.stack([lo, hi], axis=1)
-            order = np.lexsort((canon[:, 1], canon[:, 0]))
-            canon = canon[order]
-            if canon.shape[0] > 1 and (np.diff(canon, axis=0) == 0).all(axis=1).any():
-                raise GraphFormatError("duplicate edge in canonical edge list")
-            edges = canon
+            key = lo * self.n_nodes + hi
+            if not (np.diff(key) > 0).all():
+                order = np.argsort(key, kind="stable")
+                if (np.diff(key[order]) == 0).any():
+                    raise GraphFormatError("duplicate edge in canonical edge list")
+                lo, hi = lo[order], hi[order]
+            edges = np.stack([lo, hi], axis=1)
         labels = self.labels
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
@@ -96,12 +102,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class NormalizedOps:
-    """Self-looped adjacency and its symmetric / random-walk normalizations."""
+    """Self-looped adjacency, its degrees and its symmetric normalization."""
 
     a_hat: sps.csr_matrix      # A + I
     d_hat: np.ndarray          # self-looped degree vector, entries >= 1
     a_tilde: sps.csr_matrix    # D^-1/2 (A+I) D^-1/2
-    t_walk: sps.csr_matrix     # D^-1 (A+I), rows sum to 1
 
 
 @dataclass(frozen=True)
@@ -134,17 +139,19 @@ class SplitSpec:
 def make_graph(n_nodes: int, edge_pairs, features, labels=None, n_classes=None) -> Graph:
     """Build a validated Graph, symmetrizing/deduplicating raw edge pairs."""
     pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.size:
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # out-of-range pairs reach Graph unchanged, which rejects them
+    if pairs.size and pairs.min() >= 0 and pairs.max() < n_nodes:
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        key = np.unique(lo * n_nodes + hi)
+        pairs = np.stack([key // n_nodes, key % n_nodes], axis=1)
     return Graph(n_nodes=n_nodes, edges=pairs, features=features,
                  labels=labels, n_classes=n_classes)
 
 
 def normalize(g: Graph) -> NormalizedOps:
-    """Self-looped adjacency with symmetric and random-walk normalizations."""
+    """Self-looped adjacency with its symmetric normalization."""
     n = g.n_nodes
     src, dst = g.directed_pairs()
     rows = np.concatenate([src, np.arange(n)])
@@ -153,27 +160,39 @@ def normalize(g: Graph) -> NormalizedOps:
     a_hat = sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
     d_hat = np.asarray(a_hat.sum(axis=1)).ravel()
     dinv_sqrt = 1.0 / np.sqrt(d_hat)
-    dinv = 1.0 / d_hat
     a_tilde = sps.csr_matrix((vals * dinv_sqrt[rows] * dinv_sqrt[cols], (rows, cols)), shape=(n, n))
-    t_walk = sps.csr_matrix((vals * dinv[rows], (rows, cols)), shape=(n, n))
-    return NormalizedOps(a_hat=a_hat, d_hat=d_hat, a_tilde=a_tilde, t_walk=t_walk)
+    return NormalizedOps(a_hat=a_hat, d_hat=d_hat, a_tilde=a_tilde)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def structural_embeddings(ops: NormalizedOps, d_s: int = 8,
-                          block: int = 1024) -> StructuralEmbedding:
+                          block: int = 256) -> StructuralEmbedding:
     """Diagonals of T, T^2, ..., T^d_s via blocked indicator probes.
 
-    T = D^-1/2 A~ D^1/2 shares its power diagonals with the symmetric A~,
-    so with the probe columns e_i the half-power identity
+    T = D^-1 (A+I) = D^-1/2 A~ D^1/2 shares its power diagonals with the
+    symmetric A~, so with the probe columns e_i the half-power identity
     diag(T^p)_i = <A~^floor(p/2) e_i, A~^ceil(p/2) e_i> (for even p the
     squared norm of A~^(p/2) e_i) needs only ceil(d_s / 2) products with A~
-    per block.
+    per block of ``block`` probes.
+
+    Blocks run on one thread per usable CPU (at most one per block). The
+    sparse product and the column dots release the GIL, and each block
+    writes only its own rows of ``s``, so the values equal a serial loop's
+    bit for bit. The default block size is the fastest of a sweep at
+    n = 2 000, and small blocks keep peak memory low.
     """
     if d_s < 1:
         raise ValueError("d_s must be >= 1")
     n = ops.a_tilde.shape[0]
     s = np.zeros((n, d_s))
-    for start in range(0, n, block):
+
+    def probe(start: int) -> None:
         stop = min(start + block, n)
         cur = np.zeros((n, stop - start))
         cur[np.arange(start, stop), np.arange(stop - start)] = 1.0
@@ -184,6 +203,15 @@ def structural_embeddings(ops: NormalizedOps, d_s: int = 8,
             else:
                 lo = cur
             s[start:stop, p - 1] = np.einsum("ij,ij->j", lo, cur)
+
+    starts = range(0, n, block)
+    workers = min(_usable_cpus(), len(starts))
+    if workers <= 1:
+        for start in starts:
+            probe(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(probe, starts))  # re-raises a failed block
     return StructuralEmbedding(s=s)
 
 
@@ -238,6 +266,8 @@ def clustering_coefficient(g: Graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthetic graphs and splits
 
+_PAIR_BLOCK = 1 << 18  # candidate pairs gen_sbm draws per block of rows
+
 def gen_sbm(n_per_block: int, k_blocks: int, p_in: float, p_out: float,
             feat_dim: int = 16, feat_signal: float = 2.0, seed: int = 0) -> Graph:
     """Stochastic block model with orthogonal block-mean features.
@@ -254,10 +284,21 @@ def gen_sbm(n_per_block: int, k_blocks: int, p_in: float, p_out: float,
     rng = np.random.default_rng(seed)
     n = n_per_block * k_blocks
     labels = np.repeat(np.arange(k_blocks), n_per_block)
-    iu, ju = np.triu_indices(n, k=1)
-    p = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.shape[0]) < p
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    # One uniform per upper-triangle pair, in triu order, drawn a block of
+    # rows at a time: the same stream as one draw over all n(n-1)/2 pairs,
+    # without holding them.
+    cols = np.arange(n)
+    rows_per_block = max(1, _PAIR_BLOCK // n)
+    kept = []
+    for r0 in range(0, n, rows_per_block):
+        rows = cols[r0:r0 + rows_per_block]
+        upper = cols > rows[:, None]
+        u = np.ones(upper.shape)
+        u[upper] = rng.random(np.count_nonzero(upper))
+        p = np.where(labels[rows][:, None] == labels, p_in, p_out)
+        bi, ju = np.nonzero(u < p)
+        kept.append(np.stack([rows[bi], ju], axis=1))
+    edges = np.concatenate(kept)
     means = np.zeros((k_blocks, feat_dim))
     means[np.arange(k_blocks), np.arange(k_blocks)] = feat_signal
     features = means[labels] + rng.standard_normal((n, feat_dim))
@@ -309,6 +350,18 @@ def make_splits(g: Graph, fractions: tuple[float, float, float], seed: int) -> S
 # ---------------------------------------------------------------------------
 # directory I/O
 
+def _bulk_table(path: str, dtype) -> np.ndarray | None:
+    """The whole file as one 2-d array, or None where np.loadtxt refuses it
+    (such as ``1_0``, which int() and float() accept) or warns (a file
+    without rows)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(path, dtype=dtype, ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+
+
 def _parse_floats(line: str, path: str, lineno: int) -> list[float]:
     try:
         return [float(tok) for tok in line.split()]
@@ -316,15 +369,8 @@ def _parse_floats(line: str, path: str, lineno: int) -> list[float]:
         raise GraphFormatError(f"{path}:{lineno}: {err}") from None
 
 
-def load_graph(dir_path: str) -> Graph:
-    """Load and validate a graph directory (edges/features/labels tsv)."""
-    feat_path = os.path.join(dir_path, "features.tsv")
-    edge_path = os.path.join(dir_path, "edges.tsv")
-    label_path = os.path.join(dir_path, "labels.tsv")
-    for required in (feat_path, edge_path):
-        if not os.path.exists(required):
-            raise GraphFormatError(f"missing file: {required}")
-
+def _read_features(feat_path: str) -> np.ndarray:
+    """Per-line features.tsv reader; raises GraphFormatError with file:line."""
     rows = []
     width = None
     with open(feat_path) as fh:
@@ -342,9 +388,11 @@ def load_graph(dir_path: str) -> Graph:
             rows.append(vals)
     if not rows:
         raise GraphFormatError(f"{feat_path}: no feature rows")
-    features = np.array(rows)
-    n = features.shape[0]
+    return np.array(rows)
 
+
+def _read_edges(edge_path: str, n: int) -> list[tuple[int, int]]:
+    """Per-line edges.tsv reader; raises GraphFormatError with file:line."""
     pairs = []
     with open(edge_path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -361,24 +409,61 @@ def load_graph(dir_path: str) -> Graph:
                 raise GraphFormatError(
                     f"{edge_path}:{lineno}: node index out of range for {n} nodes")
             pairs.append((u, v))
+    return pairs
+
+
+def _read_labels(label_path: str, n: int) -> np.ndarray:
+    """Per-line labels.tsv reader (first token of each line)."""
+    vals = []
+    with open(label_path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                vals.append(int(line.split()[0]))
+            except ValueError:
+                raise GraphFormatError(f"{label_path}:{lineno}: non-integer label") from None
+    if len(vals) != n:
+        raise GraphFormatError(
+            f"{label_path}: {len(vals)} labels for {n} nodes")
+    labels = np.array(vals, dtype=np.int64)
+    if labels.min() < 0:
+        raise GraphFormatError(f"{label_path}: negative label")
+    return labels
+
+
+def load_graph(dir_path: str) -> Graph:
+    """Load and validate a graph directory (edges/features/labels tsv).
+
+    Each file is parsed in one ``np.loadtxt`` pass, which converts floats
+    with the C routine behind float() and skips blank lines, and checked
+    with array operations. A file the bulk pass refuses or a check fails
+    on is read again line by line, which raises the GraphFormatError naming
+    file and line, or accepts what Python's int() and float() accept.
+    """
+    feat_path = os.path.join(dir_path, "features.tsv")
+    edge_path = os.path.join(dir_path, "edges.tsv")
+    label_path = os.path.join(dir_path, "labels.tsv")
+    for required in (feat_path, edge_path):
+        if not os.path.exists(required):
+            raise GraphFormatError(f"missing file: {required}")
+
+    features = _bulk_table(feat_path, np.float64)
+    if features is None or not np.isfinite(features).all():
+        features = _read_features(feat_path)
+    n = features.shape[0]
+
+    pairs = _bulk_table(edge_path, np.int64)
+    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n:
+        pairs = _read_edges(edge_path, n)
 
     labels = None
     if os.path.exists(label_path):
-        vals = []
-        with open(label_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    vals.append(int(line.split()[0]))
-                except ValueError:
-                    raise GraphFormatError(f"{label_path}:{lineno}: non-integer label") from None
-        if len(vals) != n:
-            raise GraphFormatError(
-                f"{label_path}: {len(vals)} labels for {n} nodes")
-        labels = np.array(vals, dtype=np.int64)
-        if labels.min() < 0:
-            raise GraphFormatError(f"{label_path}: negative label")
+        labels = _bulk_table(label_path, np.int64)
+        if labels is None or labels.shape != (n, 1) or labels.min() < 0:
+            labels = _read_labels(label_path, n)
+        else:
+            labels = labels.ravel()
 
     return make_graph(n, pairs, features, labels=labels)
 

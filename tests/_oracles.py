@@ -86,3 +86,23 @@ def random_adjacency(rng: np.random.Generator, n: int, p: float = 0.4) -> np.nda
     a = (rng.random((n, n)) < p).astype(float)
     a = np.triu(a, 1)
     return a + a.T
+
+
+def sbm_all_pairs(n_per_block: int, k_blocks: int, p_in: float, p_out: float,
+                  feat_dim: int = 16, feat_signal: float = 2.0, seed: int = 0):
+    """The SBM draw over all n(n-1)/2 pairs at once: (edges, features, labels).
+
+    One uniform per upper-triangle pair in ``np.triu_indices`` order, then
+    the feature noise, from one PCG64 stream.
+    """
+    rng = np.random.default_rng(seed)
+    n = n_per_block * k_blocks
+    labels = np.repeat(np.arange(k_blocks), n_per_block)
+    iu, ju = np.triu_indices(n, k=1)
+    p = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.shape[0]) < p
+    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    means = np.zeros((k_blocks, feat_dim))
+    means[np.arange(k_blocks), np.arange(k_blocks)] = feat_signal
+    features = means[labels] + rng.standard_normal((n, feat_dim))
+    return edges, features, labels

@@ -424,6 +424,29 @@ def test_pair_relu_equals_gather_add_relu_bitwise(a_grad, b_grad):
     assert (fused[1] is None) != a_grad and (fused[2] is None) != b_grad
 
 
+@pytest.mark.parametrize("op", [engine.cosine_rows, engine.frobenius])
+@pytest.mark.parametrize("a_grad, b_grad", [(True, False), (False, True)])
+def test_binary_backward_skips_constant_input(op, a_grad, b_grad):
+    """The rule returns None for a constant input and, for the other one,
+    the same bits as when both inputs need a gradient."""
+    rng = np.random.default_rng(5)
+    a_values, b_values = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+
+    def rule_output(a_req, b_req):
+        engine.reset_tape()
+        op(Tensor(a_values, requires_grad=a_req), Tensor(b_values, requires_grad=b_req))
+        name, out, _, backward_fn = engine.current_tape().records[-1]
+        assert name == op.__name__
+        grads = backward_fn(np.full(out.shape, 0.7))
+        engine.reset_tape()
+        return grads
+
+    partial, full = rule_output(a_grad, b_grad), rule_output(True, True)
+    for got, need, ref in zip(partial, (a_grad, b_grad), full):
+        assert (got is None) != need
+        assert got is None or np.array_equal(got, ref)
+
+
 def test_pair_relu_rejects_mismatched_operands():
     a, b = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 4)))
     with pytest.raises(engine.ShapeError):

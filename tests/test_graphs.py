@@ -1,11 +1,16 @@
 import os
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adamore import graphs
 
-from _oracles import dense_sym_norm, dense_walk_norm, random_adjacency
+from _oracles import dense_sym_norm, dense_walk_norm, random_adjacency, sbm_all_pairs
 
 
 def _graph_from_adj(adj, labels=None, feat=None):
@@ -84,6 +89,138 @@ def test_graph_roundtrip(tmp_path):
     assert np.array_equal(back.labels, g.labels)
 
 
+def _load_error(tmp_path, edges="0 1\n", features="1.0\n2.0\n", labels=None) -> str:
+    d = tmp_path / "g"
+    d.mkdir(exist_ok=True)
+    (d / "edges.tsv").write_text(edges)
+    (d / "features.tsv").write_text(features)
+    if labels is not None:
+        (d / "labels.tsv").write_text(labels)
+    with pytest.raises(graphs.GraphFormatError) as err:
+        graphs.load_graph(str(d))
+    return str(err.value)
+
+
+def test_load_rejects_edge_index_equal_to_node_count(tmp_path):
+    assert "edges.tsv:2: node index out of range for 2 nodes" in _load_error(
+        tmp_path, edges="0 1\n2 0\n")
+
+
+def test_load_rejects_three_column_edges(tmp_path):
+    assert "edges.tsv:1: expected 'u v'" in _load_error(tmp_path, edges="0 1 1\n1 0 1\n")
+
+
+def test_load_labels_read_first_column(tmp_path):
+    d = write_graph_dir(tmp_path, [(0, 1)], np.eye(2))
+    (tmp_path / "g" / "labels.tsv").write_text("0 5\n1 5\n")
+    assert np.array_equal(graphs.load_graph(d).labels, [0, 1])
+
+
+def test_load_rejects_float_edge_index(tmp_path):
+    assert "edges.tsv:2: non-integer node index" in _load_error(tmp_path, edges="0 1\n1.0 2\n",
+                                                                features="1\n2\n3\n")
+
+
+def test_load_rejects_comment_token(tmp_path):
+    assert "features.tsv:2:" in _load_error(tmp_path, features="1.0 2.0\n3.0 # 4.0\n")
+
+
+def test_load_rejects_negative_label(tmp_path):
+    assert "labels.tsv: negative label" in _load_error(tmp_path, labels="0\n-1\n")
+
+
+def test_load_rejects_short_labels_file(tmp_path):
+    assert "labels.tsv: 1 labels for 2 nodes" in _load_error(tmp_path, labels="0\n\n")
+
+
+def test_load_accepts_what_float_and_int_accept(tmp_path):
+    """Underscored digits are refused by numpy's reader, accepted by Python's."""
+    d = tmp_path / "g"
+    d.mkdir()
+    (d / "edges.tsv").write_text("0 1_0\n")
+    (d / "features.tsv").write_text("".join(f"{i}_0\n" for i in range(11)))
+    (d / "labels.tsv").write_text("0\n" * 10 + "1_1\n")
+    g = graphs.load_graph(str(d))
+    assert np.array_equal(g.features[:, 0], np.arange(11) * 10.0)
+    assert np.array_equal(g.edges, [[0, 10]])
+    assert g.labels[10] == 11
+
+
+_EXTREME = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+
+
+def _rewrite(path, newline: str, blank: bool) -> None:
+    """Re-terminate a file's lines and, optionally, pad it with blank lines."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if blank:
+        lines = ["", *(x for line in lines for x in (line, " \t")), ""]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(line + newline for line in lines))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_load_graph_matches_per_line_reader(data):
+    """Bulk parse == per-line reader, bit for bit, on save_graph output with
+    extreme floats, raw (reversed, duplicate, self-loop) or no edges, blank
+    lines, CRLF and with or without labels."""
+    n = data.draw(st.integers(1, 6), label="n")
+    width = data.draw(st.integers(1, 3), label="width")
+    values = data.draw(st.lists(st.sampled_from(_EXTREME) | st.floats(allow_nan=False,
+                                                                       allow_infinity=False),
+                                min_size=n * width, max_size=n * width))
+    feats = np.array(values, dtype=np.float64).reshape(n, width)
+    raw = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=10), label="edges")
+    labels = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    blank = data.draw(st.booleans(), label="blank")
+    with tempfile.TemporaryDirectory() as d:
+        graphs.save_graph(graphs.make_graph(n, raw, feats, labels=labels), d)
+        with open(os.path.join(d, "edges.tsv"), "w") as fh:
+            fh.write("".join(f"{u} {v}\n" for u, v in raw))
+        for name in ("edges.tsv", "features.tsv", "labels.tsv"):
+            if os.path.exists(os.path.join(d, name)):
+                _rewrite(os.path.join(d, name), newline, blank)
+        loaded = graphs.load_graph(d)
+        ref_feats = graphs._read_features(os.path.join(d, "features.tsv"))
+        ref_pairs = graphs._read_edges(os.path.join(d, "edges.tsv"), n)
+        ref_labels = (graphs._read_labels(os.path.join(d, "labels.tsv"), n)
+                      if labels is not None else None)
+    ref = graphs.make_graph(n, ref_pairs, ref_feats, labels=ref_labels)
+    assert loaded.features.tobytes() == ref.features.tobytes() == feats.tobytes()
+    assert np.array_equal(loaded.edges, ref.edges) and loaded.edges.dtype == np.int64
+    assert (loaded.labels is None) == (labels is None)
+    assert labels is None or np.array_equal(loaded.labels, ref.labels)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8),
+       pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30))
+@example(n=1, pairs=[])
+@example(n=1, pairs=[(0, 0)])
+@example(n=5, pairs=[])
+def test_make_graph_dedup_matches_row_unique(n, pairs):
+    """One int64 key per pair gives np.unique(axis=0)'s rows and order."""
+    arr = np.array([(u % n, v % n) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
+    g = graphs.make_graph(n, arr, np.zeros((n, 1)))
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    expect = np.unique(np.sort(arr, axis=1), axis=0)
+    assert g.edges.dtype == np.int64 and g.edges.shape == expect.shape
+    assert np.array_equal(g.edges, expect)
+
+
+def test_graph_sorts_canonical_edges_and_rejects_duplicates():
+    g = graphs.Graph(n_nodes=4, edges=np.array([[2, 3], [1, 0], [0, 2]]), features=np.zeros((4, 1)))
+    assert np.array_equal(g.edges, [[0, 1], [0, 2], [2, 3]])
+    for dup in ([[0, 1], [1, 2], [1, 0]], [[0, 1], [0, 1]]):
+        with pytest.raises(graphs.GraphFormatError, match="duplicate edge"):
+            graphs.Graph(n_nodes=3, edges=np.array(dup), features=np.zeros((3, 1)))
+    with pytest.raises(graphs.GraphFormatError, match="out of range"):
+        graphs.make_graph(3, [(0, 3)], np.zeros((3, 1)))
+
+
 @pytest.mark.skipif("ADAMORE_CORA" not in os.environ, reason="set ADAMORE_CORA to a Cora-format directory")
 def test_load_cora_statistics():
     g = graphs.load_graph(os.environ["ADAMORE_CORA"])
@@ -117,9 +254,14 @@ def test_normalize_isolated_node():
     assert ops.d_hat[0] == 1.0
 
 
+def _walk_matrix(ops):
+    """D^-1 (A+I) from the operators normalize returns."""
+    return ops.a_hat.toarray() / ops.d_hat[:, None]
+
+
 def test_normalize_triangle_walk_matrix():
     ops = graphs.normalize(triangle())
-    assert np.allclose(ops.t_walk.toarray(), np.full((3, 3), 1.0 / 3.0), atol=1e-12)
+    assert np.allclose(_walk_matrix(ops), np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
 
 def test_normalize_invariants_random_graphs():
@@ -129,8 +271,8 @@ def test_normalize_invariants_random_graphs():
         adj = random_adjacency(rng, n)
         g = _graph_from_adj(adj)
         ops = graphs.normalize(g)
-        rowsum = np.asarray(ops.t_walk.sum(axis=1)).ravel()
-        assert np.allclose(rowsum, 1.0, atol=1e-12)
+        walk = _walk_matrix(ops)
+        assert np.allclose(walk.sum(axis=1), 1.0, atol=1e-12)
         at = ops.a_tilde.toarray()
         assert np.allclose(at, at.T, atol=1e-12)
         assert (ops.d_hat >= 1.0).all()
@@ -138,7 +280,7 @@ def test_normalize_invariants_random_graphs():
         rebuilt = np.sqrt(ops.d_hat)[:, None] * at * np.sqrt(ops.d_hat)[None, :]
         assert np.allclose(rebuilt, adj + np.eye(n), atol=1e-10)
         assert np.allclose(at, dense_sym_norm(adj), atol=1e-12)
-        assert np.allclose(ops.t_walk.toarray(), dense_walk_norm(adj), atol=1e-12)
+        assert np.allclose(walk, dense_walk_norm(adj), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +340,54 @@ def test_structural_embedding_half_powers_match_dense_powers(d_s):
                        for p in range(1, d_s + 1)], axis=1)
     assert emb.s.shape == (11, d_s)
     assert np.allclose(emb.s, expect, rtol=0.0, atol=1e-12)
+
+
+def _serial_probes(ops, d_s: int, block: int) -> np.ndarray:
+    """The probe blocks run one after another, as the reference."""
+    a = ops.a_tilde
+    n = a.shape[0]
+    s = np.zeros((n, d_s))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        cur = np.zeros((n, stop - start))
+        cur[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        for p in range(1, d_s + 1):
+            if p % 2:
+                lo, cur = cur, a @ cur
+            else:
+                lo = cur
+            s[start:stop, p - 1] = np.einsum("ij,ij->j", lo, cur)
+    return s
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("n, block", [(13, 32), (50, 16), (9, 1), (40, 40)])
+def test_structural_embedding_threads_match_serial_loop(monkeypatch, cpus, n, block):
+    """Any thread count gives the serial loop's bits: n < block, a ragged
+    last block, one-probe blocks, one block, an isolated node. At most one
+    thread per usable CPU and per block is started."""
+    started = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(graphs, "ThreadPoolExecutor", Recording)
+    rng = np.random.default_rng(100 * n + block)
+    adj = random_adjacency(rng, n, p=0.3)
+    adj[n - 1, :] = adj[:, n - 1] = 0.0
+    ops = graphs.normalize(_graph_from_adj(adj))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        emb = graphs.structural_embeddings(ops, d_s=7, block=block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(emb.s, _serial_probes(ops, 7, block))
+    threads = min(cpus, -(-n // block))
+    assert started == ([threads] if threads > 1 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +493,24 @@ def test_sbm_deterministic_and_feature_signal():
     for c in range(3):
         mean = a.features[a.labels == c].mean(axis=0)
         assert abs(mean[c] - 2.0) < 1.0
+
+
+@pytest.mark.parametrize("pair_block", [1, 64, graphs._PAIR_BLOCK])
+@pytest.mark.parametrize("args", [
+    (100, 2, 0.5, 0.05, 16, 0), (50, 3, 0.3, 0.01, 8, 7), (40, 1, 0.2, 0.9, 4, 1),
+    (1, 5, 0.5, 0.5, 5, 2), (1, 1, 0.5, 0.5, 4, 3), (6, 3, 0.0, 0.0, 4, 4),
+    (6, 3, 1.0, 1.0, 4, 5), (6, 3, 1.0, 0.0, 4, 6)])
+def test_sbm_rows_in_blocks_match_all_pairs_draw(monkeypatch, pair_block, args):
+    """Drawing the upper triangle a block of rows at a time is the stream of
+    one all-pairs draw, for one-row blocks too."""
+    monkeypatch.setattr(graphs, "_PAIR_BLOCK", pair_block)
+    npb, k, p_in, p_out, feat_dim, seed = args
+    g = graphs.gen_sbm(npb, k, p_in, p_out, feat_dim=feat_dim, seed=seed)
+    edges, features, labels = sbm_all_pairs(npb, k, p_in, p_out, feat_dim=feat_dim, seed=seed)
+    assert g.edges.dtype == np.int64 and g.edges.shape == edges.shape
+    assert np.array_equal(g.edges, edges)
+    assert np.array_equal(g.features, features)
+    assert np.array_equal(g.labels, labels)
 
 
 def test_sbm_validates_probabilities():
