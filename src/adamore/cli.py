@@ -14,7 +14,7 @@ import dataclasses
 import os
 import sys
 
-from . import evaluation, experiments, fusion, gating, graphs, trainer
+from . import engine, evaluation, experiments, fusion, gating, graphs, trainer
 from .trainer import TrainConfig
 
 # every tunable key, its owning module, and how to parse it from text
@@ -200,7 +200,7 @@ def _config_items(cfg: TrainConfig):
 
 def _write_run_config(cfg: TrainConfig, path: str) -> None:
     lines = [f"{key}={value}" for key, value in _config_items(cfg)]
-    trainer.atomic_write_text(path, "\n".join(lines) + "\n")
+    engine.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _load_model_dir(model_dir: str):
@@ -245,10 +245,10 @@ def cmd_train(args) -> int:
     trainer.write_routing_csv(state.routing_log, os.path.join(args.out, "routing.csv"))
     trainer.save_model(state, os.path.join(args.out, "model.ckpt"))
     _write_run_config(cfg, os.path.join(args.out, "config.txt"))
-    trainer.atomic_write_text(os.path.join(args.out, "data_path.txt"),
-                              os.path.abspath(args.data) + "\n")
-    trainer.atomic_write_text(os.path.join(args.out, "graph_sha256.txt"),
-                              graphs.fingerprint(g) + "\n")
+    engine.atomic_write(os.path.join(args.out, "data_path.txt"),
+                        os.path.abspath(args.data) + "\n")
+    engine.atomic_write(os.path.join(args.out, "graph_sha256.txt"),
+                        graphs.fingerprint(g) + "\n")
     weights = trainer.eval_edge_weights(state)
     gating.export_weights_tsv(g, weights, os.path.join(args.out, "weights.tsv"))
     alpha = trainer.eval_forward(state).alpha
@@ -263,7 +263,7 @@ def cmd_embed(args) -> int:
     emb = trainer.embed(state)
     out = args.out or os.path.join(args.model_dir, "embeddings.tsv")
     lines = ["\t".join(repr(float(x)) for x in row) for row in emb]
-    trainer.atomic_write_text(out, "\n".join(lines) + "\n")
+    engine.atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {emb.shape[0]}x{emb.shape[1]} embeddings to {out}")
     return 0
 

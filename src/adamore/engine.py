@@ -16,11 +16,13 @@ ascending edge order.
 
 A training session owns one tape and is single-threaded. Call
 :func:`reset_tape` at the start of each optimization step; parameters are
-leaves and survive the reset.
+leaves and survive the reset. The module also holds the one MLP type,
+Adam, and :func:`atomic_write`, the writer of every output file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -84,36 +86,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar for the common cases; everything routes through the
-    # recorded op functions below.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(scale(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 @dataclass
@@ -592,21 +564,59 @@ def gumbel_pair(rng: np.random.Generator, shape: tuple[int, int],
     return g[0], g[1]
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
-           shape: tuple[int, int] | None = None) -> Tensor:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     """Uniform Glorot-style init, seed-deterministic; requires_grad on."""
-    if shape is None:
-        shape = (fan_in, fan_out)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
 
 
 def zeros_param(shape: tuple[int, int]) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
+@dataclass
+class MLP:
+    """One-hidden-layer perceptron, relu(h W1 + b1) W2 + b2."""
+
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
+
+    def parameters(self) -> list[Tensor]:
+        return [self.w1, self.b1, self.w2, self.b2]
+
+    def forward(self, h: Tensor) -> Tensor:
+        hidden = relu(add_row(matmul(h, self.w1), self.b1))
+        return add_row(matmul(hidden, self.w2), self.b2)
+
+
+def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> MLP:
+    """Glorot weights (W1 drawn first), zero biases."""
+    return MLP(w1=glorot(rng, d_in, d_hidden), b1=zeros_param((1, d_hidden)),
+               w2=glorot(rng, d_hidden, d_out), b2=zeros_param((1, d_out)))
+
+
 # ---------------------------------------------------------------------------
-# checkpoint archive: text manifest + flat float64 payload
+# output files and the checkpoint archive (text manifest + flat float64 payload)
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write via temp file + rename, so an interrupted write leaves any
+    previous file intact and no temporary file behind.  The temporary file
+    is created exclusively (an existing file or symlink there is refused,
+    never written through) with the umask's mode."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb" if isinstance(data, bytes) else "w",
+              opener=lambda p, flags: os.open(p, flags | os.O_EXCL, 0o666))
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
 
 def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
     """Write named float64 matrices as a flat archive with a text manifest."""
@@ -624,11 +634,7 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
     manifest = [CHECKPOINT_HEADER, str(len(entries))]
     manifest += [f"{name} {rows} {cols} {off}" for name, rows, cols, off in entries]
     header = ("\n".join(manifest) + "\n").encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    atomic_write(path, b"".join([struct.pack("<Q", len(header)), header, *blobs]))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import evaluation, graphs, trainer
+from . import engine, evaluation, graphs, trainer
 from .evaluation import ProbeResult
 from .graphs import Graph
-from .trainer import TrainConfig, atomic_write_text
+from .trainer import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -295,12 +295,12 @@ def _map_jobs(worker, tasks, jobs: int):
 # report files
 
 def write_report_json(report, path: str) -> None:
-    atomic_write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    engine.atomic_write(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def write_report_csv(rows: list[dict], path: str) -> None:
     if not rows:
-        atomic_write_text(path, "")
+        engine.atomic_write(path, "")
         return
     keys = []
     for row in rows:
@@ -310,9 +310,9 @@ def write_report_csv(rows: list[dict], path: str) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+    engine.atomic_write(path, buf.getvalue())
 
 
 def write_curves_csv(rows: list[tuple], path: str) -> None:
     lines = ["epoch,arm,loss"] + [f"{e},{arm},{repr(float(x))}" for e, arm, x in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    engine.atomic_write(path, "\n".join(lines) + "\n")

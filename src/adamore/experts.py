@@ -104,7 +104,7 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
 
 
 def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
-                     view: AdjacencyView, collect_expert_outputs: bool = False):
+                     view: AdjacencyView):
     """Top-K mixture of projected filter outputs per node.
 
     The selected gate weights of a row sum to 1, so the mixture of the
@@ -112,10 +112,9 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
     outputs are mixed first, M = sum_k g_k Y_k (n x F), and projected
     once, h_b = M W + b.
 
-    Returns (h_b, stats), or (h_b, stats, mix, factored_outputs) when
-    ``collect_expert_outputs`` is set: the mixture M, and one (filter
-    output, ``bank.proj_w``) pair per expert, the form the diversity
-    regularizer takes.
+    Returns (h_b, stats, mix, factored_outputs): the mixture M, and one
+    (filter output, ``bank.proj_w``) pair per expert, the form the
+    diversity regularizer takes.
     """
     n = x.shape[0]
     gate_in = engine.concat_cols(x, Tensor(s.s))
@@ -132,9 +131,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
     stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
                          f=selected.mean(axis=0), p=mean_p)
-    if collect_expert_outputs:
-        return h_b, stats, mix, [(out, bank.proj_w) for out in outs]
-    return h_b, stats
+    return h_b, stats, mix, [(out, bank.proj_w) for out in outs]
 
 
 def load_balance_loss(stats: RoutingStats) -> Tensor:
@@ -276,11 +273,6 @@ def residual_forward(pool: ResidualPool, x: Tensor,
         term = engine.scale_by(out, gamma)
         h_r = term if h_r is None else engine.add(h_r, term)
     return h_r, outs
-
-
-def enhance(h_b: Tensor, h_r: Tensor) -> Tensor:
-    """Backbone output plus the unified residual signal."""
-    return engine.add(h_b, h_r)
 
 
 # ---------------------------------------------------------------------------

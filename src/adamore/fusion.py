@@ -100,6 +100,5 @@ def fuse(h_coh: Tensor, h_disp: Tensor, alpha: np.ndarray) -> Tensor:
 
 
 def export_alpha_tsv(alpha: np.ndarray, path: str) -> None:
-    with open(path, "w") as fh:
-        for i, a in enumerate(np.asarray(alpha).ravel()):
-            fh.write(f"{i} {repr(float(a))}\n")
+    engine.atomic_write(path, "".join(f"{i} {repr(float(a))}\n"
+                                      for i, a in enumerate(np.asarray(alpha).ravel())))

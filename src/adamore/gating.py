@@ -1,8 +1,9 @@
 """Structurally-aware edge gating and the dual structural views.
 
-An edge MLP scores each undirected edge from the concatenated features and
-structural embeddings of its endpoints, symmetrized over both orderings.
-Its first layer is linear in the two endpoint blocks,
+An edge MLP (:class:`engine.MLP`) scores each undirected edge from the
+concatenated features and structural embeddings of its endpoints,
+symmetrized over both orderings. Its first layer is linear in the two
+endpoint blocks,
 [u_i, u_j] W1 = u_i W1[:F + d_s] + u_j W1[F + d_s:] with u = [x, s], so it
 runs on the n node rows and only the hidden ReLU runs per directed edge.
 Gumbel-Sigmoid turns logits into soft weights in (0, 1); the cohesive view
@@ -28,32 +29,10 @@ from .filters import AdjacencyView, sym_propagate
 from .graphs import Graph, StructuralEmbedding
 
 
-@dataclass
-class EdgeGateParams:
-    """One-hidden-layer MLP from the 2(F + d_s) joint edge representation."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @property
-    def in_dim(self) -> int:
-        return self.w1.shape[0]
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
 def init_edge_gate(feat_dim: int, d_s: int, hidden: int,
-                   rng: np.random.Generator) -> EdgeGateParams:
-    in_dim = 2 * (feat_dim + d_s)
-    return EdgeGateParams(
-        w1=engine.glorot(rng, in_dim, hidden),
-        b1=engine.zeros_param((1, hidden)),
-        w2=engine.glorot(rng, hidden, 1),
-        b2=engine.zeros_param((1, 1)),
-    )
+                   rng: np.random.Generator) -> engine.MLP:
+    """The edge MLP on the 2(F + d_s) joint edge representation."""
+    return engine.init_mlp(rng, 2 * (feat_dim + d_s), hidden, 1)
 
 
 @dataclass
@@ -64,7 +43,7 @@ class ViewPair:
     a_disp: AdjacencyView
 
 
-def edge_logits(params: EdgeGateParams, x: Tensor, s: StructuralEmbedding,
+def edge_logits(params: engine.MLP, x: Tensor, s: StructuralEmbedding,
                 g: Graph) -> Tensor:
     """Symmetric per-edge logits: the MLP averaged over both orderings.
 
@@ -75,9 +54,9 @@ def edge_logits(params: EdgeGateParams, x: Tensor, s: StructuralEmbedding,
     directed pairs, and the two logits of an edge are averaged.
     """
     half = x.shape[1] + s.d_s
-    if params.in_dim != 2 * half:
+    if params.w1.shape[0] != 2 * half:
         raise engine.ShapeError(
-            f"edge gate expects input width {params.in_dim}, "
+            f"edge gate expects input width {params.w1.shape[0]}, "
             f"got 2*({x.shape[1]}+{s.d_s})")
     u = engine.concat_cols(x, Tensor(s.s))
     w_top = engine.gather_rows(params.w1, np.arange(half))
@@ -163,6 +142,5 @@ def svg_loss(views: ViewPair, h_b_coh: Target, h_b_disp: Target,
 
 def export_weights_tsv(g: Graph, w_values: np.ndarray, path: str) -> None:
     """Eval-mode edge weights as 'u v w' lines."""
-    with open(path, "w") as fh:
-        for (u, v), we in zip(g.edges, w_values.ravel()):
-            fh.write(f"{u} {v} {repr(float(we))}\n")
+    engine.atomic_write(path, "".join(f"{u} {v} {repr(float(we))}\n"
+                                      for (u, v), we in zip(g.edges, w_values.ravel())))

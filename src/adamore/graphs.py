@@ -20,6 +20,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sps
 
+from . import engine
+
 
 class GraphFormatError(ValueError):
     """Malformed graph directory contents; message carries file and line."""
@@ -245,21 +247,19 @@ def mean_edge_homophily(g: Graph) -> float:
 
 
 def clustering_coefficient(g: Graph) -> np.ndarray:
-    """Local clustering coefficient; nodes with degree < 2 get 0."""
+    """Local clustering coefficient; nodes with degree < 2 get 0.
+
+    Twice a node's triangle count is its row sum of (A @ A) * A, a sum of
+    integers, so the coefficients are exact.
+    """
+    n = g.n_nodes
+    src, dst = g.directed_pairs()
+    a = sps.csr_matrix((np.ones(src.shape[0]), (src, dst)), shape=(n, n))
+    tri2 = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
     deg = g.degrees()
-    nbrs = [set() for _ in range(g.n_nodes)]
-    for u, v in g.edges:
-        nbrs[u].add(int(v))
-        nbrs[v].add(int(u))
-    tri2 = np.zeros(g.n_nodes)  # per-node triangle count times 2
-    for u, v in g.edges:
-        common = len(nbrs[u] & nbrs[v])
-        tri2[u] += common
-        tri2[v] += common
-    c = np.zeros(g.n_nodes)
+    c = np.zeros(n)
     mask = deg >= 2
-    tri = tri2 / 2.0
-    c[mask] = 2.0 * tri[mask] / (deg[mask] * (deg[mask] - 1.0))
+    c[mask] = tri2[mask] / (deg[mask] * (deg[mask] - 1.0))
     return c
 
 
@@ -479,14 +479,10 @@ def fingerprint(g: Graph) -> str:
 
 
 def save_graph(g: Graph, dir_path: str) -> None:
-    os.makedirs(dir_path, exist_ok=True)
-    with open(os.path.join(dir_path, "edges.tsv"), "w") as fh:
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
-    with open(os.path.join(dir_path, "features.tsv"), "w") as fh:
-        for row in g.features:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+    files = {"edges.tsv": "".join(f"{u} {v}\n" for u, v in g.edges),
+             "features.tsv": "".join(" ".join(repr(float(x)) for x in row) + "\n"
+                                     for row in g.features)}
     if g.labels is not None:
-        with open(os.path.join(dir_path, "labels.tsv"), "w") as fh:
-            for y in g.labels:
-                fh.write(f"{y}\n")
+        files["labels.tsv"] = "".join(f"{y}\n" for y in g.labels)
+    for name, text in files.items():
+        engine.atomic_write(os.path.join(dir_path, name), text)

@@ -1,21 +1,21 @@
 """Unsupervised training loop: masked reconstruction with alternating steps.
 
 Each epoch runs two isolated optimization steps. Step 1 updates only the
-edge-gating MLP by the cross-filter reconstruction loss (backbone outputs
-detached). Step 2 resamples the node mask, substitutes a learnable mask
-token for masked feature rows, and updates every main-model parameter
-(gating excluded) by the composite masked-reconstruction objective. The
+edge-gating MLP by the cross-filter reconstruction loss; it builds its own
+views and detached backbone targets and never runs the full forward.
+Step 2 resamples the node mask, substitutes a learnable mask token for
+masked feature rows, and updates every main-model parameter (gating
+excluded) by the composite masked-reconstruction objective. The
 fusion coefficient is recomputed once per epoch from eval-mode edge weights
 and the current cohesive embeddings, and is constant on the tape. Every
 step freezes the parameter groups it does not update, so its tape and
 backward hold only what it differentiates; eval passes record nothing.
+Every pass reads its edge weights from one gate path, :func:`_edge_weights`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -26,7 +26,6 @@ from . import engine, experts, filters, fusion, gating, graphs
 from .engine import AdamState, Tensor
 from .experts import ExpertBank, ResidualPool, RoutingStats
 from .filters import FilterSpec
-from .gating import EdgeGateParams, ViewPair
 from .graphs import Graph, NormalizedOps, StructuralEmbedding
 
 
@@ -58,15 +57,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "hidden", "edge_hidden", "d_s"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("svg_steps", "finetune_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must lie in (0, 1)")
         for name in ("lambda_load", "lambda_div", "lambda_cls"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        for name in ("lr", "gamma", "gamma_svg", "tau"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 1 <= self.top_k <= self.n_exp:
             raise ValueError("top_k must lie in [1, n_exp]")
         if self.diversity_targets not in ("foundational", "residual", "both"):
@@ -76,48 +80,23 @@ class TrainConfig:
                 raise ValueError(f"unknown residual expert kind {kind!r}")
 
 
-@dataclass
-class DecoderParams:
-    """One-hidden-layer MLP from fused embeddings back to feature space."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def forward(self, h: Tensor) -> Tensor:
-        hidden = engine.relu(engine.add_row(engine.matmul(h, self.w1), self.b1))
-        return engine.add_row(engine.matmul(hidden, self.w2), self.b2)
-
-
-@dataclass
-class MaskPlan:
-    indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.indices.shape[0]
-
-
-def sample_mask(rng: np.random.Generator, n_nodes: int, mask_ratio: float) -> MaskPlan:
+def sample_mask(rng: np.random.Generator, n_nodes: int, mask_ratio: float) -> np.ndarray:
+    """Sorted indices of the masked nodes."""
     count = int(round(mask_ratio * n_nodes))
     count = max(1, min(count, n_nodes - 1))
-    return MaskPlan(indices=np.sort(rng.choice(n_nodes, size=count, replace=False)))
+    return np.sort(rng.choice(n_nodes, size=count, replace=False))
 
 
-def masked_input(x_values: np.ndarray, plan: MaskPlan, token: Tensor) -> Tensor:
+def masked_input(x_values: np.ndarray, mask: np.ndarray, token: Tensor) -> Tensor:
     """Replace masked feature rows by the learnable token before taping.
 
     Masked rows of ``x_values`` never reach the tape: they are zeroed on a
     copy first, so even poisoned (NaN) masked rows yield a finite input.
     """
     base = np.array(x_values, dtype=np.float64)
-    base[plan.indices] = 0.0
+    base[mask] = 0.0
     indicator = np.zeros((base.shape[0], 1))
-    indicator[plan.indices] = 1.0
+    indicator[mask] = 1.0
     return engine.add(Tensor(base), engine.matmul(Tensor(indicator), token))
 
 
@@ -131,7 +110,7 @@ class Model:
         self.emb: StructuralEmbedding = graphs.structural_embeddings(self.ops, d_s=cfg.d_s)
         rng = np.random.default_rng(cfg.seed)
         f_dim, d_e = g.feat_dim, cfg.hidden
-        self.gate: EdgeGateParams = gating.init_edge_gate(
+        self.gate: engine.MLP = gating.init_edge_gate(
             f_dim, cfg.d_s, cfg.edge_hidden, rng)
         coh_specs = [FilterSpec("sgc", k) for k in range(1, cfg.n_exp + 1)]
         disp_specs = [FilterSpec("lapsgc", k) for k in range(1, cfg.n_exp + 1)]
@@ -143,12 +122,7 @@ class Model:
             cfg.residual_kinds, f_dim, d_e, rng)
         self.pool_disp: ResidualPool = experts.init_residual_pool(
             cfg.residual_kinds, f_dim, d_e, rng)
-        self.decoder = DecoderParams(
-            w1=engine.glorot(rng, 2 * d_e, d_e),
-            b1=engine.zeros_param((1, d_e)),
-            w2=engine.glorot(rng, d_e, f_dim),
-            b2=engine.zeros_param((1, f_dim)),
-        )
+        self.decoder = engine.init_mlp(rng, 2 * d_e, d_e, f_dim)
         self.mask_token = engine.zeros_param((1, f_dim))
         self.head_w: Tensor | None = None
         self.head_b: Tensor | None = None
@@ -197,60 +171,43 @@ class Model:
 
 @dataclass
 class ForwardResult:
-    views: ViewPair
-    h_b_coh: gating.Target    # with its factors when backbone_only
-    h_b_disp: gating.Target
     stats_coh: RoutingStats
     stats_disp: RoutingStats
-    h_enh_coh: Tensor | None
-    h_enh_disp: Tensor | None
-    h_final: Tensor | None
-    alpha: np.ndarray | None
+    h_final: Tensor
+    alpha: np.ndarray
     diversity_targets: dict[str, list[experts.Output]]
+
+
+def _edge_weights(model: Model, x: Tensor, train_mode: bool,
+                  rng: np.random.Generator | None,
+                  fixed_weights: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """(w, w_eval): the per-edge weights the views carry, and their
+    noise-free eval-mode values. ``fixed_weights`` replace the gate; ``rng``
+    is drawn from in training mode only."""
+    if fixed_weights is not None:
+        w = Tensor(np.asarray(fixed_weights).reshape(-1, 1))
+        return w, w.values
+    logits = gating.edge_logits(model.gate, x, model.emb, model.graph)
+    w = gating.gumbel_sigmoid_weights(logits, model.cfg.tau, rng, train_mode)
+    return w, expit(logits.values / model.cfg.tau)
 
 
 def full_forward(model: Model, x_input: Tensor, train_mode: bool,
                  rng: np.random.Generator,
                  fixed_weights: np.ndarray | None = None,
-                 alpha_override: np.ndarray | None = None,
-                 backbone_only: bool = False) -> ForwardResult:
-    """One pass through gating, both channels, and fusion.
-
-    ``backbone_only`` stops after the two backbone outputs (all the
-    cross-filter loss consumes); it changes no random draws, so training
-    trajectories are identical with or without the skipped work. That loss
-    holds the backbone outputs constant, so here they run on views of the
-    detached weights and record nothing, and each comes with its factors
-    (h_b, M, W, b) for the loss to propagate in the filter basis.
-    """
+                 alpha_override: np.ndarray | None = None) -> ForwardResult:
+    """One pass through gating, both channels, and fusion."""
     g, cfg = model.graph, model.cfg
-    if fixed_weights is not None:
-        w = Tensor(np.asarray(fixed_weights).reshape(-1, 1))
-        w_eval = w.values
-    else:
-        logits = gating.edge_logits(model.gate, x_input, model.emb, g)
-        w = gating.gumbel_sigmoid_weights(logits, cfg.tau, rng, train_mode)
-        w_eval = expit(logits.values / cfg.tau)
+    w, w_eval = _edge_weights(model, x_input, train_mode, rng, fixed_weights)
     views = gating.build_views(g, w)
-    bank_views = gating.build_views(g, w.detach()) if backbone_only else views
-
-    h_b_coh, stats_coh, mix_coh, outs_coh = experts.backbone_forward(
-        model.bank_coh, x_input, model.emb, bank_views.a_coh, collect_expert_outputs=True)
-    h_b_disp, stats_disp, mix_disp, outs_disp = experts.backbone_forward(
-        model.bank_disp, x_input, model.emb, bank_views.a_disp, collect_expert_outputs=True)
-    if backbone_only:
-        coh, disp = model.bank_coh, model.bank_disp
-        return ForwardResult(views=views,
-                             h_b_coh=(h_b_coh, mix_coh, coh.proj_w, coh.proj_b),
-                             h_b_disp=(h_b_disp, mix_disp, disp.proj_w, disp.proj_b),
-                             stats_coh=stats_coh, stats_disp=stats_disp,
-                             h_enh_coh=None, h_enh_disp=None, h_final=None,
-                             alpha=None, diversity_targets={})
-
+    h_b_coh, stats_coh, _, outs_coh = experts.backbone_forward(
+        model.bank_coh, x_input, model.emb, views.a_coh)
+    h_b_disp, stats_disp, _, outs_disp = experts.backbone_forward(
+        model.bank_disp, x_input, model.emb, views.a_disp)
     h_r_coh, r_outs_coh = experts.residual_forward(model.pool_coh, x_input, views.a_coh)
     h_r_disp, r_outs_disp = experts.residual_forward(model.pool_disp, x_input, views.a_disp)
-    h_enh_coh = experts.enhance(h_b_coh, h_r_coh)
-    h_enh_disp = experts.enhance(h_b_disp, h_r_disp)
+    h_enh_coh = engine.add(h_b_coh, h_r_coh)
+    h_enh_disp = engine.add(h_b_disp, h_r_disp)
 
     if alpha_override is not None:
         alpha = np.asarray(alpha_override, dtype=np.float64).ravel()
@@ -268,20 +225,17 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
                for ch in ("coh", "disp")}
     else:
         div = targets[mode]
-    return ForwardResult(views=views, h_b_coh=h_b_coh, h_b_disp=h_b_disp,
-                         stats_coh=stats_coh, stats_disp=stats_disp,
-                         h_enh_coh=h_enh_coh, h_enh_disp=h_enh_disp,
+    return ForwardResult(stats_coh=stats_coh, stats_disp=stats_disp,
                          h_final=h_final, alpha=alpha, diversity_targets=div)
 
 
-def mae_loss(h_final: Tensor, decoder: DecoderParams, x_orig: np.ndarray,
-             plan: MaskPlan, gamma: float) -> Tensor:
+def mae_loss(h_final: Tensor, decoder: engine.MLP, x_orig: np.ndarray,
+             mask: np.ndarray, gamma: float) -> Tensor:
     """Scaled cosine reconstruction error over the masked node set."""
-    if plan.size == 0:
+    if mask.size == 0:
         raise ValueError("mask set is empty")
-    rows = engine.gather_rows(h_final, plan.indices)
-    recon = decoder.forward(rows)
-    return gating.scaled_cosine_error(recon, Tensor(x_orig[plan.indices]), gamma)
+    recon = decoder.forward(engine.gather_rows(h_final, mask))
+    return gating.scaled_cosine_error(recon, Tensor(x_orig[mask]), gamma)
 
 
 def composite_loss(l_mae: Tensor, l_load: Tensor, l_div: Tensor,
@@ -310,7 +264,7 @@ def _mean_load(fwd: ForwardResult) -> Tensor:
                                    experts.load_balance_loss(fwd.stats_disp)), 0.5)
 
 
-def masked_objective(fwd: ForwardResult, model: Model, plan: MaskPlan,
+def masked_objective(fwd: ForwardResult, model: Model, mask: np.ndarray,
                      cfg: TrainConfig, epoch: int) -> tuple[Tensor, dict[str, Tensor]]:
     """The composite masked-reconstruction loss and its three parts.
 
@@ -318,24 +272,24 @@ def masked_objective(fwd: ForwardResult, model: Model, plan: MaskPlan,
     features. A non-finite component raises :class:`TrainingError`.
     """
     l_mae = _guard("l_mae", epoch, lambda: mae_loss(
-        fwd.h_final, model.decoder, model.graph.features, plan, cfg.gamma))
+        fwd.h_final, model.decoder, model.graph.features, mask, cfg.gamma))
     l_load = _guard("l_load", epoch, lambda: _mean_load(fwd))
     l_div = _guard("l_div", epoch, lambda: _channel_mean_diversity(fwd.diversity_targets))
     total = _guard("total", epoch, lambda: composite_loss(l_mae, l_load, l_div, cfg))
     return total, {"l_mae": l_mae, "l_load": l_load, "l_div": l_div}
 
 
-def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[MaskPlan, ForwardResult]:
+def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, ForwardResult]:
     """Start a step: fresh tape, resampled node mask, training-mode forward."""
     model = state.model
     engine.reset_tape()
     engine.zero_grads(model.all_parameters())
-    plan = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
-    x_input = masked_input(model.graph.features, plan, model.mask_token)
+    mask = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
+    x_input = masked_input(model.graph.features, mask, model.mask_token)
     fwd = _guard("reconstruction forward", state.epoch, lambda: full_forward(
         model, x_input, train_mode=True, rng=state.rng,
         fixed_weights=state.fixed_weights))
-    return plan, fwd
+    return mask, fwd
 
 
 @dataclass
@@ -394,17 +348,30 @@ def svg_step(state: TrainState) -> float:
     the views their cohesive/dispersive semantics; descending it instead
     rewards views on which the wrong-direction filters succeed, which
     empirically inverts the learned weights.
+
+    The loss holds the backbone outputs constant, so they run on views of
+    the detached weights and record nothing, and each comes with its
+    factors (h_b, M, W, b) for the loss to propagate in the filter basis.
     """
     model, cfg = state.model, state.cfg
-    epoch = state.epoch
+    g, epoch = model.graph, state.epoch
     engine.reset_tape()
     engine.zero_grads(model.all_parameters())
-    x_raw = Tensor(model.graph.features)
+    x_raw = Tensor(g.features)
+
+    def forward():
+        w, _ = _edge_weights(model, x_raw, True, state.rng)
+        views, held = gating.build_views(g, w), gating.build_views(g, w.detach())
+        targets = []
+        for bank, view in ((model.bank_coh, held.a_coh), (model.bank_disp, held.a_disp)):
+            h_b, _, mix, _ = experts.backbone_forward(bank, x_raw, model.emb, view)
+            targets.append((h_b, mix, bank.proj_w, bank.proj_b))
+        return views, targets
+
     with _updating(model, model.gating_parameters()):
-        fwd = _guard("l_svg forward", epoch, lambda: full_forward(
-            model, x_raw, train_mode=True, rng=state.rng, backbone_only=True))
+        views, (h_coh, h_disp) = _guard("l_svg forward", epoch, forward)
         l_svg = _guard("l_svg", epoch, lambda: gating.svg_loss(
-            fwd.views, fwd.h_b_coh, fwd.h_b_disp, cfg.gamma_svg))
+            views, h_coh, h_disp, cfg.gamma_svg))
         engine.backward(engine.scale(l_svg, -1.0))
     engine.adam_step(model.gating_parameters(), state.adam_svg)
     return l_svg.item()
@@ -414,8 +381,8 @@ def reconstruction_step(state: TrainState) -> dict:
     """Step 2: resample the mask and update all main-model parameters."""
     model, cfg = state.model, state.cfg
     with _updating(model, model.main_parameters()):
-        plan, fwd = _masked_forward(state, cfg)
-        total, parts = masked_objective(fwd, model, plan, cfg, state.epoch)
+        mask, fwd = _masked_forward(state, cfg)
+        total, parts = masked_objective(fwd, model, mask, cfg, state.epoch)
         engine.backward(total)
     engine.adam_step(model.main_parameters(), state.adam_main)
 
@@ -470,13 +437,11 @@ def embed(state: TrainState, alpha_override: np.ndarray | None = None) -> np.nda
 def eval_edge_weights(state: TrainState) -> np.ndarray:
     """Eval-mode per-edge weights (deterministic; records nothing)."""
     model = state.model
-    if state.fixed_weights is not None:
-        return np.asarray(state.fixed_weights).ravel().copy()
     engine.reset_tape()
     with _updating(model, []):
-        logits = gating.edge_logits(model.gate, Tensor(model.graph.features),
-                                    model.emb, model.graph)
-    return expit(logits.values / state.cfg.tau).ravel()
+        _, w_eval = _edge_weights(model, Tensor(model.graph.features), False, None,
+                                  state.fixed_weights)
+    return w_eval.ravel().copy()
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +475,8 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
 
     for _ in range(cfg.finetune_epochs):
         with _updating(model, trainable):
-            plan, fwd = _masked_forward(state, cfg)
-            loss, _ = masked_objective(fwd, model, plan, cfg, state.epoch)
+            mask, fwd = _masked_forward(state, cfg)
+            loss, _ = masked_objective(fwd, model, mask, cfg, state.epoch)
             if cfg.lambda_cls:
                 logits = engine.add_row(
                     engine.matmul(engine.gather_rows(fwd.h_final, support), model.head_w),
@@ -538,34 +503,20 @@ def classify(state: TrainState, embeddings: np.ndarray) -> np.ndarray:
 # naive flat MoE baseline
 
 class NaiveMoE:
-    """Flat sparse MoE: one gate softmax-routing directly over heterogeneous
-    experts (no backbone, no residual decomposition, no diversity loss).
+    """Flat sparse MoE: one gate routes each node to its top-1 expert among
+    heterogeneous ones, with the backbone's top-K mechanics (no backbone,
+    no residual decomposition, no diversity loss)."""
 
-    ``top_k`` selects how many experts each node's gate keeps before the
-    softmax renormalization (same mechanics as the backbone's routing);
-    ``top_k=None`` gives a dense softmax over all experts.
-    """
-
-    def __init__(self, g: Graph, cfg: TrainConfig, kinds: Sequence[str],
-                 top_k: int | None = 1):
+    def __init__(self, g: Graph, cfg: TrainConfig, kinds: Sequence[str]):
         self.graph = g
-        self.cfg = cfg
-        self.kinds = tuple(kinds)
-        self.top_k = top_k
-        self.ops = graphs.normalize(g)
-        self.emb = graphs.structural_embeddings(self.ops, d_s=cfg.d_s)
+        self.emb = graphs.structural_embeddings(graphs.normalize(g), d_s=cfg.d_s)
         rng = np.random.default_rng(cfg.seed)
         f_dim, d_e = g.feat_dim, cfg.hidden
         self.gate_w = engine.glorot(rng, f_dim + cfg.d_s, len(kinds))
         self.gate_b = engine.zeros_param((1, len(kinds)))
         self.experts = [experts.init_residual_expert(kind, f_dim, d_e, rng)
                         for kind in kinds]
-        self.decoder = DecoderParams(
-            w1=engine.glorot(rng, d_e, d_e),
-            b1=engine.zeros_param((1, d_e)),
-            w2=engine.glorot(rng, d_e, f_dim),
-            b2=engine.zeros_param((1, f_dim)),
-        )
+        self.decoder = engine.init_mlp(rng, d_e, d_e, f_dim)
         self.mask_token = engine.zeros_param((1, f_dim))
 
     def parameters(self) -> list[Tensor]:
@@ -579,8 +530,7 @@ class NaiveMoE:
         view = filters.raw_view(self.graph)
         gate_in = engine.concat_cols(x_input, Tensor(self.emb.s))
         logits = engine.add_row(engine.matmul(gate_in, self.gate_w), self.gate_b)
-        k = len(self.experts) if self.top_k is None else self.top_k
-        probs, _ = experts.topk_softmax(logits, k)
+        probs, _ = experts.topk_softmax(logits, 1)
         h = None
         for k, expert in enumerate(self.experts):
             term = engine.mul_col(expert.forward(x_input, view),
@@ -590,23 +540,22 @@ class NaiveMoE:
 
 
 def naive_moe_baseline(g: Graph, cfg: TrainConfig,
-                       kinds: Sequence[str] | None = None,
-                       top_k: int | None = 1) -> list[dict]:
+                       kinds: Sequence[str] | None = None) -> list[dict]:
     """Per-epoch loss curve of the flat MoE trained on the same objective."""
     kinds = tuple(kinds) if kinds is not None else experts.RESIDUAL_KINDS
     g = training_graph(g, cfg)
-    moe = NaiveMoE(g, cfg, kinds, top_k=top_k)
+    moe = NaiveMoE(g, cfg, kinds)
     adam = AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     history = []
     for epoch in range(cfg.epochs):
         engine.reset_tape()
         engine.zero_grads(moe.parameters())
-        plan = sample_mask(rng, g.n_nodes, cfg.mask_ratio)
-        x_input = masked_input(g.features, plan, moe.mask_token)
+        mask = sample_mask(rng, g.n_nodes, cfg.mask_ratio)
+        x_input = masked_input(g.features, mask, moe.mask_token)
         h = _guard("naive forward", epoch, lambda: moe.forward(x_input))
         l_mae = _guard("l_mae", epoch, lambda: mae_loss(
-            h, moe.decoder, g.features, plan, cfg.gamma))
+            h, moe.decoder, g.features, mask, cfg.gamma))
         engine.backward(l_mae)
         engine.adam_step(moe.parameters(), adam)
         history.append({"epoch": epoch, "l_mae": l_mae.item(), "l_load": 0.0,
@@ -618,32 +567,18 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # persistence and metrics
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via temp file + rename so interrupted runs never truncate."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def metrics_jsonl(history: list[dict]) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in history)
 
 
 def write_metrics(history: list[dict], path: str) -> None:
-    atomic_write_text(path, metrics_jsonl(history))
+    engine.atomic_write(path, metrics_jsonl(history))
 
 
 def write_routing_csv(routing_log: list[tuple], path: str) -> None:
     lines = ["step,channel,expert,f_k,P_k"]
     lines += [f"{s},{c},{k},{repr(f)},{repr(p)}" for s, c, k, f, p in routing_log]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    engine.atomic_write(path, "\n".join(lines) + "\n")
 
 
 def save_model(state: TrainState, path: str) -> None:

@@ -106,3 +106,23 @@ def sbm_all_pairs(n_per_block: int, k_blocks: int, p_in: float, p_out: float,
     means[np.arange(k_blocks), np.arange(k_blocks)] = feat_signal
     features = means[labels] + rng.standard_normal((n, feat_dim))
     return edges, features, labels
+
+
+def clustering_by_set_intersections(g) -> np.ndarray:
+    """Local clustering coefficient from per-edge neighbour-set
+    intersections; nodes with degree < 2 get 0."""
+    deg = g.degrees()
+    nbrs = [set() for _ in range(g.n_nodes)]
+    for u, v in g.edges:
+        nbrs[u].add(int(v))
+        nbrs[v].add(int(u))
+    tri2 = np.zeros(g.n_nodes)  # per-node triangle count times 2
+    for u, v in g.edges:
+        common = len(nbrs[u] & nbrs[v])
+        tri2[u] += common
+        tri2[v] += common
+    c = np.zeros(g.n_nodes)
+    mask = deg >= 2
+    tri = tri2 / 2.0
+    c[mask] = 2.0 * tri[mask] / (deg[mask] * (deg[mask] - 1.0))
+    return c

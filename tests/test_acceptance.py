@@ -271,7 +271,7 @@ def test_criterion_07_backbone_oracle_equivalence():
                                         d_s=3, d_e=5, rng=rng)
         w = rng.uniform(0.2, 0.8, size=(g.n_edges, 1))
         view = gating.build_views(g, Tensor(w)).a_coh
-        h_b, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
+        h_b, _, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
 
         # brute-force dense mixture oracle
         a = _dense_adj(g)

@@ -191,6 +191,12 @@ def test_config_file_rejects_unknown_key(sbm_dir, tmp_path):
                    "--config", str(cfg_file)) == 1
 
 
+def test_train_rejects_zero_hidden_width(sbm_dir, tmp_path, capsys):
+    assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
+                   "--hidden", "0") == 1
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_help_everywhere_exits_zero():
     for cmd in cli.COMMANDS:
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import os
 import zlib
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adamore import engine
+from adamore import engine, fusion, gating, graphs
 from adamore.engine import Tensor
 
 from _oracles import check_grad
@@ -597,6 +598,60 @@ def test_checkpoint_header_versioned(tmp_path):
     bad.write_bytes(struct_pack_header(b"NOT-A-CKPT\n1\na 1 1 0\n") + np.zeros(1).tobytes())
     with pytest.raises(ValueError):
         engine.load_checkpoint(bad)
+
+
+class _InterruptedFile:
+    """Writes half of what it is given, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    engine.save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3)})
+    before = path.read_bytes()
+    monkeypatch.setattr(engine, "open", lambda *a, **k: _InterruptedFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        engine.save_checkpoint(path, {"a": np.ones((4, 5))})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    # a file planted at the temporary name is refused, not written through
+    monkeypatch.undo()
+    victim = tmp_path / "victim"
+    victim.write_text("keep")
+    planted = tmp_path / f"model.ckpt.{os.getpid()}.tmp"
+    planted.symlink_to(victim)
+    with pytest.raises(FileExistsError):
+        engine.save_checkpoint(path, {"a": np.ones((4, 5))})
+    assert victim.read_text() == "keep" and path.read_bytes() == before
+    assert planted.is_symlink()
+
+
+def test_output_writers_write_atomically(tmp_path, monkeypatch):
+    written = []
+    monkeypatch.setattr(engine, "atomic_write", lambda path, data: written.append(
+        os.path.basename(path)))
+    g = graphs.make_graph(3, [(0, 1), (1, 2)], np.eye(3), labels=np.array([0, 1, 0]))
+    graphs.save_graph(g, str(tmp_path / "g"))
+    gating.export_weights_tsv(g, np.array([0.5, 0.25]), str(tmp_path / "weights.tsv"))
+    fusion.export_alpha_tsv(np.array([0.1, 0.2, 0.3]), str(tmp_path / "alpha.tsv"))
+    engine.save_checkpoint(tmp_path / "model.ckpt", {"a": np.zeros((1, 1))})
+    assert written == ["edges.tsv", "features.tsv", "labels.tsv", "weights.tsv",
+                       "alpha.tsv", "model.ckpt"]
+    assert not any(tmp_path.iterdir())
 
 
 def struct_pack_header(header: bytes) -> bytes:

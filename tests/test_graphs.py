@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from adamore import graphs
 
-from _oracles import dense_sym_norm, dense_walk_norm, random_adjacency, sbm_all_pairs
+from _oracles import (clustering_by_set_intersections, dense_sym_norm, dense_walk_norm,
+                      random_adjacency, sbm_all_pairs)
 
 
 def _graph_from_adj(adj, labels=None, feat=None):
@@ -457,6 +458,20 @@ def test_statistics_match_bruteforce_oracles():
                         tri += 1
             c_expect[i] = 2.0 * tri / (deg * (deg - 1))
         assert np.allclose(graphs.clustering_coefficient(g), c_expect, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 14),
+       pairs=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=60))
+@example(n=1, pairs=[])
+@example(n=6, pairs=[])
+@example(n=6, pairs=[(0, 1), (1, 2), (0, 2)])
+def test_clustering_equals_set_intersection_loop(n, pairs):
+    """The sparse-product triangle count is exact: equal to the per-edge
+    set intersections, isolated nodes and empty edge sets included."""
+    g = graphs.make_graph(n, [(u % n, v % n) for u, v in pairs], np.zeros((n, 1)))
+    assert np.array_equal(graphs.clustering_coefficient(g),
+                          clustering_by_set_intersections(g))
 
 
 # ---------------------------------------------------------------------------

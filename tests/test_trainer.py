@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from adamore import engine, gating, graphs, trainer
 from adamore.engine import Tensor
@@ -41,6 +42,8 @@ def test_config_defaults_match_contract():
     dict(mask_ratio=0.0), dict(mask_ratio=1.0), dict(epochs=0),
     dict(lambda_load=-0.1), dict(tau=0.0), dict(top_k=5),
     dict(diversity_targets="nope"), dict(residual_kinds=("mystery",)),
+    dict(hidden=0), dict(edge_hidden=0), dict(d_s=0), dict(lr=0.0), dict(lr=-0.01),
+    dict(gamma=0.0), dict(gamma_svg=-2.0), dict(svg_steps=-1), dict(finetune_epochs=-1),
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ValueError):
@@ -58,7 +61,7 @@ def test_mask_plan_size(sbm):
 def test_masked_input_substitutes_token(sbm):
     token = engine.zeros_param((1, sbm.feat_dim))
     token.values = np.full((1, sbm.feat_dim), 7.0)
-    plan = trainer.MaskPlan(indices=np.array([0, 3]))
+    plan = np.array([0, 3])
     x = trainer.masked_input(sbm.features, plan, token)
     assert np.allclose(x.values[0], 7.0)
     assert np.allclose(x.values[3], 7.0)
@@ -71,7 +74,7 @@ def test_masked_rows_never_enter_forward(sbm):
     state = trainer.init_state(sbm, cfg)
     plan = trainer.sample_mask(np.random.default_rng(3), sbm.n_nodes, 0.5)
     poisoned = sbm.features.copy()
-    poisoned[plan.indices] = np.nan
+    poisoned[plan] = np.nan
     engine.reset_tape()
     x_input = trainer.masked_input(poisoned, plan, state.model.mask_token)
     assert np.isfinite(x_input.values).all()
@@ -88,17 +91,17 @@ def test_mae_loss_rejects_empty_mask(sbm):
     h = Tensor(np.ones((sbm.n_nodes, 2 * cfg.hidden)))
     with pytest.raises(ValueError):
         trainer.mae_loss(h, state.model.decoder, sbm.features,
-                         trainer.MaskPlan(indices=np.array([], dtype=int)), 2.0)
+                         np.array([], dtype=int), 2.0)
 
 
 def test_mae_loss_closed_form_half_cosine():
     # constant decoder output at 60 degrees from every target row
-    dec = trainer.DecoderParams(
+    dec = engine.MLP(
         w1=Tensor(np.zeros((4, 3))), b1=Tensor(np.zeros((1, 3))),
         w2=Tensor(np.zeros((3, 2))), b2=Tensor(np.array([[0.5, np.sqrt(3.0) / 2.0]])))
     x_orig = np.tile([[1.0, 0.0]], (6, 1))
     h = Tensor(np.zeros((6, 4)))
-    loss = trainer.mae_loss(h, dec, x_orig, trainer.MaskPlan(np.arange(6)), gamma=2.0)
+    loss = trainer.mae_loss(h, dec, x_orig, np.arange(6), gamma=2.0)
     assert abs(loss.item() - 0.75) < 1e-7
 
 
@@ -208,12 +211,14 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     monkeypatch.setattr(engine, "backward", lambda loss: (
         at_backward.append(len(engine.current_tape())), original(loss)))
     trainer.svg_step(state)
+    assert at_forward == []                  # the svg step has its own forward
     trainer.reconstruction_step(state)
+    assert len(at_forward) == 1
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
     assert at_backward == [46, 326, 282]   # svg, recon, fine-tune
-    assert at_forward[2] == 0                # embed
+    assert at_forward[1] == 0                # embed
 
 
 def test_recon_tape_holds_no_embedding_square(sbm, monkeypatch):
@@ -327,6 +332,16 @@ def test_alpha_override_reproduces_single_view_arms(sbm):
     static = trainer.embed(state, alpha_override=np.full(sbm.n_nodes, 0.5))
     full = trainer.embed(state)
     assert static.shape == full.shape
+
+
+def test_eval_edge_weights_are_the_noise_free_gate(sbm):
+    state = trainer.train(sbm, tiny_cfg(epochs=2))
+    model = state.model
+    logits = gating.edge_logits(model.gate, Tensor(sbm.features), model.emb, sbm)
+    want = expit(logits.values / state.cfg.tau).ravel()
+    assert len(engine.current_tape()) > 0      # the reference above was taped
+    assert np.array_equal(trainer.eval_edge_weights(state), want)
+    assert len(engine.current_tape()) == 0
 
 
 def test_fixed_weights_bypass_the_gate(sbm):

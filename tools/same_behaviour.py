@@ -1,0 +1,162 @@
+"""Same-behaviour proof for refactors: collect a run digest, compare two.
+
+    PYTHONPATH=src python3 tools/same_behaviour.py collect OUT.npz
+    PYTHONPATH=src python3 tools/same_behaviour.py compare A.npz B.npz
+
+``collect`` trains the fixed two-block SBM of ``adamore gen-sbm --blocks 2
+--per-block 100 --p-in 0.5 --p-out 0.05 --seed 0`` for 20 epochs at lr 0.01
+under three configs: the default, all four residual kinds with diversity
+targets ``both``, and ``hidden=8`` (F >= d_e, the projected-first basis).
+A fourth run trains the default config under fixed oracle edge weights.
+Per config it stores the metrics records, the routing log, the eval-mode
+edge weights, alpha and embeddings, the checkpoint arrays as written and
+read back, the tape length at every ``backward``, every parameter gradient
+of one svg step and one reconstruction step at the trained state, and the
+flat-MoE ``l_mae`` curve.
+
+``compare`` prints each entry as identical, or as max |diff| / max |ref|,
+and exits 0 only when every entry of both files is identical. Run
+``collect`` once with the parent commit's ``src`` on PYTHONPATH and once
+with the change's, then ``compare`` the two files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+from dataclasses import replace
+
+import numpy as np
+
+from adamore import engine, graphs, trainer
+from adamore.trainer import TrainConfig
+
+CONFIGS = {
+    "default": {},
+    "four_kinds_both": dict(residual_kinds=("gcn-layer", "sage-mean", "gin0", "gat-1head"),
+                            diversity_targets="both"),
+    "hidden8": dict(hidden=8),
+    "oracle": {},
+}
+
+
+def _oracle_weights(g: graphs.Graph) -> np.ndarray:
+    same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
+    return np.where(same, 0.9, 0.1)
+
+
+def _grads_of_step(state: trainer.TrainState, step) -> dict[str, np.ndarray]:
+    """Gradients the step hands to Adam, keyed by parameter name."""
+    names = {id(p): name for name, p in state.model.named_parameters().items()}
+    grads = {}
+    original = engine.adam_step
+
+    def capture(params, adam):
+        grads.update({names[id(p)]: p.grad.copy() for p in params if p.grad is not None})
+        original(params, adam)
+
+    engine.adam_step = capture
+    try:
+        step(state)
+    finally:
+        engine.adam_step = original
+    return grads
+
+
+def _run(g: graphs.Graph, cfg: TrainConfig, fixed) -> dict[str, np.ndarray]:
+    tapes = []
+    original = engine.backward
+
+    def counted(loss):
+        tapes.append(len(engine.current_tape()))
+        original(loss)
+
+    engine.backward = counted
+    try:
+        state = trainer.train(g, cfg, fixed_weights=fixed)
+    finally:
+        engine.backward = original
+    keys = sorted(state.history[0])
+    out = {
+        "metrics": np.array([[rec[k] for k in keys] for rec in state.history], dtype=float),
+        "metrics_keys": np.array(keys),
+        "routing": np.array([(e, c == "disp", k, f, p) for e, c, k, f, p in state.routing_log],
+                            dtype=float),
+        "tape_at_backward": np.array(tapes),
+        "weights": trainer.eval_edge_weights(state),
+        "alpha": trainer.eval_forward(state).alpha,
+        "embeddings": trainer.embed(state),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.ckpt")
+        trainer.save_model(state, path)
+        for name, arr in engine.load_checkpoint(path).items():
+            out[f"ckpt.{name}"] = arr
+    if fixed is None:
+        out.update({f"svg_grad.{k}": v
+                    for k, v in _grads_of_step(state, trainer.svg_step).items()})
+    out.update({f"recon_grad.{k}": v
+                for k, v in _grads_of_step(state, trainer.reconstruction_step).items()})
+    return out
+
+
+def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) -> None:
+    g = graphs.gen_sbm(per_block, 2, 0.5, 0.05, seed=0)
+    base = TrainConfig(epochs=epochs, lr=0.01, seed=seed)
+    digest = {}
+    for label, overrides in CONFIGS.items():
+        cfg = replace(base, **overrides)
+        fixed = _oracle_weights(g) if label == "oracle" else None
+        digest.update({f"{label}.{k}": v for k, v in _run(g, cfg, fixed).items()})
+    curve = [rec["l_mae"] for rec in trainer.naive_moe_baseline(g, base)]
+    digest["flat_moe.l_mae"] = np.array(curve)
+    np.savez(path, **digest)
+
+
+def _verdict(a: np.ndarray | None, b: np.ndarray | None) -> str | None:
+    """None when identical, else a short description of the difference."""
+    if a is None or b is None:
+        return "missing in " + ("A" if a is None else "B")
+    if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
+        return f"shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}"
+    if np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
+        return None
+    if a.dtype.kind not in "fiu":
+        return "differs"
+    diff = np.max(np.abs(a.astype(float) - b.astype(float)))
+    ref = np.max(np.abs(a.astype(float)))
+    return f"max|diff| / max|ref| = {diff:.3g} / {ref:.3g} = {diff / ref if ref else np.inf:.3g}"
+
+
+def compare(path_a: str, path_b: str, out=sys.stdout) -> bool:
+    with np.load(path_a) as fa, np.load(path_b) as fb:
+        a, b = dict(fa), dict(fb)
+    same = True
+    for key in sorted(a.keys() | b.keys()):
+        verdict = _verdict(a.get(key), b.get(key))
+        same &= verdict is None
+        print(f"{key}: {verdict or 'identical'}", file=out)
+    print(json.dumps({"entries": len(a.keys() | b.keys()), "identical": same}), file=out)
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("collect", help="train the fixed configs and write a digest")
+    p.add_argument("out")
+    p = sub.add_parser("compare", help="compare two digests; exit 0 when identical")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "collect":
+        collect(args.out)
+        return 0
+    return 0 if compare(args.a, args.b) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
