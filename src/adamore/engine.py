@@ -8,11 +8,13 @@ for such inputs. Inside :func:`frozen`, the given parameters count as
 constants, so a step differentiates only the groups it updates.
 
 Graph products run through :func:`edge_sum`, one sparse product per
-weighted propagation, :func:`pair_relu`, the edge gate's hidden layer
-over row pairs, and :func:`gather_rows` / :func:`scatter_rows`.
+weighted propagation, :func:`pair_mlp`, the edge gate's hidden and output
+layers over row pairs, and :func:`gather_rows` / :func:`scatter_rows`.
 Learned per-edge weights enter them as dense vectors with exact gradients.
 Every sparse pattern is built once per index array and sums each row in
-ascending edge order.
+ascending edge order. Work with one row per edge and a feature width runs
+in cache-sized row blocks (:func:`gathered_pairs`) through buffers reused
+for every block, so no edges x width array is formed.
 
 A training session owns one tape and is single-threaded. Call
 :func:`reset_tape` at the start of each optimization step; parameters are
@@ -30,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 EPS = 1e-8
@@ -321,15 +324,45 @@ def _aggregator(idx: np.ndarray, n_rows: int):
     return _cached((idx.tobytes(), n_rows), build)
 
 
+# bytes of one row-block buffer; a sweep of 128 KiB to 2 MiB on both benchmark
+# graphs found 512 KiB (1024 rows of the 64-wide gate) at or near the best
+_BLOCK_BYTES = 1 << 19
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per block when one row holds ``row_bytes`` bytes."""
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
+
+
+def gathered_pairs(x: np.ndarray, y: np.ndarray, xi: np.ndarray, yi: np.ndarray):
+    """Yield (lo, hi, x[xi[lo:hi]], y[yi[lo:hi]]) over consecutive row blocks.
+
+    ``x`` and ``y`` have equal widths. The two gathers land in buffers that
+    every block reuses, so no len(xi)-row array is formed; a yielded block
+    is overwritten by the next one.
+    """
+    n, width = xi.shape[0], x.shape[1]
+    for idx, rows in ((xi, x.shape[0]), (yi, y.shape[0])):
+        if idx.size and (idx.min() < 0 or idx.max() >= rows):
+            raise IndexError(f"index out of range for {rows} rows")
+    step = block_rows(8 * width)
+    bx, by = np.empty((min(step, n), width)), np.empty((min(step, n), width))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield (lo, hi, np.take(x, xi[lo:hi], axis=0, out=bx[:hi - lo], mode="clip"),
+               np.take(y, yi[lo:hi], axis=0, out=by[:hi - lo], mode="clip"))
+
+
 def edge_sum(h: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
              n_rows: int) -> Tensor:
     """Weighted edge sum: row i is the sum of w[e] * h[src[e]] over dst[e] = i.
 
     One sparse product A h with A[dst[e], src[e]] = w[e]; the backward is
     A^T g for ``h`` and the per-edge dot <g[dst[e]], h[src[e]]> for ``w``.
-    Both patterns sum in ascending edge order, so values and gradients
-    equal those of ``scatter_rows(mul_col(gather_rows(h, src), w), dst)``
-    bit for bit, without the edges x columns message matrix.
+    Both patterns sum in ascending edge order and the dot runs in row
+    blocks, so values and gradients equal those of
+    ``scatter_rows(mul_col(gather_rows(h, src), w), dst)`` bit for bit,
+    without the edges x columns message matrix.
     """
     src = np.asarray(src, dtype=np.int64).ravel()
     dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -351,7 +384,9 @@ def edge_sum(h: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
             order, cols, indptr = bwd
             gh = sps.csr_matrix((wv[order], cols, indptr), shape=(n_cols, n_rows)) @ g
         if need_w:
-            gw = np.einsum("ij,ij->i", g[dst], hv[src])[:, None]
+            gw = np.empty((m, 1))
+            for lo, hi, gd, hs in gathered_pairs(g, hv, dst, src):
+                np.einsum("ij,ij->i", gd, hs, out=gw[lo:hi, 0])
         return gh, gw
 
     return _record("edge_sum", out, (h, w), back)
@@ -369,31 +404,74 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     return _record("gather_rows", out, (a,), back)
 
 
-def pair_relu(a: Tensor, b: Tensor, src: np.ndarray, dst: np.ndarray) -> Tensor:
-    """Row-pair hidden layer: row e is relu(a[src[e]] + b[dst[e]]).
+def _block_patterns(idx: np.ndarray, n_rows: int, step: int):
+    """Per row block of ``idx``: the CSR layout (indptr, indices, ones) of
+    its n_rows x block aggregator, each row in ascending entry order."""
+    def build():
+        out = []
+        for lo in range(0, idx.shape[0], step):
+            block = idx[lo:lo + step]
+            _, cols, indptr = _row_pattern(block, np.arange(block.shape[0]), n_rows)
+            out.append((indptr, cols, np.ones(block.shape[0])))
+        return out
 
-    One output buffer (gather, add and clip in place) and one mask in the
-    backward, which segment-sums the masked gradient over ``src`` for ``a``
-    and over ``dst`` for ``b``. Values and gradients equal those of
-    ``relu(add(gather_rows(a, src), gather_rows(b, dst)))`` bit for bit.
+    return _cached(("blocks", idx.tobytes(), n_rows, step), build)
+
+
+def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src: np.ndarray,
+             dst: np.ndarray) -> Tensor:
+    """Row-pair hidden and output layer: row e is relu(a[src[e]] + b[dst[e]]) v.
+
+    ``v`` is one column. The pairs run in row blocks (:func:`gathered_pairs`)
+    and the tape keeps only the hidden layer's sign pattern, packed to bits.
+    The backward segment-sums the masked g over ``src`` and ``dst`` (G_a, G_b,
+    block by block in ascending pair order) and, as relu(z) = mask * z, gives
+    G_a diag(v), G_b diag(v) and the column sums of a * G_a + b * G_b for ``v``:
+    ``matmul(relu(add(gather_rows(a, src), gather_rows(b, dst))), v)`` up to
+    rounding, without its pairs x width arrays.
     """
     src = np.asarray(src, dtype=np.int64).ravel()
     dst = np.asarray(dst, dtype=np.int64).ravel()
-    if a.shape[1] != b.shape[1] or src.shape != dst.shape:
-        raise ShapeError(f"operation 'pair_relu' needs equal widths and index lengths, "
-                         f"got {a.shape}, {b.shape} and {src.shape[0]}, {dst.shape[0]} pairs")
-    ov = a.values[src]
-    ov += b.values[dst]
-    np.maximum(ov, 0.0, out=ov)
+    width = a.shape[1]
+    if b.shape[1] != width or v.shape != (width, 1) or src.shape != dst.shape:
+        raise ShapeError(f"operation 'pair_mlp' needs equal widths, a ({width}, 1) column "
+                         f"and equal index lengths, got {a.shape}, {b.shape}, {v.shape} "
+                         f"and {src.shape[0]}, {dst.shape[0]} pairs")
+    av, bv, vv = a.values, b.values, v.values
+    need_a, need_b, need_v = a._needs_grad, b._needs_grad, v._needs_grad
+    taped = need_a or need_b or need_v
+    n_pairs = src.shape[0]
+    ov = np.empty((n_pairs, 1))
+    mask = np.empty((n_pairs, (width + 7) // 8), dtype=np.uint8) if taped else None
+    for lo, hi, z, zb in gathered_pairs(av, bv, src, dst):
+        z += zb
+        if taped:
+            mask[lo:hi] = np.packbits(z > 0.0, axis=1)
+        np.maximum(z, 0.0, out=z)
+        np.matmul(z, vv, out=ov[lo:hi])
     out = Tensor(ov)
-    need_a, need_b = a._needs_grad, b._needs_grad
 
     def back(g):
-        gm = g * (ov > 0.0)
-        return (_aggregator(src, a.shape[0]) @ gm if need_a else None,
-                _aggregator(dst, b.shape[0]) @ gm if need_b else None)
+        step = block_rows(8 * width)
+        g_a = np.zeros((av.shape[0], width)) if need_a or need_v else None
+        g_b = np.zeros((bv.shape[0], width)) if need_b or need_v else None
+        sums = [(acc, _block_patterns(idx, acc.shape[0], step))
+                for idx, acc in ((src, g_a), (dst, g_b)) if acc is not None]
+        buf = np.empty((min(step, n_pairs), width))
+        for k, lo in enumerate(range(0, n_pairs, step)):
+            hi = min(lo + step, n_pairs)
+            gm = np.multiply(np.unpackbits(mask[lo:hi], axis=1, count=width), g[lo:hi],
+                             out=buf[:hi - lo])
+            for acc, patterns in sums:
+                indptr, cols, ones = patterns[k]
+                # acc += pattern @ gm in place, with the kernel behind scipy's
+                # csr @ dense, which would allocate a new n x width result per block
+                _sparsetools.csr_matvecs(acc.shape[0], hi - lo, width, indptr, cols, ones,
+                                         gm.ravel(), acc.ravel())
+        gv = ((av * g_a).sum(axis=0) + (bv * g_b).sum(axis=0))[:, None] if need_v else None
+        return (g_a * vv.T if need_a else None, g_b * vv.T if need_b else None, gv)
 
-    return _record("pair_relu", out, (a, b), back)
+    return _record("pair_mlp", out, (a, b, v), back)
 
 
 def scatter_rows(a: Tensor, index: np.ndarray, n_rows: int) -> Tensor:

@@ -107,13 +107,25 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.array(centers)
 
 
+def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of every row of ``x`` to every center, (n, k).
+
+    Row blocks keep the k-wide broadcast cache-sized; each entry is the
+    same ``((x_i - c) ** 2).sum()`` as the all-rows broadcast.
+    """
+    d2 = np.empty((x.shape[0], centers.shape[0]))
+    step = engine.block_rows(8 * centers.size)
+    for lo in range(0, x.shape[0], step):
+        d2[lo:lo + step] = ((x[lo:lo + step, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return d2
+
+
 def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator,
            max_iter: int = 100) -> tuple[np.ndarray, float]:
     centers = _kmeans_pp_init(x, k, rng)
     assign = np.full(x.shape[0], -1, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
+        new_assign = _sq_dists(x, centers).argmin(axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -201,8 +213,7 @@ def prototype_classify(embeddings: np.ndarray, support: np.ndarray,
         if members.size == 0:
             raise ValueError(f"class {c} has no support examples")
         protos[c] = embeddings[members].mean(axis=0)
-    d2 = ((embeddings[queries][:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    return _sq_dists(embeddings[queries], protos).argmin(axis=1)
 
 
 def prototype_fewshot(embeddings: np.ndarray, labels: np.ndarray, k: int,

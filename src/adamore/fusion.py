@@ -37,7 +37,9 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
     """Mean cosine between each node's embedding and its neighbors'.
 
     Uses original (non-self-looped) neighborhoods; isolated nodes get the
-    neutral blend 0.5; raw cosine is clamped to [0, 1].
+    neutral blend 0.5; raw cosine is clamped to [0, 1]. The per-edge dots
+    run in row blocks (:func:`engine.gathered_pairs`), each row summed as
+    ``(a * b).sum(axis=1)``.
     """
     norms = np.linalg.norm(h_coh, axis=1, keepdims=True)
     unit = h_coh / np.maximum(norms, engine.EPS)
@@ -45,10 +47,13 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
     deg = g.degrees().astype(np.float64)
     if g.n_edges:
         # the cosine is symmetric: one per undirected edge, counted at both ends
-        per_edge = (unit[g.edges[:, 0]] * unit[g.edges[:, 1]]).sum(axis=1)
+        per_edge = np.empty(g.n_edges)
+        for lo, hi, a, b in engine.gathered_pairs(unit, unit, g.edges[:, 0], g.edges[:, 1]):
+            np.multiply(a, b, out=a)
+            a.sum(axis=1, out=per_edge[lo:hi])
         _, dst = g.directed_pairs()
-        acc = np.zeros(g.n_nodes)
-        np.add.at(acc, dst, np.concatenate([per_edge, per_edge]))
+        acc = np.bincount(dst, weights=np.concatenate([per_edge, per_edge]),
+                          minlength=g.n_nodes)
         mask = deg > 0
         score[mask] = acc[mask] / deg[mask]
     return np.clip(score, 0.0, 1.0)
@@ -63,11 +68,10 @@ def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
     deg = g.degrees().astype(np.float64)
     if g.n_edges:
         w = np.asarray(w).ravel()
-        mean = np.zeros(g.n_nodes)
-        np.add.at(mean, g.edges[:, 0], w)
-        np.add.at(mean, g.edges[:, 1], w)
+        src, _ = g.directed_pairs()
+        total = np.bincount(src, weights=np.concatenate([w, w]), minlength=g.n_nodes)
         mask = deg > 0
-        score[mask] = mean[mask] / deg[mask]
+        score[mask] = total[mask] / deg[mask]
     return np.clip(score, 0.0, 1.0)
 
 

@@ -5,7 +5,8 @@ concatenated features and structural embeddings of its endpoints,
 symmetrized over both orderings. Its first layer is linear in the two
 endpoint blocks,
 [u_i, u_j] W1 = u_i W1[:F + d_s] + u_j W1[F + d_s:] with u = [x, s], so it
-runs on the n node rows and only the hidden ReLU runs per directed edge.
+runs on the n node rows and only the hidden ReLU and the output layer run
+per directed edge.
 Gumbel-Sigmoid turns logits into soft weights in (0, 1); the cohesive view
 carries w per edge and the dispersive view 1 - w, so the two views sum to
 the original adjacency entrywise. The cross-filter loss trains only this
@@ -51,7 +52,9 @@ def edge_logits(params: engine.MLP, x: Tensor, s: StructuralEmbedding,
     top = u W1[:half] + b1 and bot = u W1[half:] with u = [x, s] and
     half = F + d_s, so the directed pair (i, j) has the hidden layer
     relu(top_i + bot_j). Both orderings of every edge run as the 2m
-    directed pairs, and the two logits of an edge are averaged.
+    directed pairs through one :func:`engine.pair_mlp`, which forms the
+    hidden layer one row block at a time, and the two logits of an edge
+    are averaged.
     """
     half = x.shape[1] + s.d_s
     if params.w1.shape[0] != 2 * half:
@@ -64,8 +67,7 @@ def edge_logits(params: engine.MLP, x: Tensor, s: StructuralEmbedding,
     top = engine.add_row(engine.matmul(u, w_top), params.b1)
     bot = engine.matmul(u, w_bot)
     src, dst = g.directed_pairs()
-    hidden = engine.pair_relu(top, bot, src, dst)
-    out = engine.add_row(engine.matmul(hidden, params.w2), params.b2)
+    out = engine.add_row(engine.pair_mlp(top, bot, params.w2, src, dst), params.b2)
     m = g.n_edges
     both = np.concatenate([np.arange(m), np.arange(m)])
     return engine.scale(engine.scatter_rows(out, both, m), 0.5)

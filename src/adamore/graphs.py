@@ -95,11 +95,7 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Raw degrees without self-loops."""
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.n_edges:
-            src, _ = self.directed_pairs()
-            np.add.at(deg, src, 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
 
 @dataclass(frozen=True)

@@ -126,3 +126,8 @@ def clustering_by_set_intersections(g) -> np.ndarray:
     tri = tri2 / 2.0
     c[mask] = 2.0 * tri[mask] / (deg[mask] * (deg[mask] - 1.0))
     return c
+
+
+def sq_dists_broadcast(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of all rows to all centers by one n x k x d broadcast."""
+    return ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)

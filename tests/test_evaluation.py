@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from adamore import evaluation, graphs
+from adamore import engine, evaluation, graphs
+
+from _oracles import sq_dists_broadcast
 
 
 def featureless_graph(n, labels):
@@ -202,3 +204,21 @@ def test_prototype_all_support_equals_centroid_rule():
     centroids = np.array([emb[labels == c].mean(axis=0) for c in range(2)])
     d2 = ((emb[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(pred, d2.argmin(axis=1))
+
+
+def test_sq_dists_blocks_equal_the_broadcast(monkeypatch):
+    """Row blocks give the bits of the all-rows broadcast: with 4-row blocks
+    (the last one ragged) and with the default, cache-sized ones."""
+    rng = np.random.default_rng(6)
+    x, centers = rng.normal(size=(50, 7)), rng.normal(size=(3, 7))
+    wide, protos = rng.normal(size=(300, 256)), rng.normal(size=(4, 256))
+    assert engine.block_rows(8 * protos.size) < wide.shape[0]
+    assert np.array_equal(evaluation._sq_dists(wide, protos), sq_dists_broadcast(wide, protos))
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 4 * 8 * centers.size)
+    assert np.array_equal(evaluation._sq_dists(x, centers), sq_dists_broadcast(x, centers))
+    labels = np.repeat(np.arange(3), [10, 20, 20])
+    support = np.array([0, 1, 10, 11, 30, 31])
+    protos = np.stack([x[support[2 * c:2 * c + 2]].mean(axis=0) for c in range(3)])
+    queries = np.setdiff1d(np.arange(50), support)
+    pred = evaluation.prototype_classify(x, support, labels[support], queries, 3)
+    assert np.array_equal(pred, sq_dists_broadcast(x[queries], protos).argmin(axis=1))

@@ -42,11 +42,13 @@ def test_semantic_score_isolated_sentinel():
     assert np.array_equal(fusion.semantic_score(np.eye(2), g), [0.5, 0.5])
 
 
-def test_semantic_score_equals_directed_pair_formula():
-    """One cosine per undirected edge gives the bits of one per directed pair."""
+def test_semantic_score_equals_directed_pair_formula(monkeypatch):
+    """One cosine per undirected edge, in blocks of 2 rows (the last one
+    ragged), gives the bits of one per directed pair summed by np.add.at."""
     rng = np.random.default_rng(3)
     edges = [(0, 1), (0, 2), (2, 3), (1, 3), (3, 5), (0, 5), (2, 5)]
     g = graphs.make_graph(8, edges, np.eye(8))        # nodes 4, 6, 7 isolated
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 2 * 8 * 6)
     for _ in range(10):
         h = rng.normal(size=(g.n_nodes, 6))
         unit = h / np.maximum(np.linalg.norm(h, axis=1, keepdims=True), engine.EPS)
@@ -57,6 +59,24 @@ def test_semantic_score_equals_directed_pair_formula():
         expect = np.full(g.n_nodes, fusion.ISOLATED_BLEND)
         expect[deg > 0] = acc[deg > 0] / deg[deg > 0]
         assert np.array_equal(fusion.semantic_score(h, g), np.clip(expect, 0.0, 1.0))
+
+
+def test_structural_score_and_degrees_match_add_at():
+    """The bincount sums give the bits of np.add.at over the edge ends."""
+    rng = np.random.default_rng(4)
+    pairs = rng.choice(40 * 40, size=200, replace=False)
+    pairs = np.unique(np.sort(np.stack([pairs // 40, pairs % 40], axis=1), axis=1), axis=0)
+    g = graphs.make_graph(42, pairs[pairs[:, 0] != pairs[:, 1]], np.eye(42))  # 40, 41 isolated
+    w = rng.uniform(size=g.n_edges)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    deg, total = np.zeros(g.n_nodes, dtype=np.int64), np.zeros(g.n_nodes)
+    np.add.at(deg, np.concatenate([u, v]), 1)
+    np.add.at(total, u, w)
+    np.add.at(total, v, w)
+    assert np.array_equal(g.degrees(), deg) and deg[40:].sum() == 0
+    expect = np.full(g.n_nodes, fusion.ISOLATED_BLEND)
+    expect[deg > 0] = total[deg > 0] / deg[deg > 0]
+    assert np.array_equal(fusion.structural_score(w, g), np.clip(expect, 0.0, 1.0))
 
 
 def test_semantic_score_clamps_negative_cosine():

@@ -217,7 +217,7 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
-    assert at_backward == [46, 326, 282]   # svg, recon, fine-tune
+    assert at_backward == [45, 325, 281]   # svg, recon, fine-tune
     assert at_forward[1] == 0                # embed
 
 
@@ -254,7 +254,8 @@ def test_svg_tape_propagates_in_the_filter_basis(sbm, monkeypatch):
 
 def test_gate_tape_holds_no_edge_concatenation(sbm, monkeypatch):
     """The gate's first layer runs on node rows: no tensor on the svg or
-    recon tape is m x 2(F + d_s), the per-edge input of a concatenated MLP."""
+    recon tape is m x 2(F + d_s), the per-edge input of a concatenated MLP.
+    Its hidden layer runs in row blocks: none is 2m x edge_hidden either."""
     cfg = tiny_cfg()
     state = trainer.init_state(sbm, cfg)
     shapes = []
@@ -266,6 +267,7 @@ def test_gate_tape_holds_no_edge_concatenation(sbm, monkeypatch):
     trainer.svg_step(state)
     trainer.reconstruction_step(state)
     assert shapes and (sbm.n_edges, 2 * (sbm.feat_dim + cfg.d_s)) not in shapes
+    assert (2 * sbm.n_edges, cfg.edge_hidden) not in shapes
 
 
 @pytest.mark.parametrize("poisoned", ["gate", "main"])
