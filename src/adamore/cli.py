@@ -17,6 +17,8 @@ import sys
 from . import engine, evaluation, experiments, fusion, gating, graphs, trainer
 from .trainer import TrainConfig
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
 # every tunable key, its owning module, and how to parse it from text
 CONFIG_REGISTRY = {
     "epochs": ("trainer", int),
@@ -37,7 +39,7 @@ CONFIG_REGISTRY = {
     "diversity_targets": ("expert-moe", str),
     "svg_steps": ("trainer", int),
     "finetune_epochs": ("trainer", int),
-    "normalize_features": ("graph-core", lambda s: s.lower() in ("1", "true", "yes")),
+    "normalize_features": ("graph-core", lambda s: _BOOLEANS[s.lower()]),
     "seed": ("trainer", int),
 }
 
@@ -63,7 +65,10 @@ def read_config_file(path: str) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_REGISTRY:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = CONFIG_REGISTRY[key][1](raw)
+            try:
+                values[key] = CONFIG_REGISTRY[key][1](raw)
+            except (KeyError, ValueError):
+                raise UsageError(f"{path}:{lineno}: invalid value {raw!r} for {key}") from None
     return values
 
 

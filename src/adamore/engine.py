@@ -25,7 +25,7 @@ Adam, and :func:`atomic_write`, the writer of every output file.
 from __future__ import annotations
 
 import os
-import struct
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -58,7 +58,7 @@ class Tensor:
     shape. Operations never mutate ``values`` in place.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "tape_id", "_needs_grad")
+    __slots__ = ("values", "requires_grad", "grad", "_needs_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -71,7 +71,6 @@ class Tensor:
         self.values = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.tape_id: int | None = None
         self._needs_grad = requires_grad
 
     @property
@@ -129,7 +128,6 @@ def _record(op: str, out: Tensor, inputs: Sequence[Tensor],
     _check_finite(out.values, op)
     out._needs_grad = any(t._needs_grad for t in inputs)
     if out._needs_grad:
-        out.tape_id = len(_current_tape.records)
         _current_tape.records.append((op, out, tuple(inputs), backward_fn))
     return out
 
@@ -282,7 +280,7 @@ def mul_col(a: Tensor, v: Tensor) -> Tensor:
                               np.einsum("ij,ij->i", g, av)[:, None] if need_v else None))
 
 
-_AGG_CACHE: dict = {}
+_AGG_CACHE: OrderedDict = OrderedDict()
 
 
 def _cached(key, build):
@@ -290,13 +288,17 @@ def _cached(key, build):
 
     Index arrays repeat every forward pass (a graph's edge endpoints), so
     each pattern is built once per distinct array and kept under its bytes.
+    Past 64 entries the least recently used goes, so the one-shot pattern
+    of each step's random mask never evicts the graph's.
     """
     hit = _AGG_CACHE.get(key)
     if hit is None:
         hit = build()
         if len(_AGG_CACHE) >= 64:
-            _AGG_CACHE.clear()
+            _AGG_CACHE.popitem(last=False)
         _AGG_CACHE[key] = hit
+    else:
+        _AGG_CACHE.move_to_end(key)
     return hit
 
 
@@ -712,21 +714,30 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
     manifest = [CHECKPOINT_HEADER, str(len(entries))]
     manifest += [f"{name} {rows} {cols} {off}" for name, rows, cols, off in entries]
     header = ("\n".join(manifest) + "\n").encode("utf-8")
-    atomic_write(path, b"".join([struct.pack("<Q", len(header)), header, *blobs]))
+    atomic_write(path, b"".join([len(header).to_bytes(8, "little"), header, *blobs]))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The named matrices of a :func:`save_checkpoint` archive. A file cut
+    short or not an archive raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        lines = fh.read(header_len).decode("utf-8").splitlines()
-        if not lines or lines[0] != CHECKPOINT_HEADER:
-            raise ValueError(f"not a checkpoint archive (expected header {CHECKPOINT_HEADER!r})")
-        count = int(lines[1])
-        data = fh.read()
+        raw = fh.read()
+    start = 8 + int.from_bytes(raw[:8], "little")
+    if len(raw) < start:
+        raise ValueError(f"{path}: truncated checkpoint or not one ({len(raw)} bytes, "
+                         f"the header would end at byte {start})")
+    lines = raw[8:start].decode("utf-8", errors="replace").splitlines()
+    if lines[:1] != [CHECKPOINT_HEADER]:
+        raise ValueError(f"{path}: not a checkpoint archive "
+                         f"(expected header {CHECKPOINT_HEADER!r})")
+    size = len(raw) - start
     named = {}
-    for line in lines[2:2 + count]:
+    for line in lines[2:2 + int(lines[1])]:
         name, rows, cols, off = line.split()
         rows, cols, off = int(rows), int(cols), int(off)
-        nbytes = rows * cols * 8
-        named[name] = np.frombuffer(data[off:off + nbytes], dtype=np.float64).reshape(rows, cols).copy()
+        end = off + rows * cols * 8
+        if end > size:
+            raise ValueError(f"{path}: truncated checkpoint: entry '{name}' needs payload "
+                             f"bytes {off}-{end}, the file holds {size}")
+        named[name] = np.frombuffer(raw[start + off:start + end]).reshape(rows, cols).copy()
     return named

@@ -139,13 +139,13 @@ def _stability_worker(task):
 # per-bucket motivation analysis
 
 def _dense_filtered(g: Graph, kind: str, hops: int) -> np.ndarray:
-    ops = graphs.normalize(g)
+    a_tilde = graphs.normalize(g)
     h = g.features.copy()
     for _ in range(hops):
         if kind == "sgc":
-            h = ops.a_tilde @ h
+            h = a_tilde @ h
         else:
-            h = h - ops.a_tilde @ h
+            h = h - a_tilde @ h
     return h
 
 

@@ -27,7 +27,6 @@ from . import engine
 from .engine import Tensor
 from .filters import (AdjacencyView, FilterSpec, filter_bank_outputs, neighbor_mean,
                       neighbor_sum, sym_propagate)
-from .graphs import StructuralEmbedding
 
 RESIDUAL_KINDS = ("gcn-layer", "sage-mean", "gin0", "gat-1head")
 
@@ -103,8 +102,7 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
     return engine.softmax_rows(engine.add(logits, Tensor(mask))), selected
 
 
-def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
-                     view: AdjacencyView):
+def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView):
     """Top-K mixture of projected filter outputs per node.
 
     The selected gate weights of a row sum to 1, so the mixture of the
@@ -117,7 +115,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: StructuralEmbedding,
     diversity regularizer takes.
     """
     n = x.shape[0]
-    gate_in = engine.concat_cols(x, Tensor(s.s))
+    gate_in = engine.concat_cols(x, Tensor(s))
     logits = engine.add_row(engine.matmul(gate_in, bank.gate_w), bank.gate_b)
     weights, selected = topk_softmax(logits, bank.top_k)
     outs = filter_bank_outputs(list(bank.specs), x, view)

@@ -9,28 +9,14 @@ respect to the tape: gradients flow into the channel embeddings only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sps
 
 from . import engine
 from .engine import Tensor
-from .graphs import Graph, NormalizedOps
+from .graphs import Graph
 
 ISOLATED_BLEND = 0.5
-
-
-@dataclass(frozen=True)
-class FusionState:
-    alpha_struct: np.ndarray
-    alpha_sem: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        for name in ("alpha_struct", "alpha_sem", "alpha"):
-            vec = getattr(self, name)
-            if (vec < 0.0).any() or (vec > 1.0).any():
-                raise ValueError(f"{name} has entries outside [0, 1]")
 
 
 def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
@@ -75,18 +61,16 @@ def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
     return np.clip(score, 0.0, 1.0)
 
 
-def propagate_alpha(init: np.ndarray, ops: NormalizedOps) -> np.ndarray:
+def propagate_alpha(init: np.ndarray, a_tilde: sps.csr_matrix) -> np.ndarray:
     """One normalized propagation step (self-loop included), then clamp."""
-    return np.clip(ops.a_tilde @ init, 0.0, 1.0)
+    return np.clip(a_tilde @ init, 0.0, 1.0)
 
 
 def compute_fusion(w: np.ndarray, h_coh: np.ndarray, g: Graph,
-                   ops: NormalizedOps) -> FusionState:
-    """Blend coefficients from the eval-mode edge weights ``w``, one per edge."""
-    a_struct = structural_score(w, g)
-    a_sem = semantic_score(h_coh, g)
-    alpha = propagate_alpha(0.5 * (a_struct + a_sem), ops)
-    return FusionState(alpha_struct=a_struct, alpha_sem=a_sem, alpha=alpha)
+                   a_tilde: sps.csr_matrix) -> np.ndarray:
+    """Per-node alpha in [0, 1] from the eval-mode edge weights ``w``, one per edge."""
+    cue = 0.5 * (structural_score(w, g) + semantic_score(h_coh, g))
+    return propagate_alpha(cue, a_tilde)
 
 
 def fuse(h_coh: Tensor, h_disp: Tensor, alpha: np.ndarray) -> Tensor:

@@ -27,7 +27,7 @@ import numpy as np
 from . import engine
 from .engine import Tensor
 from .filters import AdjacencyView, sym_propagate
-from .graphs import Graph, StructuralEmbedding
+from .graphs import Graph
 
 
 def init_edge_gate(feat_dim: int, d_s: int, hidden: int,
@@ -44,8 +44,7 @@ class ViewPair:
     a_disp: AdjacencyView
 
 
-def edge_logits(params: engine.MLP, x: Tensor, s: StructuralEmbedding,
-                g: Graph) -> Tensor:
+def edge_logits(params: engine.MLP, x: Tensor, s: np.ndarray, g: Graph) -> Tensor:
     """Symmetric per-edge logits: the MLP averaged over both orderings.
 
     The MLP reads [x_i, s_i, x_j, s_j]. Its first layer is formed per node,
@@ -56,12 +55,12 @@ def edge_logits(params: engine.MLP, x: Tensor, s: StructuralEmbedding,
     hidden layer one row block at a time, and the two logits of an edge
     are averaged.
     """
-    half = x.shape[1] + s.d_s
+    half = x.shape[1] + s.shape[1]
     if params.w1.shape[0] != 2 * half:
         raise engine.ShapeError(
             f"edge gate expects input width {params.w1.shape[0]}, "
-            f"got 2*({x.shape[1]}+{s.d_s})")
-    u = engine.concat_cols(x, Tensor(s.s))
+            f"got 2*({x.shape[1]}+{s.shape[1]})")
+    u = engine.concat_cols(x, Tensor(s))
     w_top = engine.gather_rows(params.w1, np.arange(half))
     w_bot = engine.gather_rows(params.w1, np.arange(half, 2 * half))
     top = engine.add_row(engine.matmul(u, w_top), params.b1)

@@ -1,17 +1,19 @@
-"""Graph representation, normalized operators, structural statistics, and I/O.
+"""Graph representation, normalized adjacency, structural statistics, and I/O.
 
 A graph directory holds edges.tsv ("u v" per line, 0-indexed), features.tsv
 (one row of floats per node) and optionally labels.tsv (one integer per
-line). :func:`load_graph` parses each file in one bulk pass and re-reads it
-line by line only to locate an error or to accept text numpy's reader
-refuses. Edges are deduplicated and checked on one int64 key per undirected
-pair, ``lo * n + hi``, whose order is the lexicographic order of the pairs.
+line, the first column read). :func:`load_graph` parses each file in one
+``np.loadtxt`` pass and checks the arrays; an error names file and line.
+Edges are deduplicated and checked on one int64 key per undirected pair,
+``lo * n + hi``, whose order is the lexicographic order of the pairs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -99,26 +101,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class NormalizedOps:
-    """Self-looped adjacency, its degrees and its symmetric normalization."""
-
-    a_hat: sps.csr_matrix      # A + I
-    d_hat: np.ndarray          # self-looped degree vector, entries >= 1
-    a_tilde: sps.csr_matrix    # D^-1/2 (A+I) D^-1/2
-
-
-@dataclass(frozen=True)
-class StructuralEmbedding:
-    """Per-node return probabilities of 1..d_s step self-looped random walks."""
-
-    s: np.ndarray              # (n_nodes, d_s), entries in [0, 1]
-
-    @property
-    def d_s(self) -> int:
-        return self.s.shape[1]
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     train: np.ndarray
     val: np.ndarray
@@ -148,18 +130,14 @@ def make_graph(n_nodes: int, edge_pairs, features, labels=None, n_classes=None) 
                  labels=labels, n_classes=n_classes)
 
 
-def normalize(g: Graph) -> NormalizedOps:
-    """Self-looped adjacency with its symmetric normalization."""
+def normalize(g: Graph) -> sps.csr_matrix:
+    """A~ = D^-1/2 (A+I) D^-1/2, D the self-looped degrees."""
     n = g.n_nodes
     src, dst = g.directed_pairs()
     rows = np.concatenate([src, np.arange(n)])
     cols = np.concatenate([dst, np.arange(n)])
-    vals = np.ones(rows.shape[0])
-    a_hat = sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    d_hat = np.asarray(a_hat.sum(axis=1)).ravel()
-    dinv_sqrt = 1.0 / np.sqrt(d_hat)
-    a_tilde = sps.csr_matrix((vals * dinv_sqrt[rows] * dinv_sqrt[cols], (rows, cols)), shape=(n, n))
-    return NormalizedOps(a_hat=a_hat, d_hat=d_hat, a_tilde=a_tilde)
+    dinv_sqrt = 1.0 / np.sqrt(g.degrees() + 1.0)
+    return sps.csr_matrix((dinv_sqrt[rows] * dinv_sqrt[cols], (rows, cols)), shape=(n, n))
 
 
 def _usable_cpus() -> int:
@@ -169,9 +147,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def structural_embeddings(ops: NormalizedOps, d_s: int = 8,
-                          block: int = 256) -> StructuralEmbedding:
-    """Diagonals of T, T^2, ..., T^d_s via blocked indicator probes.
+def structural_embeddings(a_tilde: sps.csr_matrix, d_s: int = 8,
+                          block: int = 256) -> np.ndarray:
+    """Per-node return probabilities of 1..d_s step self-looped random
+    walks, (n, d_s) in [0, 1]: the diagonals of T, T^2, ..., T^d_s via
+    blocked indicator probes.
 
     T = D^-1 (A+I) = D^-1/2 A~ D^1/2 shares its power diagonals with the
     symmetric A~, so with the probe columns e_i the half-power identity
@@ -187,7 +167,7 @@ def structural_embeddings(ops: NormalizedOps, d_s: int = 8,
     """
     if d_s < 1:
         raise ValueError("d_s must be >= 1")
-    n = ops.a_tilde.shape[0]
+    n = a_tilde.shape[0]
     s = np.zeros((n, d_s))
 
     def probe(start: int) -> None:
@@ -197,7 +177,7 @@ def structural_embeddings(ops: NormalizedOps, d_s: int = 8,
         for p in range(1, d_s + 1):
             # lo = A~^floor(p/2) e_i, cur = A~^ceil(p/2) e_i
             if p % 2:
-                lo, cur = cur, ops.a_tilde @ cur
+                lo, cur = cur, a_tilde @ cur
             else:
                 lo = cur
             s[start:stop, p - 1] = np.einsum("ij,ij->j", lo, cur)
@@ -210,7 +190,7 @@ def structural_embeddings(ops: NormalizedOps, d_s: int = 8,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(probe, starts))  # re-raises a failed block
-    return StructuralEmbedding(s=s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -346,96 +326,39 @@ def make_splits(g: Graph, fractions: tuple[float, float, float], seed: int) -> S
 # ---------------------------------------------------------------------------
 # directory I/O
 
-def _bulk_table(path: str, dtype) -> np.ndarray | None:
-    """The whole file as one 2-d array, or None where np.loadtxt refuses it
-    (such as ``1_0``, which int() and float() accept) or warns (a file
-    without rows)."""
+def _error_at(path: str, row: int, what: str) -> GraphFormatError:
+    """The error naming the line of data row ``row`` (from 0; blank lines,
+    which np.loadtxt skips, are not counted)."""
+    with open(path) as fh:
+        lines = (lineno for lineno, line in enumerate(fh, 1) if line.strip())
+        lineno = next(itertools.islice(lines, row, None), "?")
+    return GraphFormatError(f"{path}:{lineno}: {what}")
+
+
+def _table(path: str, dtype, bad_value: str, bad_width: str = "ragged row",
+           **kw) -> np.ndarray:
+    """The whole file as one 2-d array from one ``np.loadtxt`` pass, which
+    converts floats with the C routine behind float() and skips blank lines.
+    A file it refuses raises GraphFormatError at the row numpy names."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(path, dtype=dtype, ndmin=2, comments=None)
-    except (ValueError, Warning):
-        return None
-
-
-def _parse_floats(line: str, path: str, lineno: int) -> list[float]:
-    try:
-        return [float(tok) for tok in line.split()]
+            warnings.simplefilter("ignore", UserWarning)  # a file without rows
+            return np.loadtxt(path, dtype=dtype, ndmin=2, comments=None, **kw)
     except ValueError as err:
-        raise GraphFormatError(f"{path}:{lineno}: {err}") from None
-
-
-def _read_features(feat_path: str) -> np.ndarray:
-    """Per-line features.tsv reader; raises GraphFormatError with file:line."""
-    rows = []
-    width = None
-    with open(feat_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            vals = _parse_floats(line, feat_path, lineno)
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise GraphFormatError(
-                    f"{feat_path}:{lineno}: ragged row ({len(vals)} values, expected {width})")
-            if not all(np.isfinite(vals)):
-                raise GraphFormatError(f"{feat_path}:{lineno}: non-finite feature value")
-            rows.append(vals)
-    if not rows:
-        raise GraphFormatError(f"{feat_path}: no feature rows")
-    return np.array(rows)
-
-
-def _read_edges(edge_path: str, n: int) -> list[tuple[int, int]]:
-    """Per-line edges.tsv reader; raises GraphFormatError with file:line."""
-    pairs = []
-    with open(edge_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise GraphFormatError(f"{edge_path}:{lineno}: expected 'u v', got {line.strip()!r}")
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise GraphFormatError(f"{edge_path}:{lineno}: non-integer node index") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(
-                    f"{edge_path}:{lineno}: node index out of range for {n} nodes")
-            pairs.append((u, v))
-    return pairs
-
-
-def _read_labels(label_path: str, n: int) -> np.ndarray:
-    """Per-line labels.tsv reader (first token of each line)."""
-    vals = []
-    with open(label_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                vals.append(int(line.split()[0]))
-            except ValueError:
-                raise GraphFormatError(f"{label_path}:{lineno}: non-integer label") from None
-    if len(vals) != n:
-        raise GraphFormatError(
-            f"{label_path}: {len(vals)} labels for {n} nodes")
-    labels = np.array(vals, dtype=np.int64)
-    if labels.min() < 0:
-        raise GraphFormatError(f"{label_path}: negative label")
-    return labels
+        # numpy counts rows from 0 for a value it cannot convert ("at row r,
+        # column c") and from 1 for a row of another width
+        found = re.match(r"(.*) at row (\d+)(, column)?", str(err))
+        if found is None:
+            raise GraphFormatError(f"{path}: {err}") from None
+        row, what = (int(found[2]), bad_value) if found[3] else (int(found[2]) - 1, bad_width)
+        raise _error_at(path, row, f"{what} ({found[1]})") from None
 
 
 def load_graph(dir_path: str) -> Graph:
     """Load and validate a graph directory (edges/features/labels tsv).
 
-    Each file is parsed in one ``np.loadtxt`` pass, which converts floats
-    with the C routine behind float() and skips blank lines, and checked
-    with array operations. A file the bulk pass refuses or a check fails
-    on is read again line by line, which raises the GraphFormatError naming
-    file and line, or accepts what Python's int() and float() accept.
+    Each file is parsed by :func:`_table` and checked with array operations;
+    a failed check names the file and line of the first offending row.
     """
     feat_path = os.path.join(dir_path, "features.tsv")
     edge_path = os.path.join(dir_path, "edges.tsv")
@@ -444,22 +367,28 @@ def load_graph(dir_path: str) -> Graph:
         if not os.path.exists(required):
             raise GraphFormatError(f"missing file: {required}")
 
-    features = _bulk_table(feat_path, np.float64)
-    if features is None or not np.isfinite(features).all():
-        features = _read_features(feat_path)
+    features = _table(feat_path, np.float64, "non-numeric feature value")
+    if not features.size:
+        raise GraphFormatError(f"{feat_path}: no feature rows")
+    finite = np.isfinite(features)
+    if not finite.all():
+        raise _error_at(feat_path, np.argmin(finite.all(axis=1)), "non-finite feature value")
     n = features.shape[0]
 
-    pairs = _bulk_table(edge_path, np.int64)
-    if pairs is None or pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n:
-        pairs = _read_edges(edge_path, n)
+    pairs = _table(edge_path, np.int64, "non-integer node index", "expected 'u v'")
+    if pairs.size and pairs.shape[1] != 2:
+        raise _error_at(edge_path, 0, f"expected 'u v', got {pairs.shape[1]} values")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        inside = ((pairs >= 0) & (pairs < n)).all(axis=1)
+        raise _error_at(edge_path, np.argmin(inside), f"node index out of range for {n} nodes")
 
     labels = None
     if os.path.exists(label_path):
-        labels = _bulk_table(label_path, np.int64)
-        if labels is None or labels.shape != (n, 1) or labels.min() < 0:
-            labels = _read_labels(label_path, n)
-        else:
-            labels = labels.ravel()
+        labels = _table(label_path, np.int64, "non-integer label", usecols=0).ravel()
+        if labels.shape != (n,):
+            raise GraphFormatError(f"{label_path}: {labels.size} labels for {n} nodes")
+        if labels.min() < 0:
+            raise GraphFormatError(f"{label_path}: negative label")
 
     return make_graph(n, pairs, features, labels=labels)
 

@@ -26,7 +26,7 @@ from . import engine, experts, filters, fusion, gating, graphs
 from .engine import AdamState, Tensor
 from .experts import ExpertBank, ResidualPool, RoutingStats
 from .filters import FilterSpec
-from .graphs import Graph, NormalizedOps, StructuralEmbedding
+from .graphs import Graph
 
 
 class TrainingError(RuntimeError):
@@ -106,8 +106,8 @@ class Model:
     def __init__(self, g: Graph, cfg: TrainConfig):
         self.graph = g
         self.cfg = cfg
-        self.ops: NormalizedOps = graphs.normalize(g)
-        self.emb: StructuralEmbedding = graphs.structural_embeddings(self.ops, d_s=cfg.d_s)
+        self.a_tilde = graphs.normalize(g)
+        self.s = graphs.structural_embeddings(self.a_tilde, d_s=cfg.d_s)
         rng = np.random.default_rng(cfg.seed)
         f_dim, d_e = g.feat_dim, cfg.hidden
         self.gate: engine.MLP = gating.init_edge_gate(
@@ -187,7 +187,7 @@ def _edge_weights(model: Model, x: Tensor, train_mode: bool,
     if fixed_weights is not None:
         w = Tensor(np.asarray(fixed_weights).reshape(-1, 1))
         return w, w.values
-    logits = gating.edge_logits(model.gate, x, model.emb, model.graph)
+    logits = gating.edge_logits(model.gate, x, model.s, model.graph)
     w = gating.gumbel_sigmoid_weights(logits, model.cfg.tau, rng, train_mode)
     return w, expit(logits.values / model.cfg.tau)
 
@@ -201,9 +201,9 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
     w, w_eval = _edge_weights(model, x_input, train_mode, rng, fixed_weights)
     views = gating.build_views(g, w)
     h_b_coh, stats_coh, _, outs_coh = experts.backbone_forward(
-        model.bank_coh, x_input, model.emb, views.a_coh)
+        model.bank_coh, x_input, model.s, views.a_coh)
     h_b_disp, stats_disp, _, outs_disp = experts.backbone_forward(
-        model.bank_disp, x_input, model.emb, views.a_disp)
+        model.bank_disp, x_input, model.s, views.a_disp)
     h_r_coh, r_outs_coh = experts.residual_forward(model.pool_coh, x_input, views.a_coh)
     h_r_disp, r_outs_disp = experts.residual_forward(model.pool_disp, x_input, views.a_disp)
     h_enh_coh = engine.add(h_b_coh, h_r_coh)
@@ -212,7 +212,7 @@ def full_forward(model: Model, x_input: Tensor, train_mode: bool,
     if alpha_override is not None:
         alpha = np.asarray(alpha_override, dtype=np.float64).ravel()
     else:
-        alpha = fusion.compute_fusion(w_eval, h_enh_coh.values, g, model.ops).alpha
+        alpha = fusion.compute_fusion(w_eval, h_enh_coh.values, g, model.a_tilde)
     h_final = fusion.fuse(h_enh_coh, h_enh_disp, alpha)
 
     targets = {
@@ -364,7 +364,7 @@ def svg_step(state: TrainState) -> float:
         views, held = gating.build_views(g, w), gating.build_views(g, w.detach())
         targets = []
         for bank, view in ((model.bank_coh, held.a_coh), (model.bank_disp, held.a_disp)):
-            h_b, _, mix, _ = experts.backbone_forward(bank, x_raw, model.emb, view)
+            h_b, _, mix, _ = experts.backbone_forward(bank, x_raw, model.s, view)
             targets.append((h_b, mix, bank.proj_w, bank.proj_b))
         return views, targets
 
@@ -509,7 +509,7 @@ class NaiveMoE:
 
     def __init__(self, g: Graph, cfg: TrainConfig, kinds: Sequence[str]):
         self.graph = g
-        self.emb = graphs.structural_embeddings(graphs.normalize(g), d_s=cfg.d_s)
+        self.s = graphs.structural_embeddings(graphs.normalize(g), d_s=cfg.d_s)
         rng = np.random.default_rng(cfg.seed)
         f_dim, d_e = g.feat_dim, cfg.hidden
         self.gate_w = engine.glorot(rng, f_dim + cfg.d_s, len(kinds))
@@ -528,7 +528,7 @@ class NaiveMoE:
 
     def forward(self, x_input: Tensor) -> Tensor:
         view = filters.raw_view(self.graph)
-        gate_in = engine.concat_cols(x_input, Tensor(self.emb.s))
+        gate_in = engine.concat_cols(x_input, Tensor(self.s))
         logits = engine.add_row(engine.matmul(gate_in, self.gate_w), self.gate_b)
         probs, _ = experts.topk_softmax(logits, 1)
         h = None

@@ -81,6 +81,14 @@ def dense_walk_norm(adj: np.ndarray) -> np.ndarray:
     return a_hat / a_hat.sum(axis=1, keepdims=True)
 
 
+def self_looped(g) -> tuple[np.ndarray, np.ndarray]:
+    """Dense A + I of a Graph and its row sums, the self-looped degrees."""
+    a_hat = np.eye(g.n_nodes)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    a_hat[u, v] = a_hat[v, u] = 1.0
+    return a_hat, a_hat.sum(axis=1)
+
+
 def random_adjacency(rng: np.random.Generator, n: int, p: float = 0.4) -> np.ndarray:
     """Random symmetric 0/1 adjacency without self-loops."""
     a = (rng.random((n, n)) < p).astype(float)

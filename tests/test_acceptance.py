@@ -143,7 +143,7 @@ def test_criterion_02_structural_embedding_oracles():
         cur = np.eye(g.n_nodes)
         for p in range(6):
             cur = t @ cur
-            worst = max(worst, float(np.abs(emb.s[:, p] - np.diag(cur)).max()))
+            worst = max(worst, float(np.abs(emb[:, p] - np.diag(cur)).max()))
     dense_ok = worst <= 1e-12
 
     walks = 100_000
@@ -152,8 +152,8 @@ def test_criterion_02_structural_embedding_oracles():
         g = _random_graph(np.random.default_rng(100 + trial), n_max=10)
         emb = graphs.structural_embeddings(graphs.normalize(g), d_s=4)
         freq = _mc_return_frequencies(g, 4, walks, seed=trial)
-        sigma = np.sqrt(emb.s * (1.0 - emb.s) / walks)
-        mc_ok = mc_ok and bool((np.abs(freq - emb.s) <= 3.0 * sigma + 1e-12).all())
+        sigma = np.sqrt(emb * (1.0 - emb) / walks)
+        mc_ok = mc_ok and bool((np.abs(freq - emb) <= 3.0 * sigma + 1e-12).all())
     elapsed = time.time() - start
     ok = dense_ok and mc_ok and elapsed < 60
     report(2, "structural embeddings match dense powers (1e-12) and "
@@ -281,7 +281,7 @@ def test_criterion_07_backbone_oracle_equivalence():
         aw += np.eye(g.n_nodes)
         deg = aw.sum(axis=1)
         at = aw / np.sqrt(deg)[:, None] / np.sqrt(deg)[None, :]
-        logits = (np.hstack([g.features, emb.s]) @ bank.gate_w.values
+        logits = (np.hstack([g.features, emb]) @ bank.gate_w.values
                   + bank.gate_b.values)
         ex = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = ex / ex.sum(axis=1, keepdims=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -189,6 +190,41 @@ def test_config_file_rejects_unknown_key(sbm_dir, tmp_path):
     cfg_file.write_text("warp_speed=11\n")
     assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
                    "--config", str(cfg_file)) == 1
+
+
+@pytest.mark.parametrize("line", ["epochs=abc", "lr=fast", "normalize_features=ture"])
+def test_config_file_rejects_unparsable_value(sbm_dir, tmp_path, capsys, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"seed=3\n{line}\n")
+    assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
+                   "--config", str(cfg_file)) == 1
+    assert f"{cfg_file}:2: invalid value" in capsys.readouterr().err
+
+
+def test_config_file_booleans(tmp_path):
+    cfg_file = tmp_path / "flags.cfg"
+    for text, want in (("True", True), ("FALSE", False), ("yes", True), ("No", False),
+                       ("1", True), ("0", False)):
+        cfg_file.write_text(f"normalize_features={text}\n")
+        assert cli.read_config_file(str(cfg_file)) == {"normalize_features": want}
+
+
+def test_embed_names_a_truncated_checkpoint(model_dir, tmp_path, capsys):
+    """A checkpoint cut at 0 or 5 bytes, inside its header or inside its
+    payload fails with exit 2 and a message naming the file."""
+    run = tmp_path / "run"
+    shutil.copytree(model_dir, run)
+    ckpt = run / "model.ckpt"
+    whole = ckpt.read_bytes()
+    header_end = 8 + int.from_bytes(whole[:8], "little")
+    for cut in (0, 5, header_end - 10, len(whole) - 8):
+        ckpt.write_bytes(whole[:cut])
+        assert run_cli("embed", "--model-dir", str(run), "--out", str(tmp_path / "e.tsv")) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: truncated checkpoint" in err
+        assert cut < header_end or "entry '" in err
+    ckpt.write_bytes(whole)
+    assert run_cli("embed", "--model-dir", str(run), "--out", str(tmp_path / "e.tsv")) == 0
 
 
 def test_train_rejects_zero_hidden_width(sbm_dir, tmp_path, capsys):

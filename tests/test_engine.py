@@ -617,6 +617,28 @@ def test_checkpoint_header_versioned(tmp_path):
         engine.load_checkpoint(bad)
 
 
+def test_index_pattern_cache_keeps_a_reused_pattern(monkeypatch):
+    """Evicting the least recently used entry keeps a pattern used every
+    step: 100 gather_rows backwards at distinct indices (one-shot patterns,
+    as each step's random mask) build the edge_sum pattern once."""
+    monkeypatch.setattr(engine, "_AGG_CACHE", type(engine._AGG_CACHE)())
+    builds = []
+    cached = engine._cached
+    monkeypatch.setattr(engine, "_cached", lambda key, build: cached(
+        key, lambda: builds.append(key) or build()))
+    rng = np.random.default_rng(0)
+    src, dst = np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0])
+    h, w, x = _param(rng, (4, 2)), _param(rng, (4, 1)), _param(rng, (200, 3))
+    for step in range(100):
+        engine.reset_tape()
+        engine.backward(engine.mean_all(engine.edge_sum(h, w, src, dst, 4)))
+        engine.reset_tape()
+        engine.backward(engine.mean_all(engine.gather_rows(x, np.array([step, step + 1]))))
+    engine.reset_tape()
+    assert builds.count((src.tobytes(), dst.tobytes(), 4, 4)) == 1
+    assert len(builds) == 101
+
+
 class _InterruptedFile:
     """Writes half of what it is given, then fails as a full disk would."""
 

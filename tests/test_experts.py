@@ -28,7 +28,7 @@ def dense_view_matrix(g, w_und, self_loop=True):
 
 def sgc_bank(g, emb, rng, n_exp=4, top_k=2, d_e=5):
     specs = [FilterSpec("sgc", k) for k in range(1, n_exp + 1)]
-    return experts.init_expert_bank("coh", specs, top_k, g.feat_dim, emb.d_s, d_e, rng)
+    return experts.init_expert_bank("coh", specs, top_k, g.feat_dim, emb.shape[1], d_e, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def test_backbone_dense_mixture_when_k_equals_n_exp():
     h_b, stats, _, _ = experts.backbone_forward(bank, x, emb, view)
 
     # brute-force dense oracle
-    gate_in = np.hstack([g.features, emb.s])
+    gate_in = np.hstack([g.features, emb])
     logits = gate_in @ bank.gate_w.values + bank.gate_b.values
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
@@ -82,7 +82,7 @@ def test_backbone_single_expert_is_projection():
     rng = np.random.default_rng(2)
     g, emb = setup_graph(seed=3)
     bank = experts.init_expert_bank("coh", [FilterSpec("sgc", 1)], 1,
-                                    g.feat_dim, emb.d_s, 4, rng)
+                                    g.feat_dim, emb.shape[1], 4, rng)
     view = filters.raw_view(g)
     h_b, _, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
     out = filters.apply_filter(FilterSpec("sgc", 1), Tensor(g.features), view)
@@ -94,7 +94,7 @@ def test_backbone_selected_weights_sum_to_one():
     rng = np.random.default_rng(3)
     g, emb = setup_graph(seed=4, n_per_block=6)
     bank = sgc_bank(g, emb, rng, n_exp=4, top_k=2)
-    gate_in = np.hstack([g.features, emb.s])
+    gate_in = np.hstack([g.features, emb])
     logits = gate_in @ bank.gate_w.values + bank.gate_b.values
     order = np.argsort(-logits, axis=1, kind="stable")[:, :2]
     sel = np.take_along_axis(logits, order, axis=1)
@@ -111,10 +111,10 @@ def test_backbone_rejects_k_above_n_exp():
     g, emb = setup_graph()
     with pytest.raises(ValueError):
         experts.init_expert_bank("coh", [FilterSpec("sgc", 1)], 2,
-                                 g.feat_dim, emb.d_s, 4, rng)
+                                 g.feat_dim, emb.shape[1], 4, rng)
     with pytest.raises(ValueError, match="distinct"):
         experts.init_expert_bank("coh", [FilterSpec("sgc", 1)] * 2, 1,
-                                 g.feat_dim, emb.d_s, 4, rng)
+                                 g.feat_dim, emb.shape[1], 4, rng)
 
 
 def test_backbone_gradients_match_finite_differences():

@@ -107,30 +107,27 @@ def test_structural_score_isolated_sentinel():
 
 def test_propagate_alpha_isolated_node_keeps_init():
     g = graphs.make_graph(1, np.zeros((0, 2)), np.ones((1, 1)))
-    ops = graphs.normalize(g)
-    out = fusion.propagate_alpha(np.array([0.37]), ops)
+    out = fusion.propagate_alpha(np.array([0.37]), graphs.normalize(g))
     assert abs(out[0] - 0.37) < 1e-15
 
 
 def test_propagate_alpha_constant_on_regular_graph():
     g = graphs.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], np.eye(4))  # 4-cycle
-    ops = graphs.normalize(g)
-    out = fusion.propagate_alpha(np.full(4, 0.6), ops)
+    out = fusion.propagate_alpha(np.full(4, 0.6), graphs.normalize(g))
     assert np.allclose(out, 0.6, atol=1e-10)
 
 
 def test_propagate_alpha_two_node_path():
-    ops = graphs.normalize(path2())
-    out = fusion.propagate_alpha(np.array([1.0, 0.0]), ops)
+    out = fusion.propagate_alpha(np.array([1.0, 0.0]), graphs.normalize(path2()))
     assert np.allclose(out, [0.5, 0.5], atol=1e-12)
 
 
 def test_compute_fusion_bounds():
     rng = np.random.default_rng(0)
     g = graphs.gen_sbm(10, 2, 0.5, 0.2, feat_dim=4, seed=1)
-    state = fusion.compute_fusion(rng.random((g.n_edges, 1)),
-                                  rng.normal(size=(g.n_nodes, 6)), g, graphs.normalize(g))
-    for vec in (state.alpha_struct, state.alpha_sem, state.alpha):
+    w, h = rng.random((g.n_edges, 1)), rng.normal(size=(g.n_nodes, 6))
+    for vec in (fusion.structural_score(w, g), fusion.semantic_score(h, g),
+                fusion.compute_fusion(w, h, g, graphs.normalize(g))):
         assert (vec >= 0.0).all() and (vec <= 1.0).all()
 
 

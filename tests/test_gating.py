@@ -30,7 +30,7 @@ def small_graph(seed=0, n_per_block=4):
 def test_edge_logits_zero_mlp_gives_zero():
     g, emb = small_graph()
     rng = np.random.default_rng(0)
-    params = gating.init_edge_gate(g.feat_dim, emb.d_s, hidden=8, rng=rng)
+    params = gating.init_edge_gate(g.feat_dim, emb.shape[1], hidden=8, rng=rng)
     for p in params.parameters():
         p.values = np.zeros_like(p.values)
     logits = gating.edge_logits(params, Tensor(g.features), emb, g)
@@ -41,7 +41,7 @@ def test_edge_logits_zero_mlp_gives_zero():
 def test_edge_logits_match_dense_oracle():
     g, emb = small_graph(seed=1)
     rng = np.random.default_rng(1)
-    params = gating.init_edge_gate(g.feat_dim, emb.d_s, hidden=5, rng=rng)
+    params = gating.init_edge_gate(g.feat_dim, emb.shape[1], hidden=5, rng=rng)
     logits = gating.edge_logits(params, Tensor(g.features), emb, g)
 
     def mlp(z):
@@ -49,8 +49,8 @@ def test_edge_logits_match_dense_oracle():
         return h @ params.w2.values + params.b2.values
 
     for e, (i, j) in enumerate(g.edges):
-        zi = np.concatenate([g.features[i], emb.s[i], g.features[j], emb.s[j]])
-        zj = np.concatenate([g.features[j], emb.s[j], g.features[i], emb.s[i]])
+        zi = np.concatenate([g.features[i], emb[i], g.features[j], emb[j]])
+        zj = np.concatenate([g.features[j], emb[j], g.features[i], emb[i]])
         expect = 0.5 * (mlp(zi[None, :]) + mlp(zj[None, :]))
         assert abs(logits.values[e, 0] - expect[0, 0]) < 1e-12
         # symmetric by construction: swapping endpoint order changes nothing
@@ -101,7 +101,7 @@ def test_edge_logits_match_concatenation_oracle(case):
     params.b1.values = rng.normal(size=params.b1.shape)
     params.b2.values = rng.normal(size=params.b2.shape)
     logits = gating.edge_logits(params, Tensor(g.features), emb, g)
-    expect = _concatenation_oracle(params, g.features, emb.s, g.edges)
+    expect = _concatenation_oracle(params, g.features, emb, g.edges)
     assert logits.shape == expect.shape == (g.n_edges, 1)
     assert np.abs(logits.values - expect).max(initial=0.0) <= \
         1e-12 * np.abs(expect).max(initial=0.0)
@@ -111,7 +111,7 @@ def test_edge_logits_match_concatenation_oracle(case):
 
 def test_edge_logits_dimension_mismatch():
     g, emb = small_graph()
-    params = gating.init_edge_gate(g.feat_dim + 2, emb.d_s, hidden=4,
+    params = gating.init_edge_gate(g.feat_dim + 2, emb.shape[1], hidden=4,
                                    rng=np.random.default_rng(0))
     with pytest.raises(engine.ShapeError):
         gating.edge_logits(params, Tensor(g.features), emb, g)
@@ -145,7 +145,7 @@ def test_gumbel_sigmoid_rejects_bad_tau():
 
 def test_eval_mode_determinism():
     g, emb = small_graph(seed=2)
-    params = gating.init_edge_gate(g.feat_dim, emb.d_s, hidden=6,
+    params = gating.init_edge_gate(g.feat_dim, emb.shape[1], hidden=6,
                                    rng=np.random.default_rng(3))
     out = []
     for _ in range(2):
@@ -233,7 +233,7 @@ def test_svg_loss_perfect_low_pass_term_vanishes():
 def test_svg_loss_trains_only_the_gate():
     g, emb = small_graph(seed=6)
     rng = np.random.default_rng(7)
-    params = gating.init_edge_gate(g.feat_dim, emb.d_s, hidden=6, rng=rng)
+    params = gating.init_edge_gate(g.feat_dim, emb.shape[1], hidden=6, rng=rng)
     fake_backbone_param = Tensor(rng.normal(size=(g.n_nodes, 4)), requires_grad=True)
 
     engine.reset_tape()
@@ -251,7 +251,7 @@ def test_svg_loss_trains_only_the_gate():
 def test_svg_loss_gradient_matches_finite_differences():
     g, emb = small_graph(seed=8)
     rng = np.random.default_rng(9)
-    params = gating.init_edge_gate(g.feat_dim, emb.d_s, hidden=4, rng=rng)
+    params = gating.init_edge_gate(g.feat_dim, emb.shape[1], hidden=4, rng=rng)
     h_coh = Tensor(rng.normal(size=(g.n_nodes, 3)))
     h_disp = Tensor(rng.normal(size=(g.n_nodes, 3)))
     g1, g2 = engine.gumbel_pair(np.random.default_rng(11), (g.n_edges, 1))
@@ -292,7 +292,7 @@ def test_svg_loss_on_factors_equals_projected_targets(feat_dim, d_e):
 def test_svg_loss_on_factors_gradient_matches_finite_differences(feat_dim, d_e):
     g, emb = small_graph(seed=14)
     rng = np.random.default_rng(15)
-    params = gating.init_edge_gate(g.feat_dim, emb.d_s, hidden=4, rng=rng)
+    params = gating.init_edge_gate(g.feat_dim, emb.shape[1], hidden=4, rng=rng)
     coh, disp = _factored_targets(rng, g.n_nodes, feat_dim, d_e)
 
     def loss_fn():

@@ -339,7 +339,7 @@ def test_alpha_override_reproduces_single_view_arms(sbm):
 def test_eval_edge_weights_are_the_noise_free_gate(sbm):
     state = trainer.train(sbm, tiny_cfg(epochs=2))
     model = state.model
-    logits = gating.edge_logits(model.gate, Tensor(sbm.features), model.emb, sbm)
+    logits = gating.edge_logits(model.gate, Tensor(sbm.features), model.s, sbm)
     want = expit(logits.values / state.cfg.tau).ravel()
     assert len(engine.current_tape()) > 0      # the reference above was taped
     assert np.array_equal(trainer.eval_edge_weights(state), want)
