@@ -8,10 +8,7 @@ pool, and decoder. Afterward the frozen embeddings are scored with a
 linear probe.
 """
 
-import numpy as np
-
 from adamore import evaluation, graphs, trainer
-from adamore.engine import Tensor
 
 g = graphs.gen_sbm(n_per_block=60, k_blocks=2, p_in=0.4, p_out=0.05,
                    feat_dim=12, feat_signal=2.0, seed=0)
@@ -39,8 +36,6 @@ print(f"mean learned weight, same-label edges: {w[same].mean():.3f}")
 print(f"mean learned weight, cross-label edges: {w[~same].mean():.3f}")
 
 # fusion coefficients stay in [0, 1] and respond to local structure
-alpha = trainer.full_forward(
-    state.model, Tensor(g.features), train_mode=False,
-    rng=np.random.default_rng(0)).alpha
+alpha = trainer.eval_forward(state).alpha
 print(f"alpha: min {alpha.min():.3f}, mean {alpha.mean():.3f}, "
       f"max {alpha.max():.3f}")

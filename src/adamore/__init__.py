@@ -3,13 +3,13 @@
 Submodules:
   engine      reverse-mode autodiff over dense matrices, Adam, checkpoints
   graphs      graph loading, normalization, structural embeddings, SBM
-  filters     SGC / LapSGC / parameter-free / spline graph filters
+  filters     SGC / LapSGC / spline graph filters over weighted views
   gating      edge gating, Gumbel-Sigmoid views, cross-filter loss
   experts     sparse MoE backbone, residual pool, CKA diversity
   fusion      adaptive per-node channel fusion
   trainer     alternating unsupervised training, few-shot, naive baseline
   evaluation  linear probe, k-means clustering metrics, prototype few-shot
-  experiments oracle-weight, noise, stability, motivation, sensitivity runs
+  experiments probe studies (oracle weights, noise, sensitivity), stability, motivation
   cli         command-line entry point
 """
 

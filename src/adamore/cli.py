@@ -347,59 +347,56 @@ def _parse_pairs(raw: str) -> tuple:
     return tuple(pairs)
 
 
-def cmd_exp_oracle_weights(args) -> int:
+def _study_inputs(args):
+    """(graph, config, seeds) of an ``exp-*`` command."""
     cfg = build_config(args)
-    g = _require_labels(_load_graph_checked(args.data))
+    return _require_labels(_load_graph_checked(args.data)), cfg, tuple(range(args.seeds))
+
+
+def cmd_exp_oracle_weights(args) -> int:
+    g, cfg, seeds = _study_inputs(args)
     pairs = _parse_pairs(args.pairs)
-    seeds = tuple(range(args.seeds))
     if args.mode == "distinctiveness":
         rows = experiments.distinctiveness_study(g, cfg, pairs=pairs, seeds=seeds,
                                                  jobs=args.jobs)
     else:
-        cases = [(f"{p_coh}/{p_disp}",
+        cases = [(f"{p_coh}/{p_disp}", cfg,
                   experiments.OracleWeightSpec(mode="accuracy", p_coh_correct=p_coh,
                                                p_disp_correct=p_disp))
                  for p_coh, p_disp in pairs]
-        rows = experiments.oracle_study(g, cfg, cases, seeds=seeds, jobs=args.jobs)
-    _write_rows(rows, args.out)
-    for row in rows:
-        print(f"{row['value']}: median accuracy {row['median_accuracy']:.4f}")
+        rows = experiments.probe_study(g, cases, seeds=seeds, jobs=args.jobs)
+    _write_rows(rows, args.out, "")
     return 0
 
 
 def cmd_exp_noise(args) -> int:
-    cfg = build_config(args)
-    g = _require_labels(_load_graph_checked(args.data))
+    g, cfg, seeds = _study_inputs(args)
     ratios = tuple(float(x) for x in args.ratios.split(","))
     rows = experiments.noise_robustness(g, cfg, ratios=ratios, stddev=args.stddev,
-                                        seeds=tuple(range(args.seeds)), jobs=args.jobs)
-    _write_rows(rows, args.out)
-    for row in rows:
-        print(f"ratio {row['value']}: median accuracy {row['median_accuracy']:.4f}")
+                                        seeds=seeds, jobs=args.jobs)
+    _write_rows(rows, args.out, "ratio ")
     return 0
 
 
 def cmd_exp_sensitivity(args) -> int:
-    cfg = build_config(args)
-    g = _require_labels(_load_graph_checked(args.data))
+    g, cfg, seeds = _study_inputs(args)
     conv = float if args.axis == "lambda_load" else int
     values = tuple(conv(x) for x in args.values.split(","))
-    rows = experiments.sensitivity_sweep(g, args.axis, values, cfg,
-                                         seeds=tuple(range(args.seeds)),
+    rows = experiments.sensitivity_sweep(g, args.axis, values, cfg, seeds=seeds,
                                          jobs=args.jobs)
-    _write_rows(rows, args.out)
-    for row in rows:
-        print(f"{args.axis}={row['value']}: median accuracy "
-              f"{row['median_accuracy']:.4f}")
+    _write_rows(rows, args.out, f"{args.axis}=")
     return 0
 
 
-def _write_rows(rows, out_dir: str) -> None:
+def _write_rows(rows, out_dir: str, label: str) -> None:
+    """Write a study's report.json and report.csv; print one line per row."""
     os.makedirs(out_dir, exist_ok=True)
     experiments.write_report_json(rows, os.path.join(out_dir, "report.json"))
     flat = [{k: (v if not isinstance(v, list) else " ".join(map(str, v)))
              for k, v in row.items()} for row in rows]
     experiments.write_report_csv(flat, os.path.join(out_dir, "report.csv"))
+    for row in rows:
+        print(f"{label}{row['value']}: median accuracy {row['median_accuracy']:.4f}")
 
 
 def cmd_motivate(args) -> int:

@@ -514,11 +514,12 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", out, (a,), lambda g: (g * (av > 0.0),))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(a: Tensor) -> Tensor:
+    """Leaky ReLU with GAT's negative slope 0.2."""
     av = a.values
-    out = Tensor(np.where(av > 0.0, av, slope * av))
+    out = Tensor(np.where(av > 0.0, av, 0.2 * av))
     return _record("leaky_relu", out, (a,),
-                   lambda g: (g * np.where(av > 0.0, 1.0, slope),))
+                   lambda g: (g * np.where(av > 0.0, 1.0, 0.2),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -572,14 +573,14 @@ def log_softmax_rows(a: Tensor) -> Tensor:
                    lambda g: (g - pv * g.sum(axis=1, keepdims=True),))
 
 
-def cosine_rows(a: Tensor, b: Tensor, eps: float = EPS) -> Tensor:
+def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise cosine similarity as an nx1 column; zero-norm rows give 0."""
     _same_shape(a, b, "cosine_rows")
     av, bv = a.values, b.values
     dots = (av * bv).sum(axis=1, keepdims=True)
     na = np.sqrt((av * av).sum(axis=1, keepdims=True))
     nb = np.sqrt((bv * bv).sum(axis=1, keepdims=True))
-    denom = na * nb + eps
+    denom = na * nb + EPS
     out = Tensor(dots / denom)
     need_a, need_b = a._needs_grad, b._needs_grad
 
@@ -633,11 +634,9 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
 # ---------------------------------------------------------------------------
 # stochastic helpers
 
-def gumbel_pair(rng: np.random.Generator, shape: tuple[int, int],
-                train_mode: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent standard Gumbel(0,1) samples; zeros in eval mode."""
-    if not train_mode:
-        return np.zeros(shape), np.zeros(shape)
+def gumbel_pair(rng: np.random.Generator,
+                shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Two independent standard Gumbel(0,1) samples."""
     u = rng.random(size=(2,) + tuple(shape))
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     g = -np.log(-np.log(u))

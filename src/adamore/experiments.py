@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine, evaluation, graphs, trainer
-from .evaluation import ProbeResult
 from .graphs import Graph
 from .trainer import TrainConfig
 
@@ -65,16 +64,6 @@ def oracle_weights(g: Graph, spec: OracleWeightSpec, seed: int = 0) -> np.ndarra
         w = w.copy()
         w[hit] = np.clip(w[hit] + rng.normal(0.0, spec.noise_std, size=count), 0.0, 1.0)
     return w
-
-
-def oracle_weight_run(g: Graph, spec: OracleWeightSpec, cfg: TrainConfig,
-                      probe_repeats: int = 3, probe_seed: int = 100) -> ProbeResult:
-    """Train with fixed oracle views in place of the learned generator, probe."""
-    w = oracle_weights(g, spec, seed=cfg.seed)
-    state = trainer.train(g, cfg, fixed_weights=w)
-    emb = trainer.embed(state)
-    return evaluation.linear_probe(emb, g.labels, g, repeats=probe_repeats,
-                                   seed=probe_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +127,19 @@ def _stability_worker(task):
 # ---------------------------------------------------------------------------
 # per-bucket motivation analysis
 
-def _dense_filtered(g: Graph, kind: str, hops: int) -> np.ndarray:
-    a_tilde = graphs.normalize(g)
-    h = g.features.copy()
+def _dense_filtered(a_tilde, x: np.ndarray, kind: str, hops: int) -> np.ndarray:
+    """``hops`` low-pass (``sgc``) or high-pass (``lapsgc``) hops of ``x``."""
     for _ in range(hops):
-        if kind == "sgc":
-            h = a_tilde @ h
-        else:
-            h = h - a_tilde @ h
-    return h
+        x = a_tilde @ x if kind == "sgc" else x - a_tilde @ x
+    return x
 
 
-def _bucket_indices(values: np.ndarray, n_buckets: int = 5):
-    """Quantile buckets; returns (bucket id per entry, bucket count)."""
+def _bucket_indices(values: np.ndarray):
+    """Quintile buckets; returns (bucket id per entry, bucket count)."""
     if np.unique(values).size == 1:
         warnings.warn("degenerate bucketing: all values identical", stacklevel=2)
         return np.zeros(values.shape[0], dtype=np.int64), 1
-    edges = np.unique(np.quantile(values, np.linspace(0, 1, n_buckets + 1)[1:-1]))
+    edges = np.unique(np.quantile(values, np.linspace(0, 1, 6)[1:-1]))
     edges = edges[(edges > values.min()) & (edges <= values.max())]
     bucket = np.searchsorted(edges, values, side="right")
     return bucket, int(bucket.max()) + 1
@@ -173,13 +158,12 @@ def _per_bucket_accuracy(emb: np.ndarray, g: Graph, bucket: np.ndarray,
     return out
 
 
-def motivation_analysis(g: Graph, seed: int = 0, hops: int = 1,
-                        depths: tuple[int, int] = (1, 4)) -> dict:
+def motivation_analysis(g: Graph, seed: int = 0) -> dict:
     """Per-bucket probe accuracy of complementary filters and depths.
 
-    (a) buckets nodes by local-homophily quantile and compares a low-pass
-    against a high-pass probe; (b) buckets by clustering coefficient and
-    compares shallow against deep low-pass propagation.
+    (a) buckets nodes by local-homophily quantile and compares a one-hop
+    low-pass against a one-hop high-pass probe; (b) buckets by clustering
+    coefficient and compares 1-hop against 4-hop low-pass propagation.
     """
     if g.labels is None:
         raise ValueError("motivation analysis requires labels")
@@ -191,8 +175,9 @@ def motivation_analysis(g: Graph, seed: int = 0, hops: int = 1,
         raise ValueError("every node is isolated; no homophily buckets")
     bucket = np.full(g.n_nodes, -1, dtype=np.int64)
     bucket[valid], n_hb = _bucket_indices(homo[valid])
-    sgc_emb = _dense_filtered(g, "sgc", hops)
-    lap_emb = _dense_filtered(g, "lapsgc", hops)
+    a_tilde = graphs.normalize(g)
+    sgc_emb = _dense_filtered(a_tilde, g.features, "sgc", 1)
+    lap_emb = _dense_filtered(a_tilde, g.features, "lapsgc", 1)
     homophily_section = {
         "n_buckets": n_hb,
         "bucket_mean_homophily": [
@@ -206,8 +191,8 @@ def motivation_analysis(g: Graph, seed: int = 0, hops: int = 1,
     coef = graphs.clustering_coefficient(g)
     cbucket, n_cb = _bucket_indices(coef)
     clustering_section = {"n_buckets": n_cb}
-    for depth in depths:
-        emb = _dense_filtered(g, "sgc", depth)
+    for depth in (1, 4):
+        emb = _dense_filtered(a_tilde, g.features, "sgc", depth)
         clustering_section[f"depth{depth}"] = _per_bucket_accuracy(
             emb, g, cbucket, n_cb, split)
     return {"homophily": homophily_section, "clustering": clustering_section}
@@ -226,62 +211,53 @@ def sensitivity_sweep(g: Graph, axis: str, values, cfg: TrainConfig,
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ValueError("sweep values must be nonempty")
-    tasks = [(g, replace(cfg, **{axis: type(getattr(cfg, axis))(v), "seed": int(s)}))
-             for v in values for s in seeds]
-    return _accuracy_rows(values, _map_jobs(_train_probe_worker, tasks, jobs), len(seeds))
+    cases = [(v, replace(cfg, **{axis: type(getattr(cfg, axis))(v)}), None)
+             for v in values]
+    return probe_study(g, cases, seeds, jobs)
 
 
-def oracle_study(g: Graph, cfg: TrainConfig, cases, seeds=(0, 1, 2, 3, 4),
-                 jobs: int = 1) -> list[dict]:
-    """Probe accuracy of oracle-weight training, one row per (value, spec) case."""
-    tasks = [(g, spec, replace(cfg, seed=int(s))) for _, spec in cases for s in seeds]
-    accs = _map_jobs(_oracle_probe_worker, tasks, jobs)
-    return _accuracy_rows([value for value, _ in cases], accs, len(seeds))
+def probe_study(g: Graph, cases, seeds=(0, 1, 2, 3, 4), jobs: int = 1) -> list[dict]:
+    """Probe accuracy over seeds, one row per ``(value, cfg, spec)`` case.
+
+    Each (case, seed) trains ``cfg`` at that seed, on the oracle weights of
+    ``spec`` (an :class:`OracleWeightSpec`) in place of the learned gate
+    unless ``spec`` is None, and probes the embedding over three splits.
+    """
+    tasks = [(g, replace(cfg, seed=int(s)), spec) for _, cfg, spec in cases for s in seeds]
+    accs = _map_jobs(_probe_worker, tasks, jobs)
+    rows = []
+    for i, (value, _, _) in enumerate(cases):
+        per_seed = accs[i * len(seeds):(i + 1) * len(seeds)]
+        rows.append({"value": value, "median_accuracy": float(np.median(per_seed)),
+                     "mean_accuracy": float(np.mean(per_seed)), "per_seed": per_seed})
+    return rows
+
+
+def _probe_worker(task):
+    g, cfg, spec = task
+    fixed = None if spec is None else oracle_weights(g, spec, seed=cfg.seed)
+    emb = trainer.embed(trainer.train(g, cfg, fixed_weights=fixed))
+    return evaluation.linear_probe(emb, g.labels, g, repeats=3, seed=1000 + cfg.seed).mean
 
 
 def noise_robustness(g: Graph, cfg: TrainConfig, ratios=(0.0, 0.2, 0.5, 0.8),
                      stddev: float = 0.5, seeds=(0, 1, 2, 3, 4),
-                     base: OracleWeightSpec | None = None, jobs: int = 1) -> list[dict]:
-    """Probe accuracy as oracle guiding weights get progressively corrupted."""
-    base = base or OracleWeightSpec()
-    cases = [(float(ratio), replace(base, noise_ratio=float(ratio),
-                                    noise_std=stddev if ratio > 0 else 0.0))
+                     jobs: int = 1) -> list[dict]:
+    """Probe accuracy as the 0.9/0.1 oracle weights get progressively corrupted."""
+    cases = [(float(ratio), cfg, OracleWeightSpec(noise_ratio=float(ratio),
+                                                  noise_std=stddev if ratio > 0 else 0.0))
              for ratio in ratios]
-    return oracle_study(g, cfg, cases, seeds, jobs)
+    return probe_study(g, cases, seeds, jobs)
 
 
 def distinctiveness_study(g: Graph, cfg: TrainConfig,
                           pairs=((0.9, 0.1), (0.7, 0.3), (0.5, 0.5)),
                           seeds=(0, 1, 2, 3, 4), jobs: int = 1) -> list[dict]:
     """Probe accuracy as the oracle weight separation shrinks."""
-    cases = [(f"{w_same}/{w_diff}",
+    cases = [(f"{w_same}/{w_diff}", cfg,
               OracleWeightSpec(mode="distinctiveness", w_same=w_same, w_diff=w_diff))
              for w_same, w_diff in pairs]
-    return oracle_study(g, cfg, cases, seeds, jobs)
-
-
-def _accuracy_rows(values, accs: list[float], n_seeds: int) -> list[dict]:
-    """One row per value from the value-major list of per-seed accuracies."""
-    rows = []
-    for i, v in enumerate(values):
-        per_seed = accs[i * n_seeds:(i + 1) * n_seeds]
-        rows.append({"value": v, "median_accuracy": float(np.median(per_seed)),
-                     "mean_accuracy": float(np.mean(per_seed)), "per_seed": per_seed})
-    return rows
-
-
-def _train_probe_worker(task):
-    g, cfg = task
-    state = trainer.train(g, cfg)
-    emb = trainer.embed(state)
-    return evaluation.linear_probe(emb, g.labels, g, repeats=3,
-                                   seed=1000 + cfg.seed).mean
-
-
-def _oracle_probe_worker(task):
-    g, spec, cfg = task
-    return oracle_weight_run(g, spec, cfg, probe_repeats=3,
-                             probe_seed=1000 + cfg.seed).mean
+    return probe_study(g, cases, seeds, jobs)
 
 
 def _map_jobs(worker, tasks, jobs: int):

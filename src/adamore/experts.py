@@ -279,19 +279,19 @@ def residual_forward(pool: ResidualPool, x: Tensor,
 Output = Tensor | tuple[Tensor, Tensor]   # plain, or factored as (Y, W)
 
 
-def cka(e_i: Tensor, e_j: Tensor, eps: float = engine.EPS) -> Tensor:
+def cka(e_i: Tensor, e_j: Tensor) -> Tensor:
     """Linear-kernel centered kernel alignment in [0, 1].
 
     Computed in feature space: with column-centered matrices Xc and Yc,
     HSIC(X, Y) = ||Xc^T Yc||_F^2, identical to tr(Kc_i Kc_j) for the linear
     kernel but O(n d^2) instead of O(n^2 d). Returns a constant 0 when
-    either self-HSIC falls below eps.
+    either self-HSIC falls below ``engine.EPS``.
     """
     if e_i.shape[0] != e_j.shape[0]:
         raise engine.ShapeError(f"cka row mismatch: {e_i.shape} vs {e_j.shape}")
     if e_i.shape[0] < 2:
         raise ValueError("cka needs at least 2 rows")
-    return _centered_cka(_centered(e_i, {}), _centered(e_j, {}), eps)
+    return _centered_cka(_centered(e_i, {}), _centered(e_j, {}))
 
 
 def _centered(e: Output, grams: dict) -> tuple[Tensor, Tensor, Tensor | None, Tensor]:
@@ -326,13 +326,13 @@ def _hsic(cross: Tensor, s_a: Tensor | None, s_b: Tensor | None) -> Tensor:
     return engine.frobenius(left, right)
 
 
-def _centered_cka(a: tuple, b: tuple, eps: float) -> Tensor:
+def _centered_cka(a: tuple, b: tuple) -> Tensor:
     """CKA of two outputs given their :func:`_centered` quadruples."""
     (a_t, _, s_a, hsic_aa), (_, b_c, s_b, hsic_bb) = a, b
-    if hsic_aa.item() < eps or hsic_bb.item() < eps:
+    if hsic_aa.item() < engine.EPS or hsic_bb.item() < engine.EPS:
         return Tensor([[0.0]])
     hsic_ab = _hsic(engine.matmul(a_t, b_c), s_a, s_b)
-    denom = engine.power(engine.add_scalar(engine.mul(hsic_aa, hsic_bb), eps), -0.5)
+    denom = engine.power(engine.add_scalar(engine.mul(hsic_aa, hsic_bb), engine.EPS), -0.5)
     return engine.mul(hsic_ab, denom)
 
 
@@ -352,7 +352,7 @@ def diversity_loss(outputs: list[Output]) -> Tensor:
     count = 0
     for i in range(len(outputs)):
         for j in range(i + 1, len(outputs)):
-            term = _centered_cka(centered[i], centered[j], engine.EPS)
+            term = _centered_cka(centered[i], centered[j])
             total = term if total is None else engine.add(total, term)
             count += 1
     return engine.scale(total, 1.0 / count)

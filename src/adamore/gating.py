@@ -72,14 +72,16 @@ def edge_logits(params: engine.MLP, x: Tensor, s: np.ndarray, g: Graph) -> Tenso
     return engine.scale(engine.scatter_rows(out, both, m), 0.5)
 
 
-def gumbel_sigmoid_weights(logits: Tensor, tau: float, rng: np.random.Generator,
-                           train_mode: bool) -> Tensor:
-    """Soft edge weights sigma((l + g1 - g2)/tau); no noise in eval mode."""
+def gumbel_sigmoid_weights(logits: Tensor, tau: float,
+                           rng: np.random.Generator | None) -> Tensor:
+    """Soft edge weights sigma((l + g1 - g2)/tau) with Gumbel noise drawn
+    from ``rng``; without an rng (eval mode) the noise-free sigma(l/tau)."""
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    g1, g2 = engine.gumbel_pair(rng, logits.shape, train_mode=train_mode)
-    noisy = engine.add(logits, Tensor(g1 - g2)) if train_mode else logits
-    return engine.sigmoid(engine.scale(noisy, 1.0 / tau))
+    if rng is not None:
+        g1, g2 = engine.gumbel_pair(rng, logits.shape)
+        logits = engine.add(logits, Tensor(g1 - g2))
+    return engine.sigmoid(engine.scale(logits, 1.0 / tau))
 
 
 def build_views(g: Graph, w: Tensor) -> ViewPair:

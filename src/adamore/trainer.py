@@ -66,11 +66,11 @@ class TrainConfig:
         if not 0.0 < self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must lie in (0, 1)")
         for name in ("lambda_load", "lambda_div", "lambda_cls"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("lr", "gamma", "gamma_svg", "tau"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 1 <= self.top_k <= self.n_exp:
             raise ValueError("top_k must lie in [1, n_exp]")
         if self.diversity_targets not in ("foundational", "residual", "both"):
@@ -101,11 +101,13 @@ def masked_input(x_values: np.ndarray, mask: np.ndarray, token: Tensor) -> Tenso
 
 
 class Model:
-    """All learnable components bound to one graph."""
+    """All learnable components bound to one graph; ``fixed_weights``, one
+    per edge (the oracle studies), replace the edge gate, which then never trains."""
 
-    def __init__(self, g: Graph, cfg: TrainConfig):
+    def __init__(self, g: Graph, cfg: TrainConfig, fixed_weights: np.ndarray | None = None):
         self.graph = g
         self.cfg = cfg
+        self.fixed_weights = fixed_weights
         self.a_tilde = graphs.normalize(g)
         self.s = graphs.structural_embeddings(self.a_tilde, d_s=cfg.d_s)
         rng = np.random.default_rng(cfg.seed)
@@ -178,27 +180,25 @@ class ForwardResult:
     diversity_targets: dict[str, list[experts.Output]]
 
 
-def _edge_weights(model: Model, x: Tensor, train_mode: bool,
-                  rng: np.random.Generator | None,
-                  fixed_weights: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+def _edge_weights(model: Model, x: Tensor,
+                  rng: np.random.Generator | None) -> tuple[Tensor, np.ndarray]:
     """(w, w_eval): the per-edge weights the views carry, and their
-    noise-free eval-mode values. ``fixed_weights`` replace the gate; ``rng``
-    is drawn from in training mode only."""
-    if fixed_weights is not None:
-        w = Tensor(np.asarray(fixed_weights).reshape(-1, 1))
+    noise-free eval-mode values. The model's fixed weights replace the gate;
+    Gumbel noise is drawn from ``rng`` when one is given (training mode)."""
+    if model.fixed_weights is not None:
+        w = Tensor(np.asarray(model.fixed_weights).reshape(-1, 1))
         return w, w.values
     logits = gating.edge_logits(model.gate, x, model.s, model.graph)
-    w = gating.gumbel_sigmoid_weights(logits, model.cfg.tau, rng, train_mode)
+    w = gating.gumbel_sigmoid_weights(logits, model.cfg.tau, rng)
     return w, expit(logits.values / model.cfg.tau)
 
 
-def full_forward(model: Model, x_input: Tensor, train_mode: bool,
-                 rng: np.random.Generator,
-                 fixed_weights: np.ndarray | None = None,
+def full_forward(model: Model, x_input: Tensor, rng: np.random.Generator | None,
                  alpha_override: np.ndarray | None = None) -> ForwardResult:
-    """One pass through gating, both channels, and fusion."""
+    """One pass through gating, both channels, and fusion; training mode
+    when given an ``rng``, eval mode (no noise) without."""
     g, cfg = model.graph, model.cfg
-    w, w_eval = _edge_weights(model, x_input, train_mode, rng, fixed_weights)
+    w, w_eval = _edge_weights(model, x_input, rng)
     views = gating.build_views(g, w)
     h_b_coh, stats_coh, _, outs_coh = experts.backbone_forward(
         model.bank_coh, x_input, model.s, views.a_coh)
@@ -286,23 +286,20 @@ def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, Fo
     engine.zero_grads(model.all_parameters())
     mask = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
     x_input = masked_input(model.graph.features, mask, model.mask_token)
-    fwd = _guard("reconstruction forward", state.epoch, lambda: full_forward(
-        model, x_input, train_mode=True, rng=state.rng,
-        fixed_weights=state.fixed_weights))
+    fwd = _guard("reconstruction forward", state.epoch,
+                 lambda: full_forward(model, x_input, state.rng))
     return mask, fwd
 
 
 @dataclass
 class TrainState:
     model: Model
-    cfg: TrainConfig
     adam_svg: AdamState
     adam_main: AdamState
     rng: np.random.Generator
     history: list[dict] = field(default_factory=list)
     routing_log: list[tuple] = field(default_factory=list)
     epoch: int = 0
-    fixed_weights: np.ndarray | None = None
     adam_head: AdamState | None = None
 
 
@@ -317,12 +314,11 @@ def training_graph(g: Graph, cfg: TrainConfig) -> Graph:
 
 def init_state(g: Graph, cfg: TrainConfig,
                fixed_weights: np.ndarray | None = None) -> TrainState:
-    model = Model(training_graph(g, cfg), cfg)
-    return TrainState(model=model, cfg=cfg,
+    model = Model(training_graph(g, cfg), cfg, fixed_weights)
+    return TrainState(model=model,
                       adam_svg=AdamState(lr=cfg.lr),
                       adam_main=AdamState(lr=cfg.lr),
-                      rng=np.random.default_rng(cfg.seed),
-                      fixed_weights=fixed_weights)
+                      rng=np.random.default_rng(cfg.seed))
 
 
 def _guard(component: str, epoch: int, fn):
@@ -353,14 +349,14 @@ def svg_step(state: TrainState) -> float:
     the detached weights and record nothing, and each comes with its
     factors (h_b, M, W, b) for the loss to propagate in the filter basis.
     """
-    model, cfg = state.model, state.cfg
+    model, cfg = state.model, state.model.cfg
     g, epoch = model.graph, state.epoch
     engine.reset_tape()
     engine.zero_grads(model.all_parameters())
     x_raw = Tensor(g.features)
 
     def forward():
-        w, _ = _edge_weights(model, x_raw, True, state.rng)
+        w, _ = _edge_weights(model, x_raw, state.rng)
         views, held = gating.build_views(g, w), gating.build_views(g, w.detach())
         targets = []
         for bank, view in ((model.bank_coh, held.a_coh), (model.bank_disp, held.a_disp)):
@@ -379,7 +375,7 @@ def svg_step(state: TrainState) -> float:
 
 def reconstruction_step(state: TrainState) -> dict:
     """Step 2: resample the mask and update all main-model parameters."""
-    model, cfg = state.model, state.cfg
+    model, cfg = state.model, state.model.cfg
     with _updating(model, model.main_parameters()):
         mask, fwd = _masked_forward(state, cfg)
         total, parts = masked_objective(fwd, model, mask, cfg, state.epoch)
@@ -395,8 +391,8 @@ def reconstruction_step(state: TrainState) -> dict:
 def train_epoch(state: TrainState) -> dict:
     """One alternating optimization epoch; appends and returns the record."""
     l_svg_value = 0.0
-    if state.fixed_weights is None:
-        for _ in range(state.cfg.svg_steps):
+    if state.model.fixed_weights is None:
+        for _ in range(state.model.cfg.svg_steps):
             l_svg_value = svg_step(state)
     losses = reconstruction_step(state)
     record = {"epoch": state.epoch, "l_svg": l_svg_value, **losses}
@@ -423,10 +419,7 @@ def eval_forward(state: TrainState,
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        return full_forward(model, Tensor(model.graph.features), train_mode=False,
-                            rng=np.random.default_rng(0),
-                            fixed_weights=state.fixed_weights,
-                            alpha_override=alpha_override)
+        return full_forward(model, Tensor(model.graph.features), None, alpha_override)
 
 
 def embed(state: TrainState, alpha_override: np.ndarray | None = None) -> np.ndarray:
@@ -439,8 +432,7 @@ def eval_edge_weights(state: TrainState) -> np.ndarray:
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        _, w_eval = _edge_weights(model, Tensor(model.graph.features), False, None,
-                                  state.fixed_weights)
+        _, w_eval = _edge_weights(model, Tensor(model.graph.features), None)
     return w_eval.ravel().copy()
 
 
@@ -453,8 +445,8 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
 
     ``g`` supplies the labels; the objective reads the model's own features.
     """
-    cfg = cfg or state.cfg
     model = state.model
+    cfg = cfg or model.cfg
     support = np.asarray(support, dtype=np.int64)
     if support.size == 0:
         raise ValueError("support set is empty")

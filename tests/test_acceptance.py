@@ -79,14 +79,12 @@ def test_criterion_01_gradient_correctness():
         model = state.model
         plan = trainer.sample_mask(np.random.default_rng(trial), g.n_nodes, 0.5)
         base = trainer.full_forward(model, trainer.masked_input(
-            g.features, plan, model.mask_token), train_mode=True,
-            rng=np.random.default_rng(500 + trial))
+            g.features, plan, model.mask_token), np.random.default_rng(500 + trial))
         alpha0 = base.alpha
 
         def loss_fn():
             x_input = trainer.masked_input(g.features, plan, model.mask_token)
-            fwd = trainer.full_forward(model, x_input, train_mode=True,
-                                       rng=np.random.default_rng(500 + trial),
+            fwd = trainer.full_forward(model, x_input, np.random.default_rng(500 + trial),
                                        alpha_override=alpha0)
             return trainer.masked_objective(fwd, model, plan, cfg, epoch=0)[0]
 

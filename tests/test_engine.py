@@ -587,11 +587,6 @@ def test_gumbel_mean_is_euler_mascheroni():
     assert abs(g2.mean() - gamma) < 0.01
 
 
-def test_gumbel_eval_mode_is_zero():
-    g1, g2 = engine.gumbel_pair(np.random.default_rng(5), (4, 4), train_mode=False)
-    assert not g1.any() and not g2.any()
-
-
 # ---------------------------------------------------------------------------
 # checkpoint archive
 

@@ -31,8 +31,7 @@ def test_probe_random_labels_near_chance():
     labels = np.array([0, 1] * (n // 2))
     emb = rng.normal(size=(n, 6))
     g = featureless_graph(n, labels)
-    res = evaluation.linear_probe(emb, labels, g, fractions=(0.1, 0.1, 0.8),
-                                  repeats=1, seed=0, steps=200)
+    res = evaluation.linear_probe(emb, labels, g, repeats=1, seed=0)
     assert abs(res.mean - 0.5) < 0.05
 
 
@@ -40,7 +39,7 @@ def test_probe_constant_embeddings_predict_majority():
     labels = np.array([0] * 70 + [1] * 30)
     emb = np.ones((100, 3))
     g = featureless_graph(100, labels)
-    res = evaluation.linear_probe(emb, labels, g, repeats=2, seed=3, steps=100)
+    res = evaluation.linear_probe(emb, labels, g, repeats=2, seed=3)
     # constant predictor: accuracy equals the majority-class test frequency
     assert abs(res.mean - 0.7) < 0.05
 

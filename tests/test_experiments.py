@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adamore import experiments, graphs, trainer
+from adamore import evaluation, experiments, graphs, trainer
 from adamore.experiments import OracleWeightSpec
 
 
@@ -68,11 +68,19 @@ def test_oracle_spec_validation():
         OracleWeightSpec(noise_std=-1.0)
 
 
-def test_oracle_weight_run_returns_probe(sbm):
-    res = experiments.oracle_weight_run(sbm, OracleWeightSpec(), tiny_cfg(),
-                                        probe_repeats=2)
-    assert 0.0 <= res.mean <= 1.0
-    assert len(res.accuracies) == 2
+def test_probe_study_learned_and_oracle_cases(sbm):
+    cfg = tiny_cfg(epochs=2)
+    spec = OracleWeightSpec(w_same=0.8, w_diff=0.2)
+    rows = experiments.probe_study(sbm, [("learned", cfg, None), ("oracle", cfg, spec)],
+                                   seeds=(0, 1))
+    assert [row["value"] for row in rows] == ["learned", "oracle"]
+    for row, fixed in zip(rows, (None, experiments.oracle_weights(sbm, spec, seed=1))):
+        # each (case, seed) trains at that seed and probes three splits at 1000 + seed
+        state = trainer.train(sbm, tiny_cfg(epochs=2, seed=1), fixed_weights=fixed)
+        want = evaluation.linear_probe(trainer.embed(state), sbm.labels, sbm,
+                                       repeats=3, seed=1001).mean
+        assert len(row["per_seed"]) == 2 and row["per_seed"][1] == want
+        assert row["median_accuracy"] == float(np.median(row["per_seed"]))
 
 
 # ---------------------------------------------------------------------------

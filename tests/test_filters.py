@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adamore import engine, filters, gating, graphs
 from adamore.engine import Tensor
@@ -202,3 +204,83 @@ def test_edgeless_graph_gives_closed_forms():
             out = filters.apply_filter(spec, h, view)
             assert np.allclose(out.values, gain[kind] * h.values, atol=1e-12), spec
             assert check_grad(loss_fn, [h], seed=3) <= 1e-4, spec
+
+
+# ---------------------------------------------------------------------------
+# properties on random graphs: an isolated node, and the empty edge set
+
+@st.composite
+def _random_graphs(draw):
+    """(graph, seed): random pairs over n nodes plus an isolated node n."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    g = graphs.make_graph(n + 1, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                          rng.normal(size=(n + 1, 3)))
+    return g, seed
+
+
+def _gate_weights(g, rng):
+    """Eval-mode weights of a randomly initialized edge gate, one per edge."""
+    emb = graphs.structural_embeddings(graphs.normalize(g), d_s=2)
+    params = gating.init_edge_gate(g.feat_dim, 2, 4, rng)
+    params.b2.values = rng.normal(size=params.b2.shape)
+    logits = gating.edge_logits(params, Tensor(g.features), emb, g)
+    return gating.gumbel_sigmoid_weights(logits, 0.5, None)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_random_graphs())
+@example((graphs.make_graph(3, np.zeros((0, 2)), np.eye(3)), 0))
+def test_views_sum_to_the_raw_graph(case):
+    """W_coh h + W_disp h = A h: the two views split each edge's weight."""
+    g, seed = case
+    rng = np.random.default_rng(seed)
+    pair = gating.build_views(g, _gate_weights(g, rng))
+    h = rng.normal(size=(g.n_nodes, 3))
+    total = (filters.neighbor_sum(pair.a_coh, Tensor(h)).values
+             + filters.neighbor_sum(pair.a_disp, Tensor(h)).values)
+    raw = filters.neighbor_sum(filters.raw_view(g), Tensor(h)).values
+    scale = filters.neighbor_sum(filters.raw_view(g), Tensor(np.abs(h))).values
+    assert np.abs(total - raw).max(initial=0.0) <= 1e-12 * scale.max(initial=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_random_graphs(), st.integers(1, 3))
+@example((graphs.make_graph(3, np.zeros((0, 2)), np.eye(3)), 0), 2)
+def test_every_filter_is_linear_on_gate_weighted_views(case, k):
+    g, seed = case
+    rng = np.random.default_rng(seed)
+    pair = gating.build_views(g, _gate_weights(g, rng))
+    h1, h2 = rng.normal(size=(2, g.n_nodes, 3))
+    a, b = rng.normal(size=2)
+    for view in (pair.a_coh, pair.a_disp):
+        for kind in filters.FILTER_KINDS:
+            spec = filters.FilterSpec(kind, k)
+            mixed = filters.apply_filter(spec, Tensor(a * h1 + b * h2), view).values
+            f1 = filters.apply_filter(spec, Tensor(h1), view).values
+            f2 = filters.apply_filter(spec, Tensor(h2), view).values
+            scale = abs(a) * np.abs(f1).max() + abs(b) * np.abs(f2).max() + 1.0
+            assert np.abs(mixed - (a * f1 + b * f2)).max() <= 1e-12 * scale, spec
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_random_graphs(), st.sampled_from(filters.FILTER_KINDS), st.integers(1, 3))
+@example((graphs.make_graph(3, np.zeros((0, 2)), np.eye(3)), 0), "lapsgc", 2)
+def test_filter_gradients_wrt_h_and_view_weights(case, kind, k):
+    g, seed = case
+    rng = np.random.default_rng(seed)
+    m = g.n_edges
+    h = Tensor(rng.normal(size=(g.n_nodes, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(0.2, 0.8, size=(m, 1)), requires_grad=True)
+    target = Tensor(rng.normal(size=(g.n_nodes, 3)))
+
+    def loss_fn():
+        view = gating.build_views(g, w).a_coh
+        out = filters.apply_filter(filters.FilterSpec(kind, k), h, view)
+        return engine.frobenius(out, target)
+
+    params = [h, w] if m else [h]      # no weight entries to check without edges
+    assert check_grad(loss_fn, params, seed=seed % 1000) <= 1e-4

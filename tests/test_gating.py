@@ -118,20 +118,18 @@ def test_edge_logits_dimension_mismatch():
 
 
 def test_gumbel_sigmoid_eval_closed_forms():
-    w = gating.gumbel_sigmoid_weights(Tensor([[0.0]]), tau=0.5,
-                                      rng=np.random.default_rng(0), train_mode=False)
+    w = gating.gumbel_sigmoid_weights(Tensor([[0.0]]), tau=0.5, rng=None)
     assert w.item() == 0.5
-    w = gating.gumbel_sigmoid_weights(Tensor([[10.0]]), tau=0.5,
-                                      rng=np.random.default_rng(0), train_mode=False)
+    w = gating.gumbel_sigmoid_weights(Tensor([[10.0]]), tau=0.5, rng=None)
     assert w.item() > 0.999
 
 
-def test_gumbel_sigmoid_train_mode_oracle():
+def test_gumbel_sigmoid_noise_oracle():
     # uniforms chosen so g1 = 0.3 and g2 = 0.1 exactly
     u1 = np.exp(-np.exp(-0.3))
     u2 = np.exp(-np.exp(-0.1))
     rng = StubRng(np.array([[[u1]], [[u2]]]))
-    w = gating.gumbel_sigmoid_weights(Tensor([[1.0]]), tau=0.5, rng=rng, train_mode=True)
+    w = gating.gumbel_sigmoid_weights(Tensor([[1.0]]), tau=0.5, rng=rng)
     expect = 1.0 / (1.0 + np.exp(-(1.0 + 0.3 - 0.1) / 0.5))
     assert abs(w.item() - expect) < 1e-12
     assert abs(w.item() - 0.9168) < 1e-4
@@ -140,7 +138,7 @@ def test_gumbel_sigmoid_train_mode_oracle():
 def test_gumbel_sigmoid_rejects_bad_tau():
     with pytest.raises(ValueError):
         gating.gumbel_sigmoid_weights(Tensor([[0.0]]), tau=0.0,
-                                      rng=np.random.default_rng(0), train_mode=True)
+                                      rng=np.random.default_rng(0))
 
 
 def test_eval_mode_determinism():
@@ -151,7 +149,7 @@ def test_eval_mode_determinism():
     for _ in range(2):
         logits = gating.edge_logits(params, Tensor(g.features), emb, g)
         out.append(gating.gumbel_sigmoid_weights(
-            logits, 0.5, np.random.default_rng(0), train_mode=False).values)
+            logits, 0.5, None).values)
     assert np.array_equal(out[0], out[1])
 
 
@@ -159,8 +157,7 @@ def test_temperature_sharpening():
     logit = Tensor([[0.8]])
     gaps = []
     for tau in (1.0, 0.5, 0.1):
-        w = gating.gumbel_sigmoid_weights(logit, tau, np.random.default_rng(0),
-                                          train_mode=False).item()
+        w = gating.gumbel_sigmoid_weights(logit, tau, None).item()
         gaps.append(abs(w - round(w)))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -238,7 +235,7 @@ def test_svg_loss_trains_only_the_gate():
 
     engine.reset_tape()
     logits = gating.edge_logits(params, Tensor(g.features), emb, g)
-    w = gating.gumbel_sigmoid_weights(logits, 0.5, np.random.default_rng(1), train_mode=False)
+    w = gating.gumbel_sigmoid_weights(logits, 0.5, None)
     pair = gating.build_views(g, w)
     h_b = engine.relu(fake_backbone_param)
     loss = gating.svg_loss(pair, h_b, h_b, gamma_svg=1.0)

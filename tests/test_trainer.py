@@ -44,6 +44,7 @@ def test_config_defaults_match_contract():
     dict(diversity_targets="nope"), dict(residual_kinds=("mystery",)),
     dict(hidden=0), dict(edge_hidden=0), dict(d_s=0), dict(lr=0.0), dict(lr=-0.01),
     dict(gamma=0.0), dict(gamma_svg=-2.0), dict(svg_steps=-1), dict(finetune_epochs=-1),
+    dict(lambda_load=float("nan")), dict(lr=float("inf")), dict(gamma=float("inf")),
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ValueError):
@@ -78,8 +79,7 @@ def test_masked_rows_never_enter_forward(sbm):
     engine.reset_tape()
     x_input = trainer.masked_input(poisoned, plan, state.model.mask_token)
     assert np.isfinite(x_input.values).all()
-    fwd = trainer.full_forward(state.model, x_input, train_mode=True,
-                               rng=np.random.default_rng(0))
+    fwd = trainer.full_forward(state.model, x_input, np.random.default_rng(0))
     loss = trainer.mae_loss(fwd.h_final, state.model.decoder, sbm.features,
                             plan, cfg.gamma)
     assert np.isfinite(loss.item())
@@ -340,7 +340,7 @@ def test_eval_edge_weights_are_the_noise_free_gate(sbm):
     state = trainer.train(sbm, tiny_cfg(epochs=2))
     model = state.model
     logits = gating.edge_logits(model.gate, Tensor(sbm.features), model.s, sbm)
-    want = expit(logits.values / state.cfg.tau).ravel()
+    want = expit(logits.values / state.model.cfg.tau).ravel()
     assert len(engine.current_tape()) > 0      # the reference above was taped
     assert np.array_equal(trainer.eval_edge_weights(state), want)
     assert len(engine.current_tape()) == 0

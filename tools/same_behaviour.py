@@ -12,7 +12,9 @@ Per config it stores the metrics records, the routing log, the eval-mode
 edge weights, alpha and embeddings, the checkpoint arrays as written and
 read back, the tape length at every ``backward``, every parameter gradient
 of one svg step and one reconstruction step at the trained state, and the
-flat-MoE ``l_mae`` curve.
+flat-MoE ``l_mae`` curve. On the same graph it stores, as JSON, the rows of
+``distinctiveness_study``, ``noise_robustness`` and ``sensitivity_sweep``
+(a three-epoch config, one seed) and the ``motivation_analysis`` report.
 
 ``compare`` prints each entry as identical, or as max |diff| / max |ref|,
 and exits 0 only when every entry of both files is identical. Run
@@ -31,7 +33,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from adamore import engine, graphs, trainer
+from adamore import engine, experiments, graphs, trainer
 from adamore.trainer import TrainConfig
 
 CONFIGS = {
@@ -41,6 +43,7 @@ CONFIGS = {
     "hidden8": dict(hidden=8),
     "oracle": {},
 }
+STUDY = dict(epochs=3, hidden=8, d_s=3, edge_hidden=8, n_exp=2, top_k=1)
 
 
 def _oracle_weights(g: graphs.Graph) -> np.ndarray:
@@ -113,7 +116,21 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
         digest.update({f"{label}.{k}": v for k, v in _run(g, cfg, fixed).items()})
     curve = [rec["l_mae"] for rec in trainer.naive_moe_baseline(g, base)]
     digest["flat_moe.l_mae"] = np.array(curve)
+    digest.update({f"study.{k}": np.array(json.dumps(v, sort_keys=True))
+                   for k, v in _studies(g, replace(base, **STUDY), (seed,)).items()})
     np.savez(path, **digest)
+
+
+def _studies(g: graphs.Graph, cfg: TrainConfig, seeds: tuple[int, ...]) -> dict:
+    """Rows of the probe studies and the motivation report, through the
+    public functions alone so that a parent commit's ``src`` runs them too."""
+    return {
+        "distinctiveness": experiments.distinctiveness_study(
+            g, cfg, pairs=((0.9, 0.1), (0.6, 0.4)), seeds=seeds),
+        "noise": experiments.noise_robustness(g, cfg, ratios=(0.0, 0.5), seeds=seeds),
+        "sensitivity": experiments.sensitivity_sweep(g, "hidden", (8, 16), cfg, seeds=seeds),
+        "motivation": experiments.motivation_analysis(g, seed=seeds[0]),
+    }
 
 
 def _verdict(a: np.ndarray | None, b: np.ndarray | None) -> str | None:
