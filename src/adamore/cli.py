@@ -98,6 +98,23 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, dest=key, type=conv)
 
 
+def _floats(raw: str, sep: str = ",") -> tuple[float, ...]:
+    """A ``sep``-separated list of numbers, as an argparse type."""
+    try:
+        return tuple(float(x) for x in raw.split(sep))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected numbers separated by {sep!r}, got {raw!r}") from None
+
+
+def _pairs(raw: str) -> tuple[tuple[float, ...], ...]:
+    """A comma list of a/b number pairs, as an argparse type."""
+    pairs = tuple(_floats(token, "/") for token in raw.split(","))
+    if any(len(pair) != 2 for pair in pairs):
+        raise argparse.ArgumentTypeError(f"expected a comma list of a/b pairs, got {raw!r}")
+    return pairs
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="adamore",
                      description="Unsupervised graph mixture-of-residual-experts")
@@ -140,42 +157,32 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
-    p = sub.add_parser("bench-stability", help="stability of full model vs naive flat MoE")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--include-homogeneous", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p)
+    def study(name: str, summary: str, seeds: int) -> argparse.ArgumentParser:
+        """A subcommand that trains one config over several seeds."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seeds", type=int, default=seeds)
+        p.add_argument("--jobs", type=int, default=1)
+        _add_config_flags(p)
+        return p
 
-    p = sub.add_parser("exp-oracle-weights", help="probe accuracy under oracle edge weights")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = study("bench-stability", "stability of full model vs naive flat MoE", 5)
+    p.add_argument("--include-homogeneous", action="store_true")
+
+    p = study("exp-oracle-weights", "probe accuracy under oracle edge weights", 5)
     p.add_argument("--mode", choices=("distinctiveness", "accuracy"),
                    default="distinctiveness")
-    p.add_argument("--pairs", default="0.9/0.1,0.7/0.3,0.5/0.5",
+    p.add_argument("--pairs", type=_pairs, default="0.9/0.1,0.7/0.3,0.5/0.5",
                    help="comma list of w_same/w_diff (or p_coh/p_disp) pairs")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p)
 
-    p = sub.add_parser("exp-noise", help="probe accuracy vs noise on oracle weights")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--ratios", default="0,0.2,0.5,0.8")
+    p = study("exp-noise", "probe accuracy vs noise on oracle weights", 5)
+    p.add_argument("--ratios", type=_floats, default="0,0.2,0.5,0.8")
     p.add_argument("--stddev", type=float, default=0.5)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p)
 
-    p = sub.add_parser("exp-sensitivity", help="sweep lambda_load or hidden dimension")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = study("exp-sensitivity", "sweep lambda_load or hidden dimension", 3)
     p.add_argument("--axis", choices=experiments.SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
-    _add_config_flags(p)
 
     p = sub.add_parser("motivate", help="per-bucket filter/depth comparison")
     p.add_argument("--data", required=True)
@@ -339,14 +346,6 @@ def cmd_bench_stability(args) -> int:
     return 0
 
 
-def _parse_pairs(raw: str) -> tuple:
-    pairs = []
-    for token in raw.split(","):
-        a, b = token.split("/")
-        pairs.append((float(a), float(b)))
-    return tuple(pairs)
-
-
 def _study_inputs(args):
     """(graph, config, seeds) of an ``exp-*`` command."""
     cfg = build_config(args)
@@ -355,15 +354,14 @@ def _study_inputs(args):
 
 def cmd_exp_oracle_weights(args) -> int:
     g, cfg, seeds = _study_inputs(args)
-    pairs = _parse_pairs(args.pairs)
     if args.mode == "distinctiveness":
-        rows = experiments.distinctiveness_study(g, cfg, pairs=pairs, seeds=seeds,
+        rows = experiments.distinctiveness_study(g, cfg, pairs=args.pairs, seeds=seeds,
                                                  jobs=args.jobs)
     else:
         cases = [(f"{p_coh}/{p_disp}", cfg,
                   experiments.OracleWeightSpec(mode="accuracy", p_coh_correct=p_coh,
                                                p_disp_correct=p_disp))
-                 for p_coh, p_disp in pairs]
+                 for p_coh, p_disp in args.pairs]
         rows = experiments.probe_study(g, cases, seeds=seeds, jobs=args.jobs)
     _write_rows(rows, args.out, "")
     return 0
@@ -371,17 +369,20 @@ def cmd_exp_oracle_weights(args) -> int:
 
 def cmd_exp_noise(args) -> int:
     g, cfg, seeds = _study_inputs(args)
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    rows = experiments.noise_robustness(g, cfg, ratios=ratios, stddev=args.stddev,
+    rows = experiments.noise_robustness(g, cfg, ratios=args.ratios, stddev=args.stddev,
                                         seeds=seeds, jobs=args.jobs)
     _write_rows(rows, args.out, "ratio ")
     return 0
 
 
 def cmd_exp_sensitivity(args) -> int:
-    g, cfg, seeds = _study_inputs(args)
     conv = float if args.axis == "lambda_load" else int
-    values = tuple(conv(x) for x in args.values.split(","))
+    try:
+        values = tuple(conv(x) for x in args.values.split(","))
+    except ValueError:
+        raise UsageError(f"--values: expected a comma list of {conv.__name__} values "
+                         f"for --axis {args.axis}, got {args.values!r}") from None
+    g, cfg, seeds = _study_inputs(args)
     rows = experiments.sensitivity_sweep(g, args.axis, values, cfg, seeds=seeds,
                                          jobs=args.jobs)
     _write_rows(rows, args.out, f"{args.axis}=")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import engine, evaluation, graphs, trainer
+from . import engine, evaluation, filters, graphs, trainer
 from .graphs import Graph
 from .trainer import TrainConfig
 
@@ -127,13 +127,6 @@ def _stability_worker(task):
 # ---------------------------------------------------------------------------
 # per-bucket motivation analysis
 
-def _dense_filtered(a_tilde, x: np.ndarray, kind: str, hops: int) -> np.ndarray:
-    """``hops`` low-pass (``sgc``) or high-pass (``lapsgc``) hops of ``x``."""
-    for _ in range(hops):
-        x = a_tilde @ x if kind == "sgc" else x - a_tilde @ x
-    return x
-
-
 def _bucket_indices(values: np.ndarray):
     """Quintile buckets; returns (bucket id per entry, bucket count)."""
     if np.unique(values).size == 1:
@@ -164,6 +157,7 @@ def motivation_analysis(g: Graph, seed: int = 0) -> dict:
     (a) buckets nodes by local-homophily quantile and compares a one-hop
     low-pass against a one-hop high-pass probe; (b) buckets by clustering
     coefficient and compares 1-hop against 4-hop low-pass propagation.
+    The probes read the model's own filters on the unweighted graph.
     """
     if g.labels is None:
         raise ValueError("motivation analysis requires labels")
@@ -175,9 +169,9 @@ def motivation_analysis(g: Graph, seed: int = 0) -> dict:
         raise ValueError("every node is isolated; no homophily buckets")
     bucket = np.full(g.n_nodes, -1, dtype=np.int64)
     bucket[valid], n_hb = _bucket_indices(homo[valid])
-    a_tilde = graphs.normalize(g)
-    sgc_emb = _dense_filtered(a_tilde, g.features, "sgc", 1)
-    lap_emb = _dense_filtered(a_tilde, g.features, "lapsgc", 1)
+    sgc_emb, lap_emb, deep_emb = (out.values for out in filters.filter_bank_outputs(
+        [filters.FilterSpec(kind, k) for kind, k in (("sgc", 1), ("lapsgc", 1), ("sgc", 4))],
+        engine.Tensor(g.features), filters.raw_view(g)))
     homophily_section = {
         "n_buckets": n_hb,
         "bucket_mean_homophily": [
@@ -191,8 +185,7 @@ def motivation_analysis(g: Graph, seed: int = 0) -> dict:
     coef = graphs.clustering_coefficient(g)
     cbucket, n_cb = _bucket_indices(coef)
     clustering_section = {"n_buckets": n_cb}
-    for depth in (1, 4):
-        emb = _dense_filtered(a_tilde, g.features, "sgc", depth)
+    for depth, emb in ((1, sgc_emb), (4, deep_emb)):
         clustering_section[f"depth{depth}"] = _per_bucket_accuracy(
             emb, g, cbucket, n_cb, split)
     return {"homophily": homophily_section, "clustering": clustering_section}
@@ -271,7 +264,10 @@ def _map_jobs(worker, tasks, jobs: int):
 # report files
 
 def write_report_json(report, path: str) -> None:
-    engine.atomic_write(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    """The report as strict JSON: NaN and infinities are written as null."""
+    # a round trip through the lenient parser turns each non-finite float into None
+    strict = json.loads(json.dumps(report, sort_keys=True), parse_constant=lambda _: None)
+    engine.atomic_write(path, json.dumps(strict, indent=2, allow_nan=False) + "\n")
 
 
 def write_report_csv(rows: list[dict], path: str) -> None:

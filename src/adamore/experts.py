@@ -1,25 +1,29 @@
 """Sparse MoE backbone and the heterogeneous residual expert pool.
 
 Each channel owns a bank of same-architecture filter experts differing in
-hop count; a per-node gate picks the top-K by logit (ties to the lowest
-expert index) and renormalizes the selected logits with a softmax. All
-filter outputs are computed densely at desk scale; sparsity lives in the
-mixture weights only. The selected weights of a row sum to 1, so the bank
-mixes its F-wide filter outputs first and projects the mixture once to d_e.
-The residual pool is dense-activated message-passing experts summed with
-learnable scaling factors; every one of them, GAT included, aggregates its
-input features before projecting them. Outputs are regularized toward
-pairwise dissimilarity through linear-kernel CKA. A foundational output
-reaches the regularizer as its factors (filter output Y, projection W):
-centering drops the bias, so each HSIC comes from F x F blocks of centered
-filter outputs and S = W W^T, never from the n x d_e projection, unless
-F >= d_e, where projecting first is the cheaper basis.
+hop count; a per-node gate, :func:`route`, which the flat-MoE baseline
+shares, picks the top-K by logit (ties to the lowest expert index) and
+renormalizes the selected logits with a softmax. All filter outputs are
+computed densely at desk scale; sparsity lives in the mixture weights only.
+The selected weights of a row sum to 1, so the bank mixes its F-wide filter
+outputs first and projects the mixture once to d_e. The residual pool is
+dense-activated message-passing experts summed with learnable scaling
+factors; every one of them, GAT included, aggregates its input features
+before projecting them. Outputs are regularized toward pairwise
+dissimilarity through linear-kernel CKA. A foundational output reaches the
+regularizer as its factors (filter output Y, projection W): centering drops
+the bias, so each HSIC comes from F x F blocks of centered filter outputs
+and S = W W^T, never from the n x d_e projection, unless F >= d_e, where
+projecting first is the cheaper basis.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -102,6 +106,19 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
     return engine.softmax_rows(engine.add(logits, Tensor(mask))), selected
 
 
+def route(gate_w: Tensor, gate_b: Tensor, x: Tensor, s: np.ndarray,
+          k: int) -> tuple[Tensor, np.ndarray, Tensor]:
+    """Per-node top-``k`` gate over [x, s]: (weights, selected, logits)."""
+    logits = engine.add_row(engine.matmul(engine.concat_cols(x, Tensor(s)), gate_w), gate_b)
+    return (*topk_softmax(logits, k), logits)
+
+
+def mix(outs: list[Tensor], weights: Tensor) -> Tensor:
+    """sum_k weights[:, k] * outs[k], the gate-weighted mixture per row."""
+    return reduce(engine.add, (engine.mul_col(out, engine.slice_cols(weights, k, k + 1))
+                               for k, out in enumerate(outs)))
+
+
 def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView):
     """Top-K mixture of projected filter outputs per node.
 
@@ -115,21 +132,16 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: Adjacency
     diversity regularizer takes.
     """
     n = x.shape[0]
-    gate_in = engine.concat_cols(x, Tensor(s))
-    logits = engine.add_row(engine.matmul(gate_in, bank.gate_w), bank.gate_b)
-    weights, selected = topk_softmax(logits, bank.top_k)
+    weights, selected, logits = route(bank.gate_w, bank.gate_b, x, s, bank.top_k)
     outs = filter_bank_outputs(list(bank.specs), x, view)
-    mix = None
-    for k, out in enumerate(outs):
-        term = engine.mul_col(out, engine.slice_cols(weights, k, k + 1))
-        mix = term if mix is None else engine.add(mix, term)
-    h_b = engine.add_row(engine.matmul(mix, bank.proj_w), bank.proj_b)
+    mixed = mix(outs, weights)
+    h_b = engine.add_row(engine.matmul(mixed, bank.proj_w), bank.proj_b)
 
     full_probs = engine.softmax_rows(logits)
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
     stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
                          f=selected.mean(axis=0), p=mean_p)
-    return h_b, stats, mix, [(out, bank.proj_w) for out in outs]
+    return h_b, stats, mixed, [(out, bank.proj_w) for out in outs]
 
 
 def load_balance_loss(stats: RoutingStats) -> Tensor:
@@ -194,20 +206,15 @@ def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> T
     # constant shift keeps exp bounded; softmax ratios are shift-invariant
     shift = float(scores.values.max())
     e = engine.exp(engine.add_scalar(scores, -shift))
-    w_all = _stack_rows(view.weights, Tensor(np.ones((n, 1))))
+    # the view weights, then a unit weight per self-loop
+    m2 = view.src.shape[0]
+    w_all = engine.add(engine.scatter_rows(view.weights, np.arange(m2), m2 + n),
+                       Tensor(np.repeat([[0.0], [1.0]], (m2, n), axis=0)))
     z = engine.mul(e, w_all)
     denom = engine.add_scalar(engine.scatter_rows(z, dst_all, n), engine.EPS)
     alpha = engine.mul(z, engine.power(engine.gather_rows(denom, dst_all), -1.0))
     # the message step sum_j alpha_ij x_j is one sparse product
     return engine.matmul(engine.edge_sum(x, alpha, src_all, dst_all, n), w)
-
-
-def _stack_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Vertical concatenation via gather/scatter (keeps gradients exact)."""
-    na, nb = a.shape[0], b.shape[0]
-    up = engine.scatter_rows(a, np.arange(na), na + nb)
-    down = engine.scatter_rows(b, np.arange(na, na + nb), na + nb)
-    return engine.add(up, down)
 
 
 @dataclass
@@ -221,13 +228,6 @@ class ResidualPool:
     @property
     def n_r(self) -> int:
         return len(self.experts)
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for ex in self.experts:
-            out.extend(ex.parameters())
-        out.extend(self.gammas)
-        return out
 
 
 def init_residual_expert(kind: str, feat_dim: int, d_e: int,
@@ -266,11 +266,7 @@ def residual_forward(pool: ResidualPool, x: Tensor,
     if pool.n_r == 0:
         return Tensor(np.zeros((x.shape[0], pool.d_e))), []
     outs = [ex.forward(x, view) for ex in pool.experts]
-    h_r = None
-    for gamma, out in zip(pool.gammas, outs):
-        term = engine.scale_by(out, gamma)
-        h_r = term if h_r is None else engine.add(h_r, term)
-    return h_r, outs
+    return reduce(engine.add, map(engine.scale_by, outs, pool.gammas)), outs
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +344,6 @@ def diversity_loss(outputs: list[Output]) -> Tensor:
         return Tensor([[0.0]])
     grams = {}
     centered = [_centered(out, grams) for out in outputs]
-    total = None
-    count = 0
-    for i in range(len(outputs)):
-        for j in range(i + 1, len(outputs)):
-            term = _centered_cka(centered[i], centered[j])
-            total = term if total is None else engine.add(total, term)
-            count += 1
-    return engine.scale(total, 1.0 / count)
+    total = reduce(engine.add, itertools.starmap(_centered_cka,
+                                                 itertools.combinations(centered, 2)))
+    return engine.scale(total, 1.0 / math.comb(len(outputs), 2))

@@ -300,24 +300,16 @@ def make_splits(g: Graph, fractions: tuple[float, float, float], seed: int) -> S
         raise ValueError("fractions must be positive and sum to at most 1")
     rng = np.random.default_rng(seed)
     buckets: list[list[np.ndarray]] = [[], [], []]
-    if g.labels is not None:
-        for c in range(g.n_classes):
-            idx = np.flatnonzero(g.labels == c)
-            rng.shuffle(idx)
-            sizes = _allocate(idx.shape[0], fractions)
-            if sizes[0] < 1:
-                raise ValueError(f"class {c} has too few members for one train example")
-            pos = 0
-            for b, size in enumerate(sizes):
-                buckets[b].append(idx[pos:pos + size])
-                pos += size
-    else:
-        idx = rng.permutation(g.n_nodes)
-        sizes = _allocate(g.n_nodes, fractions)
-        pos = 0
-        for b, size in enumerate(sizes):
-            buckets[b].append(idx[pos:pos + size])
-            pos += size
+    # an unlabeled graph is one group of all nodes
+    groups = ([np.flatnonzero(g.labels == c) for c in range(g.n_classes)]
+              if g.labels is not None else [np.arange(g.n_nodes)])
+    for c, idx in enumerate(groups):
+        rng.shuffle(idx)
+        sizes = _allocate(idx.shape[0], fractions)
+        if g.labels is not None and sizes[0] < 1:
+            raise ValueError(f"class {c} has too few members for one train example")
+        for bucket, part in zip(buckets, np.split(idx, np.cumsum(sizes))):
+            bucket.append(part)
     parts = [np.sort(np.concatenate(b)) if b else np.array([], dtype=np.int64)
              for b in buckets]
     return SplitSpec(train=parts[0], val=parts[1], test=parts[2], seed=seed)

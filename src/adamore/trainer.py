@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -129,28 +130,14 @@ class Model:
         self.head_w: Tensor | None = None
         self.head_b: Tensor | None = None
 
-    def gating_parameters(self) -> list[Tensor]:
-        return self.gate.parameters()
-
-    def main_parameters(self) -> list[Tensor]:
-        out = self.bank_coh.parameters() + self.bank_disp.parameters()
-        out += self.pool_coh.parameters() + self.pool_disp.parameters()
-        out += self.decoder.parameters()
-        out.append(self.mask_token)
-        return out
-
-    def head_parameters(self) -> list[Tensor]:
-        return [] if self.head_w is None else [self.head_w, self.head_b]
-
-    def all_parameters(self) -> list[Tensor]:
-        return self.gating_parameters() + self.main_parameters() + self.head_parameters()
-
     def add_head(self, n_classes: int, rng: np.random.Generator) -> None:
         if self.head_w is None:
             self.head_w = engine.glorot(rng, 2 * self.cfg.hidden, n_classes)
             self.head_b = engine.zeros_param((1, n_classes))
 
     def named_parameters(self) -> dict[str, Tensor]:
+        """Every learnable tensor by its checkpoint name; the parameter
+        groups below select from this table by name prefix."""
         named = {}
         for prefix, group in (("gate", self.gate.parameters()),
                               ("bank_coh", self.bank_coh.parameters()),
@@ -169,6 +156,21 @@ class Model:
             named["head.w"] = self.head_w
             named["head.b"] = self.head_b
         return named
+
+    def _group(self, keep) -> list[Tensor]:
+        return [p for name, p in self.named_parameters().items() if keep(name.split(".")[0])]
+
+    def gating_parameters(self) -> list[Tensor]:
+        return self._group(lambda prefix: prefix == "gate")
+
+    def main_parameters(self) -> list[Tensor]:
+        return self._group(lambda prefix: prefix not in ("gate", "head"))
+
+    def head_parameters(self) -> list[Tensor]:
+        return self._group(lambda prefix: prefix == "head")
+
+    def all_parameters(self) -> list[Tensor]:
+        return list(self.named_parameters().values())
 
 
 @dataclass
@@ -253,10 +255,7 @@ def _channel_mean_diversity(div_targets: dict[str, list[experts.Output]]) -> Ten
              if len(outs) >= 2]
     if not terms:
         return Tensor([[0.0]])
-    total = terms[0]
-    for t in terms[1:]:
-        total = engine.add(total, t)
-    return engine.scale(total, 1.0 / len(terms))
+    return engine.scale(reduce(engine.add, terms), 1.0 / len(terms))
 
 
 def _mean_load(fwd: ForwardResult) -> Tensor:
@@ -496,8 +495,8 @@ def classify(state: TrainState, embeddings: np.ndarray) -> np.ndarray:
 
 class NaiveMoE:
     """Flat sparse MoE: one gate routes each node to its top-1 expert among
-    heterogeneous ones, with the backbone's top-K mechanics (no backbone,
-    no residual decomposition, no diversity loss)."""
+    heterogeneous ones through the backbone's router (no backbone, no
+    residual decomposition, no diversity loss)."""
 
     def __init__(self, g: Graph, cfg: TrainConfig, kinds: Sequence[str]):
         self.graph = g
@@ -512,23 +511,13 @@ class NaiveMoE:
         self.mask_token = engine.zeros_param((1, f_dim))
 
     def parameters(self) -> list[Tensor]:
-        out = [self.gate_w, self.gate_b, self.mask_token]
-        for ex in self.experts:
-            out.extend(ex.parameters())
-        out.extend(self.decoder.parameters())
-        return out
+        return [self.gate_w, self.gate_b, self.mask_token,
+                *(p for ex in self.experts for p in ex.parameters()), *self.decoder.parameters()]
 
     def forward(self, x_input: Tensor) -> Tensor:
         view = filters.raw_view(self.graph)
-        gate_in = engine.concat_cols(x_input, Tensor(self.s))
-        logits = engine.add_row(engine.matmul(gate_in, self.gate_w), self.gate_b)
-        probs, _ = experts.topk_softmax(logits, 1)
-        h = None
-        for k, expert in enumerate(self.experts):
-            term = engine.mul_col(expert.forward(x_input, view),
-                                  engine.slice_cols(probs, k, k + 1))
-            h = term if h is None else engine.add(h, term)
-        return h
+        weights, _, _ = experts.route(self.gate_w, self.gate_b, x_input, self.s, 1)
+        return experts.mix([ex.forward(x_input, view) for ex in self.experts], weights)
 
 
 def naive_moe_baseline(g: Graph, cfg: TrainConfig,

@@ -238,3 +238,41 @@ def test_help_everywhere_exits_zero():
         with pytest.raises(SystemExit) as exc:
             run_cli(cmd, "--help")
         assert exc.value.code == 0
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_reports_are_strict_json(sbm_dir, tmp_path):
+    out = tmp_path / "stability"
+    # four epochs leave a one-point tail, so both volatilities are 0
+    code = run_cli("bench-stability", "--data", sbm_dir, "--out", str(out),
+                   "--epochs", "4", "--seeds", "2", "--hidden", "8", "--d-s", "3",
+                   "--edge-hidden", "8", "--n-exp", "2", "--top-k", "1")
+    assert code == 0
+    assert _strict_json(out / "report.json")["volatility_ratio"] is None
+
+    data = tmp_path / "small"
+    assert run_cli("gen-sbm", "--blocks", "2", "--per-block", "10", "--p-in", "0.5",
+                   "--p-out", "0.1", "--feat-dim", "6", "--seed", "0",
+                   "--out", str(data)) == 0
+    out = tmp_path / "motivate"
+    assert run_cli("motivate", "--data", str(data), "--out", str(out)) == 0
+    assert "homophily" in _strict_json(out / "report.json")
+    # buckets without test nodes have no accuracy
+    assert "null" in (out / "report.json").read_text()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("exp-noise", "--ratios", "0,x"), "--ratios"),
+    (("exp-oracle-weights", "--pairs", "0.9"), "--pairs"),
+    (("exp-sensitivity", "--axis", "hidden", "--values", "8,x"), "--values"),
+])
+def test_malformed_list_flags_are_usage_errors(sbm_dir, tmp_path, capsys, argv, flag):
+    code = run_cli(*argv, "--data", sbm_dir, "--out", str(tmp_path / "out"), "--epochs", "1")
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

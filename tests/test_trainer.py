@@ -513,3 +513,39 @@ def test_load_model_rejects_a_checkpoint_missing_a_parameter(tmp_path, sbm):
     engine.save_checkpoint(str(path), named)
     with pytest.raises(ValueError, match="decoder.0"):
         trainer.load_model(trainer.init_state(sbm, tiny_cfg()), str(path))
+
+
+@pytest.mark.parametrize("case", ["empty-pool", "residual-one-kind", "residual-two-kinds",
+                                  "no-svg", "two-svg"])
+def test_config_values_the_acceptance_suite_never_trains(sbm, case):
+    overrides = {
+        "empty-pool": dict(residual_kinds=()),
+        "residual-one-kind": dict(diversity_targets="residual"),
+        "residual-two-kinds": dict(diversity_targets="residual",
+                                   residual_kinds=("gcn-layer", "gin0")),
+        "no-svg": dict(svg_steps=0),
+        "two-svg": dict(svg_steps=2),
+    }[case]
+    cfg = tiny_cfg(**overrides)
+    state = trainer.init_state(sbm, cfg)
+    gate_init = {name: p.values.copy()
+                 for name, p in state.model.named_parameters().items()
+                 if name.startswith("gate.")}
+    for _ in range(cfg.epochs):
+        trainer.train_epoch(state)
+    l_div = [rec["l_div"] for rec in state.history]
+    if case == "empty-pool":
+        assert not [name for name in state.model.named_parameters() if name.startswith("pool_")]
+        assert np.isfinite(trainer.embed(state)).all()
+    elif case == "residual-one-kind":
+        assert l_div == [0.0] * cfg.epochs
+    elif case == "residual-two-kinds":
+        foundational = trainer.train(
+            sbm, tiny_cfg(**{**overrides, "diversity_targets": "foundational"}))
+        assert l_div != [rec["l_div"] for rec in foundational.history]
+    elif case == "no-svg":
+        named = state.model.named_parameters()
+        assert all(np.array_equal(named[name].values, v) for name, v in gate_init.items())
+        assert [rec["l_svg"] for rec in state.history] == [0.0] * cfg.epochs
+    else:
+        assert state.adam_svg.step == 2 * cfg.epochs

@@ -5,16 +5,19 @@
 
 ``collect`` trains the fixed two-block SBM of ``adamore gen-sbm --blocks 2
 --per-block 100 --p-in 0.5 --p-out 0.05 --seed 0`` for 20 epochs at lr 0.01
-under three configs: the default, all four residual kinds with diversity
-targets ``both``, and ``hidden=8`` (F >= d_e, the projected-first basis).
-A fourth run trains the default config under fixed oracle edge weights.
-Per config it stores the metrics records, the routing log, the eval-mode
-edge weights, alpha and embeddings, the checkpoint arrays as written and
-read back, the tape length at every ``backward``, every parameter gradient
-of one svg step and one reconstruction step at the trained state, and the
-flat-MoE ``l_mae`` curve. On the same graph it stores, as JSON, the rows of
-``distinctiveness_study``, ``noise_robustness`` and ``sensitivity_sweep``
-(a three-epoch config, one seed) and the ``motivation_analysis`` report.
+under four configs: the default, all four residual kinds with diversity
+targets ``both``, ``hidden=8`` (F >= d_e, the projected-first basis) and an
+empty residual pool. A fifth run trains the default config under fixed
+oracle edge weights. Per config it stores the metrics records, the routing
+log, the eval-mode edge weights, alpha and embeddings, the checkpoint
+arrays as written and read back, the tape length at every ``backward``,
+every parameter gradient of one svg step and one reconstruction step at the
+trained state, and the flat-MoE ``l_mae`` curve. It also stores the splits
+of the graph with its labels dropped. On the same graph it stores, as JSON,
+the rows of ``distinctiveness_study``, ``noise_robustness`` and
+``sensitivity_sweep``, the ``stability_bench`` report with all three arms
+(a three-epoch config, one or two seeds) and the ``motivation_analysis``
+report, which it also stores for a heterophilous four-block SBM.
 
 ``compare`` prints each entry as identical, or as max |diff| / max |ref|,
 and exits 0 only when every entry of both files is identical. Run
@@ -41,6 +44,7 @@ CONFIGS = {
     "four_kinds_both": dict(residual_kinds=("gcn-layer", "sage-mean", "gin0", "gat-1head"),
                             diversity_targets="both"),
     "hidden8": dict(hidden=8),
+    "no_residual": dict(residual_kinds=()),
     "oracle": {},
 }
 STUDY = dict(epochs=3, hidden=8, d_s=3, edge_hidden=8, n_exp=2, top_k=1)
@@ -116,20 +120,32 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
         digest.update({f"{label}.{k}": v for k, v in _run(g, cfg, fixed).items()})
     curve = [rec["l_mae"] for rec in trainer.naive_moe_baseline(g, base)]
     digest["flat_moe.l_mae"] = np.array(curve)
+    unlabeled = graphs.make_graph(g.n_nodes, g.edges, g.features)
+    split = graphs.make_splits(unlabeled, (0.2, 0.2, 0.6), seed=seed)
+    digest.update({f"unlabeled_split.{k}": getattr(split, k) for k in ("train", "val", "test")})
     digest.update({f"study.{k}": np.array(json.dumps(v, sort_keys=True))
                    for k, v in _studies(g, replace(base, **STUDY), (seed,)).items()})
     np.savez(path, **digest)
 
 
 def _studies(g: graphs.Graph, cfg: TrainConfig, seeds: tuple[int, ...]) -> dict:
-    """Rows of the probe studies and the motivation report, through the
-    public functions alone so that a parent commit's ``src`` runs them too."""
+    """Rows of the probe studies, the stability report and the motivation
+    reports, through the public functions alone so that a parent commit's
+    ``src`` runs them too."""
+    stability = experiments.stability_bench(g, cfg, seeds=(seeds[0], seeds[0] + 1),
+                                            include_homogeneous=True)
+    heterophilous = graphs.gen_sbm(50, 4, 0.01, 0.08, feat_dim=8, feat_signal=0.8, seed=3)
     return {
         "distinctiveness": experiments.distinctiveness_study(
             g, cfg, pairs=((0.9, 0.1), (0.6, 0.4)), seeds=seeds),
         "noise": experiments.noise_robustness(g, cfg, ratios=(0.0, 0.5), seeds=seeds),
         "sensitivity": experiments.sensitivity_sweep(g, "hidden", (8, 16), cfg, seeds=seeds),
+        "stability": {"curves": stability.curve_rows(), "volatility": stability.volatility,
+                      "final_loss": stability.final_loss,
+                      "volatility_ratio": stability.volatility_ratio},
         "motivation": experiments.motivation_analysis(g, seed=seeds[0]),
+        "motivation_heterophilous": experiments.motivation_analysis(heterophilous,
+                                                                    seed=seeds[0]),
     }
 
 
