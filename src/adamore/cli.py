@@ -107,6 +107,17 @@ def _floats(raw: str, sep: str = ",") -> tuple[float, ...]:
             f"expected numbers separated by {sep!r}, got {raw!r}") from None
 
 
+def _count(raw: str) -> int:
+    """A positive whole number, as an argparse type."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
 def _pairs(raw: str) -> tuple[tuple[float, ...], ...]:
     """A comma list of a/b number pairs, as an argparse type."""
     pairs = tuple(_floats(token, "/") for token in raw.split(","))
@@ -141,7 +152,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval-probe", help="linear probe accuracy of a trained model")
     p.add_argument("--model-dir", required=True)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_count, default=5)
     p.add_argument("--seed", type=int, default=100)
     p.add_argument("--out")
 
@@ -152,8 +163,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval-fewshot", help="prototype few-shot accuracy of a trained model")
     p.add_argument("--model-dir", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tasks", type=int, default=100)
+    p.add_argument("--k", type=_count, default=1)
+    p.add_argument("--tasks", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
@@ -162,7 +173,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seeds", type=int, default=seeds)
+        p.add_argument("--seeds", type=_count, default=seeds)
         p.add_argument("--jobs", type=int, default=1)
         _add_config_flags(p)
         return p

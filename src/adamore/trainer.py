@@ -10,7 +10,12 @@ fusion coefficient is recomputed once per epoch from eval-mode edge weights
 and the current cohesive embeddings, and is constant on the tape. Every
 step freezes the parameter groups it does not update, so its tape and
 backward hold only what it differentiates; eval passes record nothing.
-Every pass reads its edge weights from one gate path, :func:`_edge_weights`.
+Every pass reads its edge weights from one gate path, :func:`_edge_weights`,
+and the gate reads a constant array there, never a taped input: the raw
+features in step 1 and the eval passes, and in the masked steps (step 2
+and fine-tuning) the features with the masked rows zeroed, so it sees
+neither the masked features nor the token. With the gate frozen in step 2,
+that step's edge weights are constants and nothing of the gate is taped.
 """
 
 from __future__ import annotations
@@ -88,13 +93,16 @@ def sample_mask(rng: np.random.Generator, n_nodes: int, mask_ratio: float) -> np
     return np.sort(rng.choice(n_nodes, size=count, replace=False))
 
 
-def masked_input(x_values: np.ndarray, mask: np.ndarray, token: Tensor) -> Tensor:
+def masked_input(x_values: np.ndarray, mask: np.ndarray, token: Tensor,
+                 copy: bool = True) -> Tensor:
     """Replace masked feature rows by the learnable token before taping.
 
     Masked rows of ``x_values`` never reach the tape: they are zeroed on a
     copy first, so even poisoned (NaN) masked rows yield a finite input.
+    With ``copy=False`` they are zeroed in ``x_values`` itself, which then
+    holds the input without the token.
     """
-    base = np.array(x_values, dtype=np.float64)
+    base = np.array(x_values, dtype=np.float64, copy=copy)
     base[mask] = 0.0
     indicator = np.zeros((base.shape[0], 1))
     indicator[mask] = 1.0
@@ -182,25 +190,32 @@ class ForwardResult:
     diversity_targets: dict[str, list[experts.Output]]
 
 
-def _edge_weights(model: Model, x: Tensor,
+def _edge_weights(model: Model, x: np.ndarray,
                   rng: np.random.Generator | None) -> tuple[Tensor, np.ndarray]:
     """(w, w_eval): the per-edge weights the views carry, and their
-    noise-free eval-mode values. The model's fixed weights replace the gate;
-    Gumbel noise is drawn from ``rng`` when one is given (training mode)."""
+    noise-free eval-mode values. The gate reads the constant features ``x``;
+    the model's fixed weights replace it. Gumbel noise is drawn from ``rng``
+    when one is given (training mode)."""
     if model.fixed_weights is not None:
         w = Tensor(np.asarray(model.fixed_weights).reshape(-1, 1))
         return w, w.values
-    logits = gating.edge_logits(model.gate, x, model.s, model.graph)
+    logits = gating.edge_logits(model.gate, Tensor(x), model.s, model.graph)
     w = gating.gumbel_sigmoid_weights(logits, model.cfg.tau, rng)
     return w, expit(logits.values / model.cfg.tau)
 
 
 def full_forward(model: Model, x_input: Tensor, rng: np.random.Generator | None,
-                 alpha_override: np.ndarray | None = None) -> ForwardResult:
+                 alpha_override: np.ndarray | None = None,
+                 x_gate: np.ndarray | None = None) -> ForwardResult:
     """One pass through gating, both channels, and fusion; training mode
-    when given an ``rng``, eval mode (no noise) without."""
+    when given an ``rng``, eval mode (no noise) without.
+
+    The experts read ``x_input``; the edge gate reads the constant ``x_gate``,
+    by default the raw features. The masked steps hand in their features
+    with the masked rows zeroed, so the gate sees neither the masked
+    features nor the token, and no gradient flows back through its input."""
     g, cfg = model.graph, model.cfg
-    w, w_eval = _edge_weights(model, x_input, rng)
+    w, w_eval = _edge_weights(model, g.features if x_gate is None else x_gate, rng)
     views = gating.build_views(g, w)
     h_b_coh, stats_coh, _, outs_coh = experts.backbone_forward(
         model.bank_coh, x_input, model.s, views.a_coh)
@@ -284,9 +299,10 @@ def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, Fo
     engine.reset_tape()
     engine.zero_grads(model.all_parameters())
     mask = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
-    x_input = masked_input(model.graph.features, mask, model.mask_token)
+    x_gate = np.array(model.graph.features, dtype=np.float64)
+    x_input = masked_input(x_gate, mask, model.mask_token, copy=False)
     fwd = _guard("reconstruction forward", state.epoch,
-                 lambda: full_forward(model, x_input, state.rng))
+                 lambda: full_forward(model, x_input, state.rng, x_gate=x_gate))
     return mask, fwd
 
 
@@ -355,7 +371,7 @@ def svg_step(state: TrainState) -> float:
     x_raw = Tensor(g.features)
 
     def forward():
-        w, _ = _edge_weights(model, x_raw, state.rng)
+        w, _ = _edge_weights(model, g.features, state.rng)
         views, held = gating.build_views(g, w), gating.build_views(g, w.detach())
         targets = []
         for bank, view in ((model.bank_coh, held.a_coh), (model.bank_disp, held.a_disp)):
@@ -431,7 +447,7 @@ def eval_edge_weights(state: TrainState) -> np.ndarray:
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        _, w_eval = _edge_weights(model, Tensor(model.graph.features), None)
+        _, w_eval = _edge_weights(model, model.graph.features, None)
     return w_eval.ravel().copy()
 
 

@@ -276,3 +276,18 @@ def test_malformed_list_flags_are_usage_errors(sbm_dir, tmp_path, capsys, argv, 
     assert code == 1
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("bench-stability", "--data", "{data}", "--out", "{out}", "--seeds", "0"), "--seeds"),
+    (("exp-noise", "--data", "{data}", "--out", "{out}", "--seeds", "-1"), "--seeds"),
+    (("eval-probe", "--model-dir", "{model}", "--repeats", "0"), "--repeats"),
+    (("eval-fewshot", "--model-dir", "{model}", "--tasks", "0"), "--tasks"),
+    (("eval-fewshot", "--model-dir", "{model}", "--k", "0"), "--k"),
+])
+def test_counts_below_one_are_usage_errors(sbm_dir, model_dir, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    code = run_cli(*(a.format(data=sbm_dir, out=out, model=model_dir) for a in argv))
+    assert code == 1
+    assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()

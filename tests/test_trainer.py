@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -217,8 +219,51 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
-    assert at_backward == [45, 325, 281]   # svg, recon, fine-tune
+    assert at_backward == [45, 296, 281]   # svg, recon, fine-tune
     assert at_forward[1] == 0                # embed
+
+
+def test_recon_edge_weights_ignore_the_token_and_the_masked_rows(sbm, monkeypatch):
+    """The recon step's gate reads the features with the masked rows zeroed:
+    its edge weights are constants that neither the mask token nor the
+    masked rows' features move."""
+    state = trainer.init_state(sbm, tiny_cfg())
+    model, cfg = state.model, state.model.cfg
+    weights = []
+    original = gating.build_views
+    monkeypatch.setattr(gating, "build_views", lambda g, w: (
+        weights.append(w), original(g, w))[1])
+
+    def recon_forward():
+        state.rng = np.random.default_rng(5)
+        with trainer._updating(model, model.main_parameters()):
+            return trainer._masked_forward(state, cfg)[0]
+
+    model.mask_token.values = np.full((1, sbm.feat_dim), 3.0)
+    mask = recon_forward()
+    model.mask_token.values = np.zeros((1, sbm.feat_dim))
+    poked = sbm.features.copy()
+    poked[mask] = -5.0
+    model.graph = replace(sbm, features=poked)
+    assert np.array_equal(recon_forward(), mask)
+
+    assert len(weights) == 2
+    assert np.array_equal(weights[0].values, weights[1].values)
+    assert not any(w._needs_grad for w in weights)
+
+
+def test_recon_step_forms_no_per_edge_gradient(sbm, monkeypatch):
+    """With constant edge weights the recon step tapes nothing of the edge
+    gate: no pair_mlp record, so no per-edge gate backward runs."""
+    state = trainer.init_state(sbm, tiny_cfg())
+    state.model.mask_token.values = np.full((1, sbm.feat_dim), 0.5)
+    records = []
+    original = engine.backward
+    monkeypatch.setattr(engine, "backward", lambda loss: (
+        records.extend(engine.current_tape().records), original(loss)))
+    trainer.reconstruction_step(state)
+    ops = [rec[0] for rec in records]
+    assert "edge_sum" in ops and "pair_mlp" not in ops
 
 
 def test_recon_tape_holds_no_embedding_square(sbm, monkeypatch):
