@@ -36,7 +36,6 @@ from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 EPS = 1e-8
-_TINY = 1e-300  # denominator floor that only guards exact zeros
 _NEG_INF = -1e30  # additive mask for excluded logits; finite on purpose
 
 CHECKPOINT_HEADER = "ADAMORE-CKPT-1"
@@ -573,13 +572,15 @@ def log_softmax_rows(a: Tensor) -> Tensor:
                    lambda g: (g - pv * g.sum(axis=1, keepdims=True),))
 
 
-def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity as an nx1 column; zero-norm rows give 0."""
+def cosine_rows(a: Tensor, b: Tensor, gram: np.ndarray | None = None) -> Tensor:
+    """Row-wise cosine similarity as an nx1 column; zero-norm rows give 0. Under
+    a constant symmetric ``gram`` G = B B^T, <x, y> = x G y^T: cos(a B, b B)."""
     _same_shape(a, b, "cosine_rows")
     av, bv = a.values, b.values
-    dots = (av * bv).sum(axis=1, keepdims=True)
-    na = np.sqrt((av * av).sum(axis=1, keepdims=True))
-    nb = np.sqrt((bv * bv).sum(axis=1, keepdims=True))
+    ag, bg = (av, bv) if gram is None else (av @ gram, bv @ gram)
+    dots = (ag * bv).sum(axis=1, keepdims=True)
+    na = np.sqrt(np.maximum((ag * av).sum(axis=1, keepdims=True), 0.0))
+    nb = np.sqrt(np.maximum((bg * bv).sum(axis=1, keepdims=True), 0.0))
     denom = na * nb + EPS
     out = Tensor(dots / denom)
     need_a, need_b = a._needs_grad, b._needs_grad
@@ -588,9 +589,9 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
         common = g * dots / (denom * denom)
         ga = gb = None
         if need_a:
-            ga = g * bv / denom - common * nb * av / np.maximum(na, _TINY)
+            ga = g * bg / denom - common * nb * ag / np.where(na > 0, na, np.inf)
         if need_b:
-            gb = g * av / denom - common * na * bv / np.maximum(nb, _TINY)
+            gb = g * ag / denom - common * na * bg / np.where(nb > 0, nb, np.inf)
         return (ga, gb)
 
     return _record("cosine_rows", out, (a, b), back)

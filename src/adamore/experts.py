@@ -119,29 +119,34 @@ def mix(outs: list[Tensor], weights: Tensor) -> Tensor:
                                for k, out in enumerate(outs)))
 
 
+def bank_mixture(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView):
+    """(M, outs, selected, logits): the top-K mixture M = sum_k g_k Y_k (n x F)
+    of the filter outputs Y_k, and the gate's selection and logits."""
+    weights, selected, logits = route(bank.gate_w, bank.gate_b, x, s, bank.top_k)
+    outs = filter_bank_outputs(list(bank.specs), x, view)
+    return mix(outs, weights), outs, selected, logits
+
+
 def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView):
     """Top-K mixture of projected filter outputs per node.
 
     The selected gate weights of a row sum to 1, so the mixture of the
     projections Y_k W + b is the projection of the mixture: the filter
-    outputs are mixed first, M = sum_k g_k Y_k (n x F), and projected
-    once, h_b = M W + b.
+    outputs are mixed first (:func:`bank_mixture`) and projected once,
+    h_b = M W + b.
 
-    Returns (h_b, stats, mix, factored_outputs): the mixture M, and one
-    (filter output, ``bank.proj_w``) pair per expert, the form the
-    diversity regularizer takes.
+    Returns (h_b, stats, factored_outputs), one (filter output,
+    ``bank.proj_w``) pair per expert, the diversity regularizer's form.
     """
     n = x.shape[0]
-    weights, selected, logits = route(bank.gate_w, bank.gate_b, x, s, bank.top_k)
-    outs = filter_bank_outputs(list(bank.specs), x, view)
-    mixed = mix(outs, weights)
+    mixed, outs, selected, logits = bank_mixture(bank, x, s, view)
     h_b = engine.add_row(engine.matmul(mixed, bank.proj_w), bank.proj_b)
 
     full_probs = engine.softmax_rows(logits)
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
     stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
                          f=selected.mean(axis=0), p=mean_p)
-    return h_b, stats, mixed, [(out, bank.proj_w) for out in outs]
+    return h_b, stats, [(out, bank.proj_w) for out in outs]
 
 
 def load_balance_loss(stats: RoutingStats) -> Tensor:

@@ -13,9 +13,9 @@ the original adjacency entrywise. The cross-filter loss trains only this
 module: a parameter-free low-pass filter must reproduce the dispersive
 backbone output on the dispersive view (and the high-pass mirror on the
 cohesive view), with backbone outputs held constant. Propagation commutes
-with the constant projection, P(M W + 1 b^T) = P([M, 1]) [W; b^T], so a
-backbone output handed over with its factors is propagated as the F + 1
-wide [M, 1] and projected after the hop, unless F + 1 >= d_e.
+with the constant projection, P(M W + 1 b^T) = P([M, 1]) [W; b^T], so each
+backbone output comes as its factors (M, W, b): the F + 1 wide [M, 1] is
+propagated and scored under the Gram of [W; b^T], never d_e wide.
 """
 
 from __future__ import annotations
@@ -102,45 +102,41 @@ def build_views(g: Graph, w: Tensor) -> ViewPair:
     )
 
 
-def scaled_cosine_error(recon: Tensor, target: Tensor, gamma: float) -> Tensor:
-    """Mean over rows of 1 - cos(recon_i, target_i)^gamma."""
-    cos = engine.cosine_rows(recon, target)
+def scaled_cosine_error(recon: Tensor, target: Tensor, gamma: float,
+                        gram: np.ndarray | None = None) -> Tensor:
+    """Mean over rows of 1 - cos(recon_i, target_i)^gamma, the cosines under
+    the inner product ``gram`` when one is given."""
+    cos = engine.cosine_rows(recon, target, gram)
     return engine.mean_all(
         engine.sub(Tensor(np.ones(cos.shape)), engine.power(cos, gamma)))
 
 
-Target = Tensor | tuple[Tensor, Tensor, Tensor, Tensor]   # plain, or (h, M, W, b)
+Factors = tuple[Tensor, Tensor, Tensor]   # (M, W, b) of h = M W + 1 b^T
 
 
-def _propagated_target(view: AdjacencyView, target: Target) -> tuple[Tensor, Tensor]:
-    """(P h, h) for the detached target h, P the view's one-hop propagation."""
-    if isinstance(target, tuple):
-        h, mix, w, b = target
-        if mix.shape[1] + 1 < w.shape[1]:
-            basis = Tensor(np.hstack([mix.values, np.ones((mix.shape[0], 1))]))
-            proj = Tensor(np.vstack([w.values, b.values]))
-            return engine.matmul(sym_propagate(view, basis), proj), h.detach()
-        target = h
-    h = target.detach()
-    return sym_propagate(view, h), h
+def _filter_basis(factors: Factors) -> tuple[Tensor, np.ndarray]:
+    """The constant [M, 1] and the Gram [W; b^T][W; b^T]^T of its inner product."""
+    mix, w, b = factors
+    proj = np.vstack([w.values, b.values])
+    return Tensor(np.hstack([mix.values, np.ones((mix.shape[0], 1))])), proj @ proj.T
 
 
-def svg_loss(views: ViewPair, h_b_coh: Target, h_b_disp: Target,
+def svg_loss(views: ViewPair, coh: Factors, disp: Factors,
              gamma_svg: float = 1.0) -> Tensor:
     """Cross-filter reconstruction loss; trains the edge gate only.
 
-    Backbone outputs are detached here, so the only gradient path runs
-    through the views' weights back into the gating MLP. An output may come
-    with its factors, (h_b, M, W, b) with h_b = M W + 1 b^T: then the F + 1
-    wide [M, 1] is propagated and projected after the hop,
-    P h_b = P([M, 1]) [W; b^T], so the per-edge weight gradient is F + 1
-    wide instead of d_e wide. When F + 1 >= d_e, h_b itself is propagated.
+    Each backbone output h = [M, 1] [W; b^T] arrives as its constant factors
+    (M, W, b), so the only gradient path runs through the views' weights into
+    the gating MLP. P h = P([M, 1]) [W; b^T], and each row dot and norm of
+    the cosines is a quadratic form in G = [W; b^T][W; b^T]^T: the loss
+    scores P([M, 1]) and [M, 1] - P([M, 1]) against [M, 1] under G.
     """
-    lpf_recon, disp_target = _propagated_target(views.a_disp, h_b_disp)
-    lp_coh, coh_target = _propagated_target(views.a_coh, h_b_coh)
-    hpf_recon = engine.sub(coh_target, lp_coh)
-    return engine.add(scaled_cosine_error(lpf_recon, disp_target, gamma_svg),
-                      scaled_cosine_error(hpf_recon, coh_target, gamma_svg))
+    disp_basis, disp_gram = _filter_basis(disp)
+    lpf_recon = sym_propagate(views.a_disp, disp_basis)
+    coh_basis, coh_gram = _filter_basis(coh)
+    hpf_recon = engine.sub(coh_basis, sym_propagate(views.a_coh, coh_basis))
+    return engine.add(scaled_cosine_error(lpf_recon, disp_basis, gamma_svg, disp_gram),
+                      scaled_cosine_error(hpf_recon, coh_basis, gamma_svg, coh_gram))
 
 
 def export_weights_tsv(g: Graph, w_values: np.ndarray, path: str) -> None:

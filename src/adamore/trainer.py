@@ -217,9 +217,9 @@ def full_forward(model: Model, x_input: Tensor, rng: np.random.Generator | None,
     g, cfg = model.graph, model.cfg
     w, w_eval = _edge_weights(model, g.features if x_gate is None else x_gate, rng)
     views = gating.build_views(g, w)
-    h_b_coh, stats_coh, _, outs_coh = experts.backbone_forward(
+    h_b_coh, stats_coh, outs_coh = experts.backbone_forward(
         model.bank_coh, x_input, model.s, views.a_coh)
-    h_b_disp, stats_disp, _, outs_disp = experts.backbone_forward(
+    h_b_disp, stats_disp, outs_disp = experts.backbone_forward(
         model.bank_disp, x_input, model.s, views.a_disp)
     h_r_coh, r_outs_coh = experts.residual_forward(model.pool_coh, x_input, views.a_coh)
     h_r_disp, r_outs_disp = experts.residual_forward(model.pool_disp, x_input, views.a_disp)
@@ -360,9 +360,9 @@ def svg_step(state: TrainState) -> float:
     rewards views on which the wrong-direction filters succeed, which
     empirically inverts the learned weights.
 
-    The loss holds the backbone outputs constant, so they run on views of
-    the detached weights and record nothing, and each comes with its
-    factors (h_b, M, W, b) for the loss to propagate in the filter basis.
+    The loss holds the backbone outputs constant, so the banks run on views
+    of the detached weights, record nothing, and hand over h_b = M W + b as
+    its factors (M, W, b), M from :func:`experts.bank_mixture`; h_b is never formed.
     """
     model, cfg = state.model, state.model.cfg
     g, epoch = model.graph, state.epoch
@@ -373,16 +373,14 @@ def svg_step(state: TrainState) -> float:
     def forward():
         w, _ = _edge_weights(model, g.features, state.rng)
         views, held = gating.build_views(g, w), gating.build_views(g, w.detach())
-        targets = []
-        for bank, view in ((model.bank_coh, held.a_coh), (model.bank_disp, held.a_disp)):
-            h_b, _, mix, _ = experts.backbone_forward(bank, x_raw, model.s, view)
-            targets.append((h_b, mix, bank.proj_w, bank.proj_b))
-        return views, targets
+        banks = ((model.bank_coh, held.a_coh), (model.bank_disp, held.a_disp))
+        return views, [(experts.bank_mixture(b, x_raw, model.s, v)[0], b.proj_w, b.proj_b)
+                       for b, v in banks]
 
     with _updating(model, model.gating_parameters()):
-        views, (h_coh, h_disp) = _guard("l_svg forward", epoch, forward)
+        views, (coh, disp) = _guard("l_svg forward", epoch, forward)
         l_svg = _guard("l_svg", epoch, lambda: gating.svg_loss(
-            views, h_coh, h_disp, cfg.gamma_svg))
+            views, coh, disp, cfg.gamma_svg))
         engine.backward(engine.scale(l_svg, -1.0))
     engine.adam_step(model.gating_parameters(), state.adam_svg)
     return l_svg.item()

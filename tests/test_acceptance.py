@@ -78,14 +78,19 @@ def test_criterion_01_gradient_correctness():
             trainer.train_epoch(state)
         model = state.model
         plan = trainer.sample_mask(np.random.default_rng(trial), g.n_nodes, 0.5)
-        base = trainer.full_forward(model, trainer.masked_input(
-            g.features, plan, model.mask_token), np.random.default_rng(500 + trial))
-        alpha0 = base.alpha
+
+        def masked_forward(alpha_override=None):
+            # the recon step's inputs: the gate reads the features with the
+            # masked rows zeroed, the experts that copy plus the token
+            x_gate = np.array(g.features)
+            x_input = trainer.masked_input(x_gate, plan, model.mask_token, copy=False)
+            return trainer.full_forward(model, x_input, np.random.default_rng(500 + trial),
+                                        alpha_override=alpha_override, x_gate=x_gate)
+
+        alpha0 = masked_forward().alpha
 
         def loss_fn():
-            x_input = trainer.masked_input(g.features, plan, model.mask_token)
-            fwd = trainer.full_forward(model, x_input, np.random.default_rng(500 + trial),
-                                       alpha_override=alpha0)
+            fwd = masked_forward(alpha0)
             return trainer.masked_objective(fwd, model, plan, cfg, epoch=0)[0]
 
         probe = [model.gate.w1, model.bank_coh.proj_w, model.bank_disp.gate_w,
@@ -269,7 +274,7 @@ def test_criterion_07_backbone_oracle_equivalence():
                                         d_s=3, d_e=5, rng=rng)
         w = rng.uniform(0.2, 0.8, size=(g.n_edges, 1))
         view = gating.build_views(g, Tensor(w)).a_coh
-        h_b, _, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
+        h_b, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
 
         # brute-force dense mixture oracle
         a = _dense_adj(g)

@@ -278,6 +278,14 @@ def _(rng):
     return [a, b], lambda: engine.frobenius(engine.cosine_rows(a, b), c)
 
 
+@op_case("cosine_rows_gram")
+def _(rng):
+    a, b = _param(rng, (5, 4)), _param(rng, (5, 4))
+    basis = rng.normal(size=(4, 6))
+    c = Tensor(rng.normal(size=(5, 1)))
+    return [a, b], lambda: engine.frobenius(engine.cosine_rows(a, b, basis @ basis.T), c)
+
+
 def _edge_sum_case(rng, h_grad: bool, w_grad: bool):
     # node 4 has no edges; nodes 0-3 receive one or two edges each
     src = np.array([0, 1, 1, 3, 2, 0, 3])
@@ -514,6 +522,47 @@ def test_edge_sum_matches_dense_oracle(case):
     params = [h, w] if src.shape[0] else [h]
     loss_fn = lambda: engine.frobenius(engine.sigmoid(engine.edge_sum(h, w, src, dst, n)), c)
     assert check_grad(loss_fn, params, seed=seed % 1000) <= 1e-4
+
+
+def _cosines_and_grads(a_values, b_values, gram=None, basis=None):
+    """cosine_rows of (a, b), or of (a B, b B), and its gradients w.r.t. a
+    and b under the loss sum_i c_i cos_i, c fixed."""
+    engine.reset_tape()
+    a, b = (Tensor(v, requires_grad=True) for v in (a_values, b_values))
+    pa, pb = (a, b) if basis is None else (engine.matmul(a, Tensor(basis)),
+                                           engine.matmul(b, Tensor(basis)))
+    cos = engine.cosine_rows(pa, pb, gram)
+    c = np.linspace(-1.0, 2.0, a_values.shape[0])[:, None]
+    engine.backward(engine.frobenius(cos, Tensor(c)))
+    engine.reset_tape()
+    return cos.values, a.grad, b.grad
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(3, 6), (5, 5), (6, 3)]))
+def test_gram_cosines_equal_cosines_of_projected_rows(seed, widths):
+    """cos_G(a, b) = cos(a B, b B) for G = B B^T within 1e-12, with B wider
+    than, as wide as, or narrower than its F + 1 rows (a rank-deficient G).
+    A zero row, and when G is rank-deficient a row in its null space, give a
+    finite 0 with finite gradients."""
+    rows, d_e = widths
+    rng = np.random.default_rng(seed)
+    basis = rng.normal(size=(rows, d_e))
+    a_values, b_values = rng.normal(size=(6, rows)), rng.normal(size=(6, rows))
+    a_values[0] = 0.0
+    degenerate = [0]
+    if rows > d_e:
+        a_values[1] = 3.0 * np.linalg.svd(basis)[0][:, -1]   # a_1 B = 0
+        degenerate.append(1)
+    gram = basis @ basis.T
+    cos, grad_a, grad_b = _cosines_and_grads(a_values, b_values, gram=gram)
+    ref, ref_a, ref_b = _cosines_and_grads(a_values, b_values, basis=basis)
+    assert np.all(np.isfinite(grad_a)) and np.all(np.isfinite(grad_b))
+    assert np.abs(cos[degenerate]).max() <= 1e-6
+    keep = np.setdiff1d(np.arange(6), degenerate)
+    assert np.abs(cos[keep] - ref[keep]).max() <= 1e-12
+    for got, want in ((grad_a, ref_a), (grad_b, ref_b)):
+        assert np.abs(got[keep] - want[keep]).max() <= 1e-10 * np.abs(want[keep]).max()
 
 
 def test_frozen_parameters_record_nothing_and_get_no_gradient():

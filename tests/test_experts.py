@@ -40,7 +40,7 @@ def test_backbone_dense_mixture_when_k_equals_n_exp():
     bank = sgc_bank(g, emb, rng, n_exp=3, top_k=3)
     view = filters.raw_view(g)
     x = Tensor(g.features)
-    h_b, stats, _, _ = experts.backbone_forward(bank, x, emb, view)
+    h_b, stats, _ = experts.backbone_forward(bank, x, emb, view)
 
     # brute-force dense oracle
     gate_in = np.hstack([g.features, emb])
@@ -67,7 +67,7 @@ def test_backbone_topk_closed_form_weights():
     bank.gate_w.values = np.zeros_like(bank.gate_w.values)
     bank.gate_b.values = np.array([[2.0, 1.0, 0.0, -1.0]])
     view = filters.raw_view(g)
-    h_b, stats, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
+    h_b, stats, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
     assert np.allclose(stats.f, [1.0, 1.0, 0.0, 0.0])
     assert abs(stats.f.sum() - bank.top_k) < 1e-12
     w0 = np.exp(2.0) / (np.exp(2.0) + np.exp(1.0))
@@ -84,7 +84,7 @@ def test_backbone_single_expert_is_projection():
     bank = experts.init_expert_bank("coh", [FilterSpec("sgc", 1)], 1,
                                     g.feat_dim, emb.shape[1], 4, rng)
     view = filters.raw_view(g)
-    h_b, _, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
+    h_b, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
     out = filters.apply_filter(FilterSpec("sgc", 1), Tensor(g.features), view)
     expect = out.values @ bank.proj_w.values + bank.proj_b.values
     assert np.allclose(h_b.values, expect, atol=1e-12)
@@ -126,7 +126,7 @@ def test_backbone_gradients_match_finite_differences():
 
     def loss_fn():
         pair = gating.build_views(g, w_und)
-        h_b, stats, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, pair.a_coh)
+        h_b, stats, _ = experts.backbone_forward(bank, Tensor(g.features), emb, pair.a_coh)
         return engine.add(engine.frobenius(h_b, target),
                           experts.load_balance_loss(stats))
 

@@ -217,11 +217,16 @@ def test_scaled_cosine_error_half_cosine_gamma_two():
     assert abs(err.item() - 0.75) < 1e-7
 
 
+def _plain(h):
+    """An output h handed over as its factors (h, I, 0)."""
+    return h, Tensor(np.eye(h.shape[1])), Tensor(np.zeros((1, h.shape[1])))
+
+
 def test_svg_loss_perfect_low_pass_term_vanishes():
     """Isolated node: both single-hop filters act trivially, loss = 0 + 1."""
     g = graphs.make_graph(1, np.zeros((0, 2)), np.ones((1, 1)))
     pair = gating.build_views(g, Tensor(np.zeros((0, 1))))
-    h = Tensor(np.array([[1.0, 2.0]]))
+    h = _plain(Tensor(np.array([[1.0, 2.0]])))
     # the low-pass hop returns h itself (term ~0), its complement zeros (term 1)
     loss = gating.svg_loss(pair, h, h, gamma_svg=1.0)
     assert abs(loss.item() - 1.0) < 1e-6
@@ -237,7 +242,7 @@ def test_svg_loss_trains_only_the_gate():
     logits = gating.edge_logits(params, Tensor(g.features), emb, g)
     w = gating.gumbel_sigmoid_weights(logits, 0.5, None)
     pair = gating.build_views(g, w)
-    h_b = engine.relu(fake_backbone_param)
+    h_b = _plain(engine.relu(fake_backbone_param))
     loss = gating.svg_loss(pair, h_b, h_b, gamma_svg=1.0)
     engine.backward(loss)
     assert fake_backbone_param.grad is None
@@ -249,8 +254,8 @@ def test_svg_loss_gradient_matches_finite_differences():
     g, emb = small_graph(seed=8)
     rng = np.random.default_rng(9)
     params = gating.init_edge_gate(g.feat_dim, emb.shape[1], hidden=4, rng=rng)
-    h_coh = Tensor(rng.normal(size=(g.n_nodes, 3)))
-    h_disp = Tensor(rng.normal(size=(g.n_nodes, 3)))
+    h_coh = _plain(Tensor(rng.normal(size=(g.n_nodes, 3))))
+    h_disp = _plain(Tensor(rng.normal(size=(g.n_nodes, 3))))
     g1, g2 = engine.gumbel_pair(np.random.default_rng(11), (g.n_edges, 1))
     noise = Tensor(g1 - g2)
 
@@ -264,16 +269,13 @@ def test_svg_loss_gradient_matches_finite_differences():
 
 
 def _factored_targets(rng, n, feat_dim, d_e):
-    """Two (M W + b, M, W, b) targets, one per channel."""
-    out = []
-    for _ in range(2):
-        mix, w, b = (Tensor(rng.normal(size=shape))
-                     for shape in ((n, feat_dim), (feat_dim, d_e), (1, d_e)))
-        out.append((engine.add_row(engine.matmul(mix, w), b), mix, w, b))
-    return out
+    """Two (M, W, b) targets, one per channel."""
+    return [tuple(Tensor(rng.normal(size=shape))
+                  for shape in ((n, feat_dim), (feat_dim, d_e), (1, d_e)))
+            for _ in range(2)]
 
 
-# F + 1 < d_e propagates [M, 1]; F + 1 >= d_e propagates M W + b itself
+# F + 1 < d_e, F + 1 = d_e and F + 1 > d_e (a rank-deficient Gram)
 @pytest.mark.parametrize("feat_dim,d_e", [(3, 6), (4, 5), (6, 3)])
 def test_svg_loss_on_factors_equals_projected_targets(feat_dim, d_e):
     g, _ = small_graph(seed=12)
@@ -281,7 +283,8 @@ def test_svg_loss_on_factors_equals_projected_targets(feat_dim, d_e):
     pair = gating.build_views(g, Tensor(rng.uniform(0.1, 0.9, size=(g.n_edges, 1))))
     coh, disp = _factored_targets(rng, g.n_nodes, feat_dim, d_e)
     factored = gating.svg_loss(pair, coh, disp, gamma_svg=2.0).item()
-    plain = gating.svg_loss(pair, coh[0], disp[0], gamma_svg=2.0).item()
+    projected = [_plain(engine.add_row(engine.matmul(mix, w), b)) for mix, w, b in (coh, disp)]
+    plain = gating.svg_loss(pair, *projected, gamma_svg=2.0).item()
     assert abs(factored - plain) <= 1e-12 * abs(plain)
 
 

@@ -4,6 +4,8 @@ import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,3 +33,21 @@ def test_same_behaviour_digests(tmp_path):
     assert "default.metrics: max|diff|" in report.getvalue()
     assert tool.main(["compare", a, b]) == 0
     assert tool.main(["compare", a, other]) == 1
+
+
+def test_compare_rel_accepts_a_perturbed_digest_within_tolerance(tmp_path):
+    tool = _load_tool()
+    ref = {"loss": np.array([0.75, -2.0, 1.5]), "steps": np.arange(3),
+           "label": np.array("run")}
+    perturbed = dict(ref, loss=ref["loss"] * (1.0 + np.array([0.0, 3e-9, -1e-9])))
+    a, b = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+    np.savez(a, **ref)
+    np.savez(b, **perturbed)
+    assert tool.main(["compare", a, b]) == 1
+    assert tool.main(["compare", "--rel", "1e-12", a, b]) == 1
+    report = io.StringIO()
+    assert tool.compare(a, b, out=report, rel=1e-8)
+    assert "loss: max|diff| / max|ref| = 6e-09 / 2 = 3e-09" in report.getvalue()
+    assert tool.main(["compare", "--rel", "1e-8", a, b]) == 0
+    np.savez(b, **dict(perturbed, label=np.array("other")))
+    assert tool.main(["compare", "--rel", "1", a, b]) == 1      # not numeric

@@ -79,9 +79,12 @@ def test_masked_rows_never_enter_forward(sbm):
     poisoned = sbm.features.copy()
     poisoned[plan] = np.nan
     engine.reset_tape()
-    x_input = trainer.masked_input(poisoned, plan, state.model.mask_token)
+    # the gate input the masked steps build: the features with the masked rows zeroed
+    x_gate = poisoned.copy()
+    x_input = trainer.masked_input(x_gate, plan, state.model.mask_token, copy=False)
     assert np.isfinite(x_input.values).all()
-    fwd = trainer.full_forward(state.model, x_input, np.random.default_rng(0))
+    fwd = trainer.full_forward(state.model, x_input, np.random.default_rng(0),
+                               x_gate=x_gate)
     loss = trainer.mae_loss(fwd.h_final, state.model.decoder, sbm.features,
                             plan, cfg.gamma)
     assert np.isfinite(loss.item())
@@ -219,7 +222,7 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
-    assert at_backward == [45, 296, 281]   # svg, recon, fine-tune
+    assert at_backward == [43, 296, 281]   # svg, recon, fine-tune
     assert at_forward[1] == 0                # embed
 
 
@@ -282,16 +285,18 @@ def test_recon_tape_holds_no_embedding_square(sbm, monkeypatch):
 
 
 def test_svg_tape_propagates_in_the_filter_basis(sbm, monkeypatch):
-    """With F + 1 < d_e the cross-filter loss propagates the F + 1 wide
-    [M, 1]: no edge sum of the svg step takes a d_e-wide input."""
-    cfg = tiny_cfg()
-    assert sbm.feat_dim + 1 < cfg.hidden
+    """The cross-filter loss stays in the F + 1 wide filter basis: no tensor
+    on the svg tape is d_e wide, as a projected hop, its complement or a
+    d_e-wide edge sum would be."""
+    cfg = tiny_cfg(hidden=11)
+    assert cfg.hidden not in (sbm.feat_dim, sbm.feat_dim + 1, cfg.d_s,
+                              cfg.edge_hidden, cfg.n_exp)
     state = trainer.init_state(sbm, cfg)
     widths = []
     original = engine.backward
     monkeypatch.setattr(engine, "backward", lambda loss: (
-        widths.extend(rec[2][0].shape[1] for rec in engine.current_tape().records
-                      if rec[0] == "edge_sum"),
+        widths.extend(t.shape[1] for rec in engine.current_tape().records
+                      for t in (rec[1],) + rec[2]),
         original(loss)))
     trainer.svg_step(state)
     assert widths and cfg.hidden not in widths

@@ -1,7 +1,7 @@
 """Same-behaviour proof for refactors: collect a run digest, compare two.
 
     PYTHONPATH=src python3 tools/same_behaviour.py collect OUT.npz
-    PYTHONPATH=src python3 tools/same_behaviour.py compare A.npz B.npz
+    PYTHONPATH=src python3 tools/same_behaviour.py compare [--rel TOL] A.npz B.npz
 
 ``collect`` trains the fixed two-block SBM of ``adamore gen-sbm --blocks 2
 --per-block 100 --p-in 0.5 --p-out 0.05 --seed 0`` for 20 epochs at lr 0.01
@@ -20,9 +20,11 @@ the rows of ``distinctiveness_study``, ``noise_robustness`` and
 report, which it also stores for a heterophilous four-block SBM.
 
 ``compare`` prints each entry as identical, or as max |diff| / max |ref|,
-and exits 0 only when every entry of both files is identical. Run
-``collect`` once with the parent commit's ``src`` on PYTHONPATH and once
-with the change's, then ``compare`` the two files.
+and exits 0 only when every entry of both files is identical. With
+``--rel TOL`` it also accepts a numeric entry whose ratio is at most TOL,
+the proof for a change that reorders a sum. Run ``collect`` once with the
+parent commit's ``src`` on PYTHONPATH and once with the change's, then
+``compare`` the two files.
 """
 
 from __future__ import annotations
@@ -149,30 +151,34 @@ def _studies(g: graphs.Graph, cfg: TrainConfig, seeds: tuple[int, ...]) -> dict:
     }
 
 
-def _verdict(a: np.ndarray | None, b: np.ndarray | None) -> str | None:
-    """None when identical, else a short description of the difference."""
+def _difference(a: np.ndarray | None, b: np.ndarray | None) -> tuple[str, float] | None:
+    """None when identical, else a short description of the difference and
+    max |diff| / max |ref| (infinite where no such ratio applies)."""
     if a is None or b is None:
-        return "missing in " + ("A" if a is None else "B")
+        return "missing in " + ("A" if a is None else "B"), np.inf
     if a.shape != b.shape or a.dtype.kind != b.dtype.kind:
-        return f"shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}"
+        return f"shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}", np.inf
     if np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
         return None
     if a.dtype.kind not in "fiu":
-        return "differs"
+        return "differs", np.inf
     diff = np.max(np.abs(a.astype(float) - b.astype(float)))
     ref = np.max(np.abs(a.astype(float)))
-    return f"max|diff| / max|ref| = {diff:.3g} / {ref:.3g} = {diff / ref if ref else np.inf:.3g}"
+    rel = diff / ref if ref else np.inf
+    return f"max|diff| / max|ref| = {diff:.3g} / {ref:.3g} = {rel:.3g}", rel
 
 
-def compare(path_a: str, path_b: str, out=sys.stdout) -> bool:
+def compare(path_a: str, path_b: str, out=sys.stdout, rel: float = 0.0) -> bool:
+    """True when every entry is identical, or numeric and within ``rel``."""
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
     same = True
     for key in sorted(a.keys() | b.keys()):
-        verdict = _verdict(a.get(key), b.get(key))
-        same &= verdict is None
-        print(f"{key}: {verdict or 'identical'}", file=out)
-    print(json.dumps({"entries": len(a.keys() | b.keys()), "identical": same}), file=out)
+        diff = _difference(a.get(key), b.get(key))
+        same &= diff is None or bool(diff[1] <= rel)
+        print(f"{key}: {diff[0] if diff else 'identical'}", file=out)
+    print(json.dumps({"entries": len(a.keys() | b.keys()), "rel": rel, "same": same}),
+          file=out)
     return same
 
 
@@ -181,14 +187,17 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("collect", help="train the fixed configs and write a digest")
     p.add_argument("out")
-    p = sub.add_parser("compare", help="compare two digests; exit 0 when identical")
+    p = sub.add_parser("compare", help="compare two digests; exit 0 when they match")
     p.add_argument("a")
     p.add_argument("b")
+    p.add_argument("--rel", type=float, default=0.0, metavar="TOL",
+                   help="also accept a numeric entry with max|diff| / max|ref| <= TOL "
+                        "(default 0: identical only)")
     args = parser.parse_args(argv)
     if args.command == "collect":
         collect(args.out)
         return 0
-    return 0 if compare(args.a, args.b) else 1
+    return 0 if compare(args.a, args.b, rel=args.rel) else 1
 
 
 if __name__ == "__main__":
