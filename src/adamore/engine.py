@@ -11,10 +11,11 @@ Graph products run through :func:`edge_sum`, one sparse product per
 weighted propagation, :func:`pair_mlp`, the edge gate's hidden and output
 layers over row pairs, and :func:`gather_rows` / :func:`scatter_rows`.
 Learned per-edge weights enter them as dense vectors with exact gradients.
-Every sparse pattern is built once per index array and sums each row in
-ascending edge order. Work with one row per edge and a feature width runs
-in cache-sized row blocks (:func:`gathered_pairs`) through buffers reused
-for every block, so no edges x width array is formed.
+Their index arguments are :class:`Index` objects, which keep their sparse
+layouts for their lifetime and sum each row in ascending edge order; the
+graph owns the ones every step reuses. Work with one row per edge and a
+feature width runs in cache-sized row blocks (:func:`gathered_pairs`)
+through buffers reused for every block, so no edges x width array is formed.
 
 A training session owns one tape and is single-threaded. Call
 :func:`reset_tape` at the start of each optimization step; parameters are
@@ -25,9 +26,9 @@ Adam, and :func:`atomic_write`, the writer of every output file.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -279,50 +280,61 @@ def mul_col(a: Tensor, v: Tensor) -> Tensor:
                               np.einsum("ij,ij->i", g, av)[:, None] if need_v else None))
 
 
-_AGG_CACHE: OrderedDict = OrderedDict()
-
-
-def _cached(key, build):
-    """The one cache of sparse index patterns.
-
-    Index arrays repeat every forward pass (a graph's edge endpoints), so
-    each pattern is built once per distinct array and kept under its bytes.
-    Past 64 entries the least recently used goes, so the one-shot pattern
-    of each step's random mask never evicts the graph's.
-    """
-    hit = _AGG_CACHE.get(key)
-    if hit is None:
-        hit = build()
-        if len(_AGG_CACHE) >= 64:
-            _AGG_CACHE.popitem(last=False)
-        _AGG_CACHE[key] = hit
-    else:
-        _AGG_CACHE.move_to_end(key)
-    return hit
-
-
-def _row_pattern(rows: np.ndarray, cols: np.ndarray, n_rows: int):
-    """CSR layout (order, indices, indptr) of the entries (rows[e], cols[e]).
-
-    The stable sort keeps each row's entries in ascending e, so every
-    product with the pattern sums a row in ascending entry order.
-    """
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-        raise IndexError(f"index out of range for {n_rows} rows")
-    order = np.argsort(rows, kind="stable")
+def _layout(idx: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR layout (order, indptr) of the entries e grouped by row idx[e]; the
+    stable sort keeps each row's entries, and so its sums, in ascending e."""
+    order = np.argsort(idx, kind="stable")
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return order, cols[order], indptr
+    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
+    return order, indptr
 
 
-def _aggregator(idx: np.ndarray, n_rows: int):
-    """Cached n_rows x len(idx) 0/1 matrix whose product segment-sums over idx."""
-    def build():
-        m = idx.shape[0]
-        _, cols, indptr = _row_pattern(idx, np.arange(m), n_rows)
-        return sps.csr_matrix((np.ones(m), cols, indptr), shape=(n_rows, m))
+class Index:
+    """A read-only copy of an index array into ``n_rows`` rows, range-checked
+    once. Its layouts are built on first use and kept for its lifetime, so
+    an index every step reuses (a graph's edge endpoints) is laid out once.
+    The sparse ops take an Index or a plain array, wrapped for one call."""
 
-    return _cached((idx.tobytes(), n_rows), build)
+    def __init__(self, idx, n_rows: int):
+        idx = np.array(idx, dtype=np.int64).ravel()
+        if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+            raise IndexError(f"index out of range for {n_rows} rows")
+        idx.setflags(write=False)
+        self.idx, self.n_rows = idx, n_rows
+        self._blocks: tuple[int, list] = (0, [])
+
+    def __len__(self) -> int:
+        return self.idx.shape[0]
+
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        return _layout(self.idx, self.n_rows)
+
+    @cached_property
+    def segment_sum(self) -> sps.csr_matrix:
+        """The n_rows x len 0/1 matrix whose product sums rows e into row idx[e]."""
+        order, indptr = self.layout
+        return sps.csr_matrix((np.ones(len(self)), order, indptr), shape=(self.n_rows, len(self)))
+
+    def blocks(self, step: int) -> list:
+        """Per block of ``step`` entries: the CSR layout (indptr, indices,
+        ones) of its segment sum; kept for the last ``step`` asked for."""
+        if self._blocks[0] != step:
+            layouts = (_layout(self.idx[lo:lo + step], self.n_rows)
+                       for lo in range(0, len(self), step))
+            self._blocks = (step, [(indptr, order, np.ones(order.shape[0]))
+                                   for order, indptr in layouts])
+        return self._blocks[1]
+
+
+def _as_index(idx, n_rows: int) -> Index:
+    """``idx`` itself if it is an :class:`Index` into ``n_rows`` rows, else
+    the plain array wrapped as one."""
+    if not isinstance(idx, Index):
+        return Index(idx, n_rows)
+    if idx.n_rows != n_rows:
+        raise ShapeError(f"index into {idx.n_rows} rows used where {n_rows} rows are expected")
+    return idx
 
 
 # bytes of one row-block buffer; a sweep of 128 KiB to 2 MiB on both benchmark
@@ -335,17 +347,16 @@ def block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
-def gathered_pairs(x: np.ndarray, y: np.ndarray, xi: np.ndarray, yi: np.ndarray):
+def gathered_pairs(x: np.ndarray, y: np.ndarray, xi, yi):
     """Yield (lo, hi, x[xi[lo:hi]], y[yi[lo:hi]]) over consecutive row blocks.
 
-    ``x`` and ``y`` have equal widths. The two gathers land in buffers that
+    ``x`` and ``y`` have equal widths; ``xi`` and ``yi`` index their rows
+    (an :class:`Index` or a plain array). The two gathers land in buffers that
     every block reuses, so no len(xi)-row array is formed; a yielded block
     is overwritten by the next one.
     """
+    xi, yi = _as_index(xi, x.shape[0]).idx, _as_index(yi, y.shape[0]).idx
     n, width = xi.shape[0], x.shape[1]
-    for idx, rows in ((xi, x.shape[0]), (yi, y.shape[0])):
-        if idx.size and (idx.min() < 0 or idx.max() >= rows):
-            raise IndexError(f"index out of range for {rows} rows")
     step = block_rows(8 * width)
     bx, by = np.empty((min(step, n), width)), np.empty((min(step, n), width))
     for lo in range(0, n, step):
@@ -354,8 +365,7 @@ def gathered_pairs(x: np.ndarray, y: np.ndarray, xi: np.ndarray, yi: np.ndarray)
                np.take(y, yi[lo:hi], axis=0, out=by[:hi - lo], mode="clip"))
 
 
-def edge_sum(h: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
-             n_rows: int) -> Tensor:
+def edge_sum(h: Tensor, w: Tensor, src, dst, n_rows: int) -> Tensor:
     """Weighted edge sum: row i is the sum of w[e] * h[src[e]] over dst[e] = i.
 
     One sparse product A h with A[dst[e], src[e]] = w[e]; the backward is
@@ -365,25 +375,22 @@ def edge_sum(h: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
     ``scatter_rows(mul_col(gather_rows(h, src), w), dst)`` bit for bit,
     without the edges x columns message matrix.
     """
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
-    m, n_cols = src.shape[0], h.shape[0]
-    if dst.shape[0] != m or w.shape != (m, 1):
+    n_cols = h.shape[0]
+    src, dst = _as_index(src, n_cols), _as_index(dst, n_rows)
+    m = len(src)
+    if len(dst) != m or w.shape != (m, 1):
         raise ShapeError(f"operation 'edge_sum' needs {m} destinations and ({m}, 1) "
-                         f"weights, got {dst.shape[0]} and {w.shape}")
-    fwd, bwd = _cached((src.tobytes(), dst.tobytes(), n_rows, n_cols),
-                       lambda: (_row_pattern(dst, src, n_rows),
-                                _row_pattern(src, dst, n_cols)))
+                         f"weights, got {len(dst)} and {w.shape}")
     hv, wv = h.values, w.values[:, 0]
-    order, cols, indptr = fwd
-    out = Tensor(sps.csr_matrix((wv[order], cols, indptr), shape=(n_rows, n_cols)) @ hv)
+    order, indptr = dst.layout
+    out = Tensor(sps.csr_matrix((wv[order], src.idx[order], indptr), shape=(n_rows, n_cols)) @ hv)
     need_h, need_w = h._needs_grad, w._needs_grad
 
     def back(g):
         gh = gw = None
         if need_h:
-            order, cols, indptr = bwd
-            gh = sps.csr_matrix((wv[order], cols, indptr), shape=(n_cols, n_rows)) @ g
+            order, indptr = src.layout
+            gh = sps.csr_matrix((wv[order], dst.idx[order], indptr), shape=(n_cols, n_rows)) @ g
         if need_w:
             gw = np.empty((m, 1))
             for lo, hi, gd, hs in gathered_pairs(g, hv, dst, src):
@@ -393,34 +400,14 @@ def edge_sum(h: Tensor, w: Tensor, src: np.ndarray, dst: np.ndarray,
     return _record("edge_sum", out, (h, w), back)
 
 
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Row selection by an integer index array (repeats allowed)."""
-    idx = np.asarray(index, dtype=np.int64).ravel()
-    av = a.values
-    out = Tensor(av[idx])
-
-    def back(g):
-        return (_aggregator(idx, av.shape[0]) @ g,)
-
-    return _record("gather_rows", out, (a,), back)
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Row selection by an index into the rows of ``a`` (repeats allowed)."""
+    idx = _as_index(index, a.shape[0])
+    out = Tensor(a.values[idx.idx])
+    return _record("gather_rows", out, (a,), lambda g: (idx.segment_sum @ g,))
 
 
-def _block_patterns(idx: np.ndarray, n_rows: int, step: int):
-    """Per row block of ``idx``: the CSR layout (indptr, indices, ones) of
-    its n_rows x block aggregator, each row in ascending entry order."""
-    def build():
-        out = []
-        for lo in range(0, idx.shape[0], step):
-            block = idx[lo:lo + step]
-            _, cols, indptr = _row_pattern(block, np.arange(block.shape[0]), n_rows)
-            out.append((indptr, cols, np.ones(block.shape[0])))
-        return out
-
-    return _cached(("blocks", idx.tobytes(), n_rows, step), build)
-
-
-def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src: np.ndarray,
-             dst: np.ndarray) -> Tensor:
+def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src, dst) -> Tensor:
     """Row-pair hidden and output layer: row e is relu(a[src[e]] + b[dst[e]]) v.
 
     ``v`` is one column. The pairs run in row blocks (:func:`gathered_pairs`)
@@ -431,17 +418,16 @@ def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src: np.ndarray,
     ``matmul(relu(add(gather_rows(a, src), gather_rows(b, dst))), v)`` up to
     rounding, without its pairs x width arrays.
     """
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
     width = a.shape[1]
-    if b.shape[1] != width or v.shape != (width, 1) or src.shape != dst.shape:
+    if b.shape[1] != width or v.shape != (width, 1) or len(src) != len(dst):
         raise ShapeError(f"operation 'pair_mlp' needs equal widths, a ({width}, 1) column "
                          f"and equal index lengths, got {a.shape}, {b.shape}, {v.shape} "
-                         f"and {src.shape[0]}, {dst.shape[0]} pairs")
+                         f"and {len(src)}, {len(dst)} pairs")
+    src, dst = _as_index(src, a.shape[0]), _as_index(dst, b.shape[0])
     av, bv, vv = a.values, b.values, v.values
     need_a, need_b, need_v = a._needs_grad, b._needs_grad, v._needs_grad
     taped = need_a or need_b or need_v
-    n_pairs = src.shape[0]
+    n_pairs = len(src)
     ov = np.empty((n_pairs, 1))
     mask = np.empty((n_pairs, (width + 7) // 8), dtype=np.uint8) if taped else None
     for lo, hi, z, zb in gathered_pairs(av, bv, src, dst):
@@ -456,7 +442,7 @@ def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src: np.ndarray,
         step = block_rows(8 * width)
         g_a = np.zeros((av.shape[0], width)) if need_a or need_v else None
         g_b = np.zeros((bv.shape[0], width)) if need_b or need_v else None
-        sums = [(acc, _block_patterns(idx, acc.shape[0], step))
+        sums = [(acc, idx.blocks(step))
                 for idx, acc in ((src, g_a), (dst, g_b)) if acc is not None]
         buf = np.empty((min(step, n_pairs), width))
         for k, lo in enumerate(range(0, n_pairs, step)):
@@ -475,13 +461,13 @@ def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src: np.ndarray,
     return _record("pair_mlp", out, (a, b, v), back)
 
 
-def scatter_rows(a: Tensor, index: np.ndarray, n_rows: int) -> Tensor:
+def scatter_rows(a: Tensor, index, n_rows: int) -> Tensor:
     """Segment-sum rows of ``a`` into ``n_rows`` buckets given by ``index``."""
-    idx = np.asarray(index, dtype=np.int64).ravel()
-    if idx.shape[0] != a.shape[0]:
-        raise ShapeError(f"operation 'scatter_rows' index length {idx.shape[0]} != rows {a.shape[0]}")
-    out = Tensor(_aggregator(idx, n_rows) @ a.values)
-    return _record("scatter_rows", out, (a,), lambda g: (g[idx],))
+    idx = _as_index(index, n_rows)
+    if len(idx) != a.shape[0]:
+        raise ShapeError(f"operation 'scatter_rows' index length {len(idx)} != rows {a.shape[0]}")
+    out = Tensor(idx.segment_sum @ a.values)
+    return _record("scatter_rows", out, (a,), lambda g: (g[idx.idx],))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -719,7 +705,8 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """The named matrices of a :func:`save_checkpoint` archive. A file cut
-    short or not an archive raises ValueError naming ``path``."""
+    short, not an archive or with a malformed manifest raises ValueError
+    naming ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     start = 8 + int.from_bytes(raw[:8], "little")
@@ -730,11 +717,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if lines[:1] != [CHECKPOINT_HEADER]:
         raise ValueError(f"{path}: not a checkpoint archive "
                          f"(expected header {CHECKPOINT_HEADER!r})")
+    try:
+        entries = [(name, int(rows), int(cols), int(off))
+                   for name, rows, cols, off in map(str.split, lines[2:])]
+        if int(lines[1]) != len(entries):
+            raise ValueError(f"it announces {lines[1]} entries and lists {len(entries)}")
+    except (IndexError, ValueError) as err:
+        raise ValueError(f"{path}: malformed checkpoint manifest: {err}") from None
     size = len(raw) - start
     named = {}
-    for line in lines[2:2 + int(lines[1])]:
-        name, rows, cols, off = line.split()
-        rows, cols, off = int(rows), int(cols), int(off)
+    for name, rows, cols, off in entries:
         end = off + rows * cols * 8
         if end > size:
             raise ValueError(f"{path}: truncated checkpoint: entry '{name}' needs payload "

@@ -199,21 +199,19 @@ def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> T
     Scores are x (W a) and the message sum_j alpha_ij x_j is projected by W
     after the sum, so every per-edge product is F wide, not d_e wide.
     """
-    n = view.n_nodes
+    n = view.graph.n_nodes
+    src_all, dst_all, pair_rows = view.graph.looped_pairs
     w = params["w"]
     s_src = engine.matmul(x, engine.matmul(w, params["a_src"]))
     s_dst = engine.matmul(x, engine.matmul(w, params["a_dst"]))
-    self_idx = np.arange(n)
-    src_all = np.concatenate([view.src, self_idx])
-    dst_all = np.concatenate([view.dst, self_idx])
     scores = engine.leaky_relu(engine.add(engine.gather_rows(s_src, src_all),
                                           engine.gather_rows(s_dst, dst_all)))
     # constant shift keeps exp bounded; softmax ratios are shift-invariant
     shift = float(scores.values.max())
     e = engine.exp(engine.add_scalar(scores, -shift))
     # the view weights, then a unit weight per self-loop
-    m2 = view.src.shape[0]
-    w_all = engine.add(engine.scatter_rows(view.weights, np.arange(m2), m2 + n),
+    m2 = len(pair_rows)
+    w_all = engine.add(engine.scatter_rows(view.weights, pair_rows, m2 + n),
                        Tensor(np.repeat([[0.0], [1.0]], (m2, n), axis=0)))
     z = engine.mul(e, w_all)
     denom = engine.add_scalar(engine.scatter_rows(z, dst_all, n), engine.EPS)

@@ -39,26 +39,26 @@ class FilterSpec:
 class AdjacencyView:
     """Self-looped adjacency whose off-diagonal entries carry learned weights.
 
-    ``weights`` has one entry per directed edge (both orientations of an
-    undirected edge share the same weight) and participates in the tape.
-    The weighted degree is recorded once, on the tape current when the view
-    is built, so build a view after the tape reset of the step that uses it.
+    ``weights`` has one entry per directed pair of ``graph`` (both
+    orientations of an undirected edge share the same weight) and
+    participates in the tape. The weighted degree is recorded once, on the
+    tape current when the view is built, so build a view after the tape
+    reset of the step that uses it.
     """
 
-    n_nodes: int
-    src: np.ndarray
-    dst: np.ndarray
+    graph: Graph
     weights: Tensor  # (2m, 1)
     weight_sum: Tensor = field(init=False)    # sum of incident weights, (n, 1)
     inv_deg: Tensor = field(init=False)       # (1 + weight_sum)^-1
     inv_sqrt_deg: Tensor = field(init=False)  # (1 + weight_sum)^-1/2
 
     def __post_init__(self):
-        if self.weights.shape != (self.src.shape[0], 1):
+        if self.weights.shape != (2 * self.graph.n_edges, 1):
             raise engine.ShapeError(
                 f"view weights shape {self.weights.shape} does not match "
-                f"{self.src.shape[0]} directed edges")
-        self.weight_sum = engine.scatter_rows(self.weights, self.dst, self.n_nodes)
+                f"{2 * self.graph.n_edges} directed edges")
+        self.weight_sum = engine.scatter_rows(self.weights, self.graph.pairs[1],
+                                              self.graph.n_nodes)
         deg = engine.add_scalar(self.weight_sum, 1.0)
         self.inv_deg = engine.power(deg, -1.0)
         self.inv_sqrt_deg = engine.power(deg, -0.5)
@@ -66,9 +66,7 @@ class AdjacencyView:
 
 def raw_view(g: Graph) -> AdjacencyView:
     """The unweighted graph as a view (all edge weights one, constant)."""
-    src, dst = g.directed_pairs()
-    return AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst,
-                         weights=Tensor(np.ones((src.shape[0], 1))))
+    return AdjacencyView(graph=g, weights=Tensor(np.ones((2 * g.n_edges, 1))))
 
 
 def neighbor_sum(view: AdjacencyView, h: Tensor) -> Tensor:
@@ -77,7 +75,8 @@ def neighbor_sum(view: AdjacencyView, h: Tensor) -> Tensor:
     The filters and the SAGE / GIN experts all propagate through here; no
     per-edge message matrix is formed or kept on the tape.
     """
-    return engine.edge_sum(h, view.weights, view.src, view.dst, view.n_nodes)
+    src, dst = view.graph.pairs
+    return engine.edge_sum(h, view.weights, src, dst, view.graph.n_nodes)
 
 
 def neighbor_mean(view: AdjacencyView, h: Tensor) -> Tensor:

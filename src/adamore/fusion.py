@@ -37,8 +37,7 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
         for lo, hi, a, b in engine.gathered_pairs(unit, unit, g.edges[:, 0], g.edges[:, 1]):
             np.multiply(a, b, out=a)
             a.sum(axis=1, out=per_edge[lo:hi])
-        _, dst = g.directed_pairs()
-        acc = np.bincount(dst, weights=np.concatenate([per_edge, per_edge]),
+        acc = np.bincount(g.pairs[1].idx, weights=per_edge[g.pair_edge.idx],
                           minlength=g.n_nodes)
         mask = deg > 0
         score[mask] = acc[mask] / deg[mask]
@@ -54,8 +53,7 @@ def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
     deg = g.degrees().astype(np.float64)
     if g.n_edges:
         w = np.asarray(w).ravel()
-        src, _ = g.directed_pairs()
-        total = np.bincount(src, weights=np.concatenate([w, w]), minlength=g.n_nodes)
+        total = np.bincount(g.pairs[0].idx, weights=w[g.pair_edge.idx], minlength=g.n_nodes)
         mask = deg > 0
         score[mask] = total[mask] / deg[mask]
     return np.clip(score, 0.0, 1.0)

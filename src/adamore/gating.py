@@ -65,11 +65,8 @@ def edge_logits(params: engine.MLP, x: Tensor, s: np.ndarray, g: Graph) -> Tenso
     w_bot = engine.gather_rows(params.w1, np.arange(half, 2 * half))
     top = engine.add_row(engine.matmul(u, w_top), params.b1)
     bot = engine.matmul(u, w_bot)
-    src, dst = g.directed_pairs()
-    out = engine.add_row(engine.pair_mlp(top, bot, params.w2, src, dst), params.b2)
-    m = g.n_edges
-    both = np.concatenate([np.arange(m), np.arange(m)])
-    return engine.scale(engine.scatter_rows(out, both, m), 0.5)
+    out = engine.add_row(engine.pair_mlp(top, bot, params.w2, *g.pairs), params.b2)
+    return engine.scale(engine.scatter_rows(out, g.pair_edge, g.n_edges), 0.5)
 
 
 def gumbel_sigmoid_weights(logits: Tensor, tau: float,
@@ -92,14 +89,10 @@ def build_views(g: Graph, w: Tensor) -> ViewPair:
     vals = w.values
     if (vals < 0.0).any() or (vals > 1.0).any():
         raise ValueError("edge weights must lie in [0, 1]")
-    src, dst = g.directed_pairs()
-    both = np.concatenate([np.arange(m), np.arange(m)])
-    w_dir = engine.gather_rows(w, both)
+    w_dir = engine.gather_rows(w, g.pair_edge)
     disp_dir = engine.sub(Tensor(np.ones((2 * m, 1))), w_dir)
-    return ViewPair(
-        a_coh=AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=w_dir),
-        a_disp=AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=disp_dir),
-    )
+    return ViewPair(a_coh=AdjacencyView(graph=g, weights=w_dir),
+                    a_disp=AdjacencyView(graph=g, weights=disp_dir))
 
 
 def scaled_cosine_error(recon: Tensor, target: Tensor, gamma: float,

@@ -17,6 +17,7 @@ import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,8 @@ class Graph:
     """Immutable undirected graph with node features and optional labels.
 
     Edges are stored once per undirected pair with u < v, lexicographically
-    sorted, no self-loops and no duplicates.
+    sorted, no self-loops and no duplicates. The indexes every step reuses
+    are built on first use and kept, with their layouts.
     """
 
     n_nodes: int
@@ -90,10 +92,29 @@ class Graph:
     def feat_dim(self) -> int:
         return self.features.shape[1]
 
-    def directed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both orientations of every undirected edge: (src, dst), length 2m."""
+    @cached_property
+    def pairs(self) -> tuple[engine.Index, engine.Index]:
+        """Both orientations of every undirected edge: (src, dst), length 2m,
+        pair e and pair m + e the two orientations of edge e."""
         u, v = self.edges[:, 0], self.edges[:, 1]
-        return np.concatenate([u, v]), np.concatenate([v, u])
+        return (engine.Index(np.concatenate([u, v]), self.n_nodes),
+                engine.Index(np.concatenate([v, u]), self.n_nodes))
+
+    @cached_property
+    def pair_edge(self) -> engine.Index:
+        """The undirected edge of each directed pair, into the m edges."""
+        m = self.n_edges
+        return engine.Index(np.concatenate([np.arange(m), np.arange(m)]), m)
+
+    @cached_property
+    def looped_pairs(self) -> tuple[engine.Index, engine.Index, engine.Index]:
+        """The directed pairs, then a self-loop per node: (src, dst) of length
+        2m + n, and the rows of the 2m pairs among them."""
+        src, dst = self.pairs
+        loops = np.arange(self.n_nodes)
+        return (engine.Index(np.concatenate([src.idx, loops]), self.n_nodes),
+                engine.Index(np.concatenate([dst.idx, loops]), self.n_nodes),
+                engine.Index(np.arange(len(src)), len(src) + self.n_nodes))
 
     def degrees(self) -> np.ndarray:
         """Raw degrees without self-loops."""
@@ -133,7 +154,7 @@ def make_graph(n_nodes: int, edge_pairs, features, labels=None, n_classes=None) 
 def normalize(g: Graph) -> sps.csr_matrix:
     """A~ = D^-1/2 (A+I) D^-1/2, D the self-looped degrees."""
     n = g.n_nodes
-    src, dst = g.directed_pairs()
+    src, dst = (p.idx for p in g.pairs)
     rows = np.concatenate([src, np.arange(n)])
     cols = np.concatenate([dst, np.arange(n)])
     dinv_sqrt = 1.0 / np.sqrt(g.degrees() + 1.0)
@@ -203,7 +224,7 @@ def local_homophily(g: Graph) -> np.ndarray:
     same = np.zeros(g.n_nodes)
     deg = g.degrees().astype(np.float64)
     if g.n_edges:
-        src, dst = g.directed_pairs()
+        src, dst = (p.idx for p in g.pairs)
         agree = (g.labels[src] == g.labels[dst]).astype(np.float64)
         np.add.at(same, src, agree)
     h = np.full(g.n_nodes, -1.0)
@@ -229,7 +250,7 @@ def clustering_coefficient(g: Graph) -> np.ndarray:
     integers, so the coefficients are exact.
     """
     n = g.n_nodes
-    src, dst = g.directed_pairs()
+    src, dst = (p.idx for p in g.pairs)
     a = sps.csr_matrix((np.ones(src.shape[0]), (src, dst)), shape=(n, n))
     tri2 = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
     deg = g.degrees()

@@ -93,20 +93,17 @@ def sample_mask(rng: np.random.Generator, n_nodes: int, mask_ratio: float) -> np
     return np.sort(rng.choice(n_nodes, size=count, replace=False))
 
 
-def masked_input(x_values: np.ndarray, mask: np.ndarray, token: Tensor,
-                 copy: bool = True) -> Tensor:
+def masked_input(x_values: np.ndarray, mask: np.ndarray, token: Tensor) -> Tensor:
     """Replace masked feature rows by the learnable token before taping.
 
-    Masked rows of ``x_values`` never reach the tape: they are zeroed on a
-    copy first, so even poisoned (NaN) masked rows yield a finite input.
-    With ``copy=False`` they are zeroed in ``x_values`` itself, which then
-    holds the input without the token.
+    Masked rows of ``x_values`` never reach the tape: they are zeroed in
+    ``x_values`` itself first, so even poisoned (NaN) masked rows yield a
+    finite input, and ``x_values`` then holds the input without the token.
     """
-    base = np.array(x_values, dtype=np.float64, copy=copy)
-    base[mask] = 0.0
-    indicator = np.zeros((base.shape[0], 1))
+    x_values[mask] = 0.0
+    indicator = np.zeros((x_values.shape[0], 1))
     indicator[mask] = 1.0
-    return engine.add(Tensor(base), engine.matmul(Tensor(indicator), token))
+    return engine.add(Tensor(x_values), engine.matmul(Tensor(indicator), token))
 
 
 class Model:
@@ -300,7 +297,7 @@ def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, Fo
     engine.zero_grads(model.all_parameters())
     mask = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
     x_gate = np.array(model.graph.features, dtype=np.float64)
-    x_input = masked_input(x_gate, mask, model.mask_token, copy=False)
+    x_input = masked_input(x_gate, mask, model.mask_token)
     fwd = _guard("reconstruction forward", state.epoch,
                  lambda: full_forward(model, x_input, state.rng, x_gate=x_gate))
     return mask, fwd
@@ -547,7 +544,7 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
         engine.reset_tape()
         engine.zero_grads(moe.parameters())
         mask = sample_mask(rng, g.n_nodes, cfg.mask_ratio)
-        x_input = masked_input(g.features, mask, moe.mask_token)
+        x_input = masked_input(np.array(g.features), mask, moe.mask_token)
         h = _guard("naive forward", epoch, lambda: moe.forward(x_input))
         l_mae = _guard("l_mae", epoch, lambda: mae_loss(
             h, moe.decoder, g.features, mask, cfg.gamma))

@@ -1,4 +1,5 @@
 import os
+import re
 import zlib
 
 import numpy as np
@@ -661,26 +662,47 @@ def test_checkpoint_header_versioned(tmp_path):
         engine.load_checkpoint(bad)
 
 
-def test_index_pattern_cache_keeps_a_reused_pattern(monkeypatch):
-    """Evicting the least recently used entry keeps a pattern used every
-    step: 100 gather_rows backwards at distinct indices (one-shot patterns,
-    as each step's random mask) build the edge_sum pattern once."""
-    monkeypatch.setattr(engine, "_AGG_CACHE", type(engine._AGG_CACHE)())
+def test_graph_layouts_are_built_once_over_many_steps(monkeypatch):
+    """100 edge_sum steps over one graph, each with a fresh random mask
+    gather (as each reconstruction step's), lay the graph's pairs out once;
+    only each step's mask is laid out anew."""
     builds = []
-    cached = engine._cached
-    monkeypatch.setattr(engine, "_cached", lambda key, build: cached(
-        key, lambda: builds.append(key) or build()))
+    layout = engine._layout
+    monkeypatch.setattr(engine, "_layout",
+                        lambda idx, n_rows: builds.append(idx) or layout(idx, n_rows))
+    g = graphs.gen_sbm(10, 2, 0.5, 0.1, feat_dim=3, seed=0)
+    src, dst = g.pairs
     rng = np.random.default_rng(0)
-    src, dst = np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0])
-    h, w, x = _param(rng, (4, 2)), _param(rng, (4, 1)), _param(rng, (200, 3))
-    for step in range(100):
+    h, w = _param(rng, (g.n_nodes, 3)), _param(rng, (len(src), 1))
+    for _ in range(100):
         engine.reset_tape()
-        engine.backward(engine.mean_all(engine.edge_sum(h, w, src, dst, 4)))
-        engine.reset_tape()
-        engine.backward(engine.mean_all(engine.gather_rows(x, np.array([step, step + 1]))))
+        mask = np.sort(rng.choice(g.n_nodes, size=5, replace=False))
+        out = engine.edge_sum(h, w, *g.pairs, g.n_nodes)
+        engine.backward(engine.mean_all(engine.gather_rows(out, mask)))
     engine.reset_tape()
-    assert builds.count((src.tobytes(), dst.tobytes(), 4, 4)) == 1
-    assert len(builds) == 101
+    assert [sum(b is idx.idx for b in builds) for idx in (src, dst)] == [1, 1]
+    assert len(builds) == 2 + 100
+
+
+def test_index_checks_its_range_when_built_and_its_rows_where_used():
+    for bad in ([0, 4], [-1, 2]):
+        with pytest.raises(IndexError):
+            engine.Index(np.array(bad), 4)
+    raw = np.array([0, 3, 3])
+    idx = engine.Index(raw, 4)
+    raw[0] = 1  # the index keeps a read-only copy
+    assert idx.idx.tolist() == [0, 3, 3] and not idx.idx.flags.writeable
+    with pytest.raises(engine.ShapeError):
+        engine.gather_rows(Tensor(np.ones((5, 2))), idx)
+    with pytest.raises(engine.ShapeError):
+        engine.scatter_rows(Tensor(np.ones((3, 2))), idx, 5)
+    with pytest.raises(engine.ShapeError):
+        engine.edge_sum(Tensor(np.ones((4, 2))), Tensor(np.ones((3, 1))), idx, idx, 5)
+    with pytest.raises(engine.ShapeError):
+        engine.pair_mlp(Tensor(np.ones((5, 2))), Tensor(np.ones((4, 2))),
+                        Tensor(np.ones((2, 1))), idx, idx)
+    summed = engine.scatter_rows(Tensor(np.ones((3, 1))), idx, 4)
+    assert summed.values.ravel().tolist() == [1.0, 0.0, 0.0, 2.0]
 
 
 class _InterruptedFile:
@@ -735,6 +757,19 @@ def test_output_writers_write_atomically(tmp_path, monkeypatch):
     assert written == ["edges.tsv", "features.tsv", "labels.tsv", "weights.tsv",
                        "alpha.tsv", "model.ckpt"]
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("manifest", [
+    b"ADAMORE-CKPT-1\n",
+    b"ADAMORE-CKPT-1\none\na 1 1 0\n",
+    b"ADAMORE-CKPT-1\n1\na 1 1\n",
+    b"ADAMORE-CKPT-1\n2\na 1 1 0\n",
+], ids=["header_only", "non_integer_count", "three_field_entry", "count_above_entries"])
+def test_malformed_checkpoint_manifest_is_refused_naming_the_file(tmp_path, manifest):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(struct_pack_header(manifest) + np.zeros(1).tobytes())
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        engine.load_checkpoint(path)
 
 
 def struct_pack_header(header: bytes) -> bytes:

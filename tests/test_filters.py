@@ -15,10 +15,8 @@ def path2():
 
 def view_with_weights(g, w):
     """Weighted view straight from a per-undirected-edge weight vector."""
-    src, dst = g.directed_pairs()
-    m = g.n_edges
     wt = Tensor(np.concatenate([w, w]).reshape(-1, 1))
-    return filters.AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=wt)
+    return filters.AdjacencyView(graph=g, weights=wt)
 
 
 def dense_weighted_sym(g, w):
@@ -161,12 +159,11 @@ def test_gradients_flow_through_h_and_weights():
     m = g.n_edges
     h = Tensor(rng.normal(size=(g.n_nodes, 3)), requires_grad=True)
     w_und = Tensor(rng.uniform(0.2, 0.8, size=(m, 1)), requires_grad=True)
-    src, dst = g.directed_pairs()
     target = Tensor(rng.normal(size=(g.n_nodes, 3)))
 
     def loss_fn():
         w_dir = engine.gather_rows(w_und, np.concatenate([np.arange(m), np.arange(m)]))
-        view = filters.AdjacencyView(n_nodes=g.n_nodes, src=src, dst=dst, weights=w_dir)
+        view = filters.AdjacencyView(graph=g, weights=w_dir)
         out = filters.apply_filter(filters.FilterSpec("lapsgc", 2), h, view)
         return engine.frobenius(out, target)
 

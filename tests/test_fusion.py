@@ -52,7 +52,7 @@ def test_semantic_score_equals_directed_pair_formula(monkeypatch):
     for _ in range(10):
         h = rng.normal(size=(g.n_nodes, 6))
         unit = h / np.maximum(np.linalg.norm(h, axis=1, keepdims=True), engine.EPS)
-        src, dst = g.directed_pairs()
+        src, dst = (p.idx for p in g.pairs)
         acc = np.zeros(g.n_nodes)
         np.add.at(acc, dst, (unit[src] * unit[dst]).sum(axis=1))
         deg = g.degrees().astype(np.float64)

@@ -65,7 +65,7 @@ def test_masked_input_substitutes_token(sbm):
     token = engine.zeros_param((1, sbm.feat_dim))
     token.values = np.full((1, sbm.feat_dim), 7.0)
     plan = np.array([0, 3])
-    x = trainer.masked_input(sbm.features, plan, token)
+    x = trainer.masked_input(np.array(sbm.features), plan, token)
     assert np.allclose(x.values[0], 7.0)
     assert np.allclose(x.values[3], 7.0)
     assert np.array_equal(x.values[1], sbm.features[1])
@@ -81,7 +81,7 @@ def test_masked_rows_never_enter_forward(sbm):
     engine.reset_tape()
     # the gate input the masked steps build: the features with the masked rows zeroed
     x_gate = poisoned.copy()
-    x_input = trainer.masked_input(x_gate, plan, state.model.mask_token, copy=False)
+    x_input = trainer.masked_input(x_gate, plan, state.model.mask_token)
     assert np.isfinite(x_input.values).all()
     fwd = trainer.full_forward(state.model, x_input, np.random.default_rng(0),
                                x_gate=x_gate)
@@ -345,6 +345,23 @@ def test_train_history_schema_and_determinism(sbm):
     assert len(s1.history) == cfg.epochs
     assert list(s1.history[0]) == ["epoch", "l_svg", "l_mae", "l_load", "l_div", "total"]
     assert trainer.metrics_jsonl(s1.history) == trainer.metrics_jsonl(s2.history)
+
+
+def test_graphs_of_equal_size_trained_in_turn_log_what_they_log_alone(sbm):
+    """Two graphs with the same n and m but different edges, trained epoch by
+    epoch in turn in one process, each give the records they give alone:
+    no sparse layout of one graph serves the other."""
+    perm = np.random.default_rng(5).permutation(sbm.n_nodes)
+    other = graphs.make_graph(sbm.n_nodes, perm[sbm.edges], sbm.features, sbm.labels)
+    assert other.n_edges == sbm.n_edges and not np.array_equal(other.edges, sbm.edges)
+    cfg = tiny_cfg(residual_kinds=("gcn-layer", "sage-mean", "gin0", "gat-1head"))
+    alone = [trainer.metrics_jsonl(trainer.train(g, cfg).history) for g in (sbm, other)]
+    assert alone[0] != alone[1]
+    states = [trainer.init_state(g, cfg) for g in (sbm, other)]
+    for _ in range(cfg.epochs):
+        for state in states:
+            trainer.train_epoch(state)
+    assert [trainer.metrics_jsonl(state.history) for state in states] == alone
 
 
 def test_training_reduces_reconstruction_loss(sbm):
