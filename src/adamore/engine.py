@@ -7,15 +7,17 @@ its inputs needs a gradient, and its backward rule forms only the products
 for such inputs. Inside :func:`frozen`, the given parameters count as
 constants, so a step differentiates only the groups it updates.
 
-Graph products run through :func:`edge_sum`, one sparse product per
-weighted propagation, :func:`pair_mlp`, the edge gate's hidden and output
-layers over row pairs, and :func:`gather_rows` / :func:`scatter_rows`.
-Learned per-edge weights enter them as dense vectors with exact gradients.
-Their index arguments are :class:`Index` objects, which keep their sparse
-layouts for their lifetime and sum each row in ascending edge order; the
-graph owns the ones every step reuses. Work with one row per edge and a
-feature width runs in cache-sized row blocks (:func:`gathered_pairs`)
-through buffers reused for every block, so no edges x width array is formed.
+Graph products run through :func:`edge_sum` (weighted propagation),
+:func:`pair_mlp`, the edge gate's hidden and output layers over row pairs,
+and :func:`gather_rows` / :func:`scatter_rows`. Learned per-edge weights
+enter them as dense vectors with exact gradients. Their index arguments are
+:class:`Index` objects, which keep their CSR layouts for their lifetime and
+sum each row in ascending edge order; the graph owns the ones every step
+reuses. Every segment sum is one call of the kernel behind scipy's
+csr @ dense on those layouts (:func:`_csr_matmul`), so no scipy matrix is
+built. Work with one row per edge and a feature width runs in cache-sized
+row blocks (:func:`gathered_pairs`) through buffers reused for every block,
+so no edges x width array is formed.
 
 A training session owns one tape and is single-threaded. Call
 :func:`reset_tape` at the start of each optimization step; parameters are
@@ -32,7 +34,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sps
 from scipy.sparse import _sparsetools
 from scipy.special import expit
 
@@ -115,12 +116,10 @@ def reset_tape() -> Tape:
 
 
 def _check_finite(values: np.ndarray, op: str) -> None:
-    # one-pass screen: any NaN/Inf poisons the sum; confirm before aborting
-    # so that (astronomically unlikely) overflow of the sum itself cannot
-    # flag a finite result
-    with np.errstate(all="ignore"):
-        if not np.isfinite(values.sum()) and not np.isfinite(values).all():
-            raise NonFiniteError(f"operation '{op}' produced non-finite values")
+    # every element is tested, so the screen is exact; isfinite does no
+    # arithmetic, so the screen itself cannot overflow or warn
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"operation '{op}' produced non-finite values")
 
 
 def _record(op: str, out: Tensor, inputs: Sequence[Tensor],
@@ -280,13 +279,30 @@ def mul_col(a: Tensor, v: Tensor) -> Tensor:
                               np.einsum("ij,ij->i", g, av)[:, None] if need_v else None))
 
 
-def _layout(idx: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR layout (order, indptr) of the entries e grouped by row idx[e]; the
-    stable sort keeps each row's entries, and so its sums, in ascending e."""
+def _layout(idx: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR layout (indptr, order, ones) of the n_rows x len(idx) 0/1 matrix
+    that sums entries e into row idx[e]; the stable sort keeps each row's
+    entries, and so its sums, in ascending e."""
     order = np.argsort(idx, kind="stable")
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
-    return order, indptr
+    return indptr, order, np.ones(order.shape[0])
+
+
+def _csr_matmul(indptr, cols, vals, n_cols: int, x: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """out + A x (out fresh zeros by default) for the CSR matrix A with row
+    pointers ``indptr`` and entries ``cols`` < n_cols, ``vals``: scipy's
+    csr @ dense kernel, bit for bit. It reads x unchecked, so its rows are
+    checked here, and x as a C-contiguous copy where it is not one."""
+    if x.shape[0] != n_cols:
+        raise ShapeError(f"sparse product of a ({indptr.shape[0] - 1}, {n_cols}) matrix "
+                         f"with an operand of shape {x.shape}")
+    if out is None:
+        out = np.zeros((indptr.shape[0] - 1, x.shape[1]))
+    _sparsetools.csr_matvecs(out.shape[0], n_cols, x.shape[1], indptr, cols, vals,
+                             x.ravel(), out.ravel())
+    return out
 
 
 class Index:
@@ -307,23 +323,15 @@ class Index:
         return self.idx.shape[0]
 
     @cached_property
-    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _layout(self.idx, self.n_rows)
 
-    @cached_property
-    def segment_sum(self) -> sps.csr_matrix:
-        """The n_rows x len 0/1 matrix whose product sums rows e into row idx[e]."""
-        order, indptr = self.layout
-        return sps.csr_matrix((np.ones(len(self)), order, indptr), shape=(self.n_rows, len(self)))
-
     def blocks(self, step: int) -> list:
-        """Per block of ``step`` entries: the CSR layout (indptr, indices,
-        ones) of its segment sum; kept for the last ``step`` asked for."""
+        """The :func:`_layout` of each block of ``step`` entries; kept for
+        the last ``step`` asked for."""
         if self._blocks[0] != step:
-            layouts = (_layout(self.idx[lo:lo + step], self.n_rows)
-                       for lo in range(0, len(self), step))
-            self._blocks = (step, [(indptr, order, np.ones(order.shape[0]))
-                                   for order, indptr in layouts])
+            self._blocks = (step, [_layout(self.idx[lo:lo + step], self.n_rows)
+                                   for lo in range(0, len(self), step)])
         return self._blocks[1]
 
 
@@ -368,8 +376,9 @@ def gathered_pairs(x: np.ndarray, y: np.ndarray, xi, yi):
 def edge_sum(h: Tensor, w: Tensor, src, dst, n_rows: int) -> Tensor:
     """Weighted edge sum: row i is the sum of w[e] * h[src[e]] over dst[e] = i.
 
-    One sparse product A h with A[dst[e], src[e]] = w[e]; the backward is
-    A^T g for ``h`` and the per-edge dot <g[dst[e]], h[src[e]]> for ``w``.
+    One sparse product A h with A[dst[e], src[e]] = w[e], laid out by
+    ``dst``; the backward is A^T g for ``h``, laid out by ``src``, and the
+    per-edge dot <g[dst[e]], h[src[e]]> for ``w``.
     Both patterns sum in ascending edge order and the dot runs in row
     blocks, so values and gradients equal those of
     ``scatter_rows(mul_col(gather_rows(h, src), w), dst)`` bit for bit,
@@ -382,15 +391,15 @@ def edge_sum(h: Tensor, w: Tensor, src, dst, n_rows: int) -> Tensor:
         raise ShapeError(f"operation 'edge_sum' needs {m} destinations and ({m}, 1) "
                          f"weights, got {len(dst)} and {w.shape}")
     hv, wv = h.values, w.values[:, 0]
-    order, indptr = dst.layout
-    out = Tensor(sps.csr_matrix((wv[order], src.idx[order], indptr), shape=(n_rows, n_cols)) @ hv)
+    indptr, order, _ = dst.layout
+    out = Tensor(_csr_matmul(indptr, src.idx[order], wv[order], n_cols, hv))
     need_h, need_w = h._needs_grad, w._needs_grad
 
     def back(g):
         gh = gw = None
         if need_h:
-            order, indptr = src.layout
-            gh = sps.csr_matrix((wv[order], dst.idx[order], indptr), shape=(n_cols, n_rows)) @ g
+            indptr, order, _ = src.layout
+            gh = _csr_matmul(indptr, dst.idx[order], wv[order], n_rows, g)
         if need_w:
             gw = np.empty((m, 1))
             for lo, hi, gd, hs in gathered_pairs(g, hv, dst, src):
@@ -404,7 +413,7 @@ def gather_rows(a: Tensor, index) -> Tensor:
     """Row selection by an index into the rows of ``a`` (repeats allowed)."""
     idx = _as_index(index, a.shape[0])
     out = Tensor(a.values[idx.idx])
-    return _record("gather_rows", out, (a,), lambda g: (idx.segment_sum @ g,))
+    return _record("gather_rows", out, (a,), lambda g: (_csr_matmul(*idx.layout, len(idx), g),))
 
 
 def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src, dst) -> Tensor:
@@ -449,12 +458,8 @@ def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src, dst) -> Tensor:
             hi = min(lo + step, n_pairs)
             gm = np.multiply(np.unpackbits(mask[lo:hi], axis=1, count=width), g[lo:hi],
                              out=buf[:hi - lo])
-            for acc, patterns in sums:
-                indptr, cols, ones = patterns[k]
-                # acc += pattern @ gm in place, with the kernel behind scipy's
-                # csr @ dense, which would allocate a new n x width result per block
-                _sparsetools.csr_matvecs(acc.shape[0], hi - lo, width, indptr, cols, ones,
-                                         gm.ravel(), acc.ravel())
+            for acc, layouts in sums:
+                _csr_matmul(*layouts[k], hi - lo, gm, out=acc)  # in place, no n x width temporary
         gv = ((av * g_a).sum(axis=0) + (bv * g_b).sum(axis=0))[:, None] if need_v else None
         return (g_a * vv.T if need_a else None, g_b * vv.T if need_b else None, gv)
 
@@ -466,7 +471,7 @@ def scatter_rows(a: Tensor, index, n_rows: int) -> Tensor:
     idx = _as_index(index, n_rows)
     if len(idx) != a.shape[0]:
         raise ShapeError(f"operation 'scatter_rows' index length {len(idx)} != rows {a.shape[0]}")
-    out = Tensor(idx.segment_sum @ a.values)
+    out = Tensor(_csr_matmul(*idx.layout, len(idx), a.values))
     return _record("scatter_rows", out, (a,), lambda g: (g[idx.idx],))
 
 

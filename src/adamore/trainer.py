@@ -457,14 +457,18 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
     """
     model = state.model
     cfg = cfg or model.cfg
-    support = np.asarray(support, dtype=np.int64)
+    support = np.asarray(support)
     if support.size == 0:
         raise ValueError("support set is empty")
     if g.labels is None:
         raise ValueError("few-shot fine-tuning requires labels")
     if g.n_nodes != model.graph.n_nodes:
         raise ValueError("label graph and model graph differ in node count")
-    present = np.unique(g.labels[support])
+    if support.dtype.kind not in "iu" or support.min() < 0 or support.max() >= g.n_nodes:
+        raise ValueError(f"support must hold node indices in [0, {g.n_nodes}), got "
+                         f"{support.dtype} values from {support.min()} to {support.max()}")
+    support = engine.Index(support, g.n_nodes)  # laid out once for every step
+    present = np.unique(g.labels[support.idx])
     if present.size != g.n_classes:
         missing = sorted(set(range(g.n_classes)) - set(present.tolist()))
         raise ValueError(f"support set misses classes {missing}")
@@ -472,8 +476,8 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
     model.add_head(g.n_classes, state.rng)
     trainable = model.gating_parameters() + model.head_parameters()
     state.adam_head = AdamState(lr=cfg.lr)
-    onehot = np.zeros((support.size, g.n_classes))
-    onehot[np.arange(support.size), g.labels[support]] = 1.0
+    onehot = np.zeros((len(support), g.n_classes))
+    onehot[np.arange(len(support)), g.labels[support.idx]] = 1.0
 
     for _ in range(cfg.finetune_epochs):
         with _updating(model, trainable):
@@ -485,7 +489,7 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
                     model.head_b)
                 log_probs = engine.log_softmax_rows(logits)
                 l_cls = engine.scale(engine.frobenius(log_probs, Tensor(onehot)),
-                                     -1.0 / support.size)
+                                     -1.0 / len(support))
                 loss = engine.add(loss, engine.scale(l_cls, cfg.lambda_cls))
             engine.backward(loss)
         engine.adam_step(trainable, state.adam_head)

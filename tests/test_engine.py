@@ -1,9 +1,12 @@
 import os
 import re
+import warnings
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +70,35 @@ def test_non_finite_aborts_with_op_name():
     with pytest.raises(engine.NonFiniteError) as err:
         engine.power(Tensor([[0.0]]), -1.0)
     assert "power" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_finite_inputs_that_overflow_abort_with_op_name():
+    with pytest.raises(engine.NonFiniteError, match="'matmul'"):
+        engine.matmul(Tensor([[1e200]]), Tensor([[1e200]]))
+
+
+def test_opposite_infinities_abort_without_a_warning():
+    # the output holds +inf and -inf, whose sum would be NaN with an "invalid
+    # value" warning; the screen tests each element and does no arithmetic
+    # (the two infinities sit in different entries, as inf + -inf in one
+    # entry would make the add itself warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(engine.NonFiniteError, match="'add'"):
+            engine.add(Tensor([[np.inf, 1.0]]), Tensor([[1.0, -np.inf]]))
+
+
+def test_nan_constant_is_reported_by_the_sparse_op_it_enters():
+    nan_rows = Tensor([[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0]])
+    idx = np.array([2, 1, 1])
+    cases = {"edge_sum": lambda: engine.edge_sum(nan_rows, Tensor(np.ones((3, 1))), idx,
+                                                 np.array([0, 0, 2]), 3),
+             "gather_rows": lambda: engine.gather_rows(nan_rows, idx),
+             "scatter_rows": lambda: engine.scatter_rows(nan_rows, idx, 3)}
+    for op, run in cases.items():
+        with pytest.raises(engine.NonFiniteError, match=f"'{op}'"):
+            run()
 
 
 def test_ops_do_not_mutate_inputs():
@@ -703,6 +735,84 @@ def test_index_checks_its_range_when_built_and_its_rows_where_used():
                         Tensor(np.ones((2, 1))), idx, idx)
     summed = engine.scatter_rows(Tensor(np.ones((3, 1))), idx, 4)
     assert summed.values.ravel().tolist() == [1.0, 0.0, 0.0, 2.0]
+
+
+def _sum_matrix(rows, cols, vals, shape):
+    """The scipy reference, which sums each row in ascending column order."""
+    return sps.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def _operand(rng, n_rows, width, kind):
+    if kind == "transposed":
+        return rng.normal(size=(width, n_rows)).T
+    if kind == "column slice":
+        return rng.normal(size=(n_rows, width + 2))[:, 1:-1]
+    return rng.normal(size=(n_rows, width))
+
+
+def _recorded(out):
+    """Forward values and the backward rule of the op that made ``out``."""
+    _, rec_out, _, backward_fn = engine.current_tape().records[-1]
+    assert rec_out is out
+    return out.values, backward_fn
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "transposed", "column slice"])
+@pytest.mark.parametrize("width", [1, 16, 128])
+@pytest.mark.parametrize("m", [0, 23])
+def test_sparse_ops_equal_scipy_products_bitwise(width, kind, m):
+    """Values and gradients of edge_sum, gather_rows and scatter_rows equal
+    scipy's csr @ dense bit for bit, on operands that are not C-contiguous,
+    an empty index and rows that receive no entry (the last two of 7)."""
+    rng = np.random.default_rng(width + m)
+    n = 7
+    # distinct (dst, src) pairs with dst < n - 2, ordered by (src, dst): a
+    # scipy matrix built from them sums each row in the ops' ascending e order
+    pairs = rng.permutation(np.stack(np.divmod(np.arange(n * (n - 2)), n), axis=1))[:m]
+    dst, src = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))].T
+    engine.reset_tape()
+    h = Tensor(_operand(rng, n, width, kind), requires_grad=True)
+    w = Tensor(rng.normal(size=(m, 1)), requires_grad=True)
+    a = Tensor(_operand(rng, m, width, kind), requires_grad=True)
+    wv = w.values[:, 0]
+
+    out, back = _recorded(engine.edge_sum(h, w, src, dst, n))
+    assert np.array_equal(out, _sum_matrix(dst, src, wv, (n, n)) @ h.values)
+    g = _operand(rng, n, width, kind)
+    gh, gw = back(g)
+    assert np.array_equal(gh, _sum_matrix(src, dst, wv, (n, n)) @ g)
+    assert np.array_equal(gw[:, 0], np.einsum("ij,ij->i", g[dst], h.values[src]))
+
+    segments = _sum_matrix(dst, np.arange(m), np.ones(m), (n, m))
+    out, back = _recorded(engine.gather_rows(h, dst))
+    assert np.array_equal(out, h.values[dst])
+    g = _operand(rng, m, width, kind)
+    assert np.array_equal(back(g)[0], segments @ g)
+
+    out, back = _recorded(engine.scatter_rows(a, dst, n))
+    assert np.array_equal(out, segments @ a.values)
+    assert out.flags.c_contiguous and not out[n - 2:].any()
+    g = _operand(rng, n, width, kind)
+    assert np.array_equal(back(g)[0], g[dst])
+    engine.reset_tape()
+
+
+def test_sparse_product_checks_operand_rows_before_the_kernel(monkeypatch):
+    idx = engine.Index(np.array([0, 2, 2]), 3)
+    h, w = Tensor(np.ones((3, 2)), requires_grad=True), Tensor(np.ones((3, 1)))
+    engine.reset_tape()
+    _, gather_back = _recorded(engine.gather_rows(h, idx))
+    _, edge_back = _recorded(engine.edge_sum(h, w, idx, idx, 3))
+    engine.reset_tape()
+    calls = []
+    monkeypatch.setattr(engine, "_sparsetools",
+                        SimpleNamespace(csr_matvecs=lambda *args: calls.append(args)))
+    for run in (lambda: engine._csr_matmul(*idx.layout, len(idx), np.ones((4, 2))),
+                lambda: gather_back(np.ones((2, 2))),
+                lambda: edge_back(np.ones((4, 2)))):
+        with pytest.raises(engine.ShapeError):
+            run()
+    assert calls == []
 
 
 class _InterruptedFile:

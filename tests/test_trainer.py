@@ -481,6 +481,38 @@ def test_finetune_validates_support(sbm):
     assert "misses classes" in str(err.value)
 
 
+def test_finetune_refuses_a_support_that_is_not_node_indices(sbm):
+    # a negative index used to fail only in the first step, after the head
+    # was added; a boolean mask used to read as the nodes 0 and 1
+    cfg = tiny_cfg(epochs=1)
+    state = trainer.train(sbm, cfg)
+    support = support_set(sbm)
+    mask = np.zeros(sbm.n_nodes, dtype=bool)
+    mask[support] = True
+    for bad in (np.append(support, -1), np.append(support, sbm.n_nodes), mask):
+        with pytest.raises(ValueError, match="node indices"):
+            trainer.finetune_fewshot(state, sbm, bad, cfg)
+        assert state.model.head_w is None
+
+
+def test_epoch_and_finetune_build_no_scipy_matrix(monkeypatch):
+    """After a first epoch on the criterion-8 graph, a training epoch and a
+    fine-tune run every sparse product on the indexes' own layouts."""
+    import scipy.sparse._compressed as compressed
+
+    g = graphs.gen_sbm(100, 2, 0.5, 0.05, feat_dim=16, feat_signal=2.0, seed=0)
+    state = trainer.init_state(g, TrainConfig(epochs=2, hidden=128, seed=0, finetune_epochs=2))
+    trainer.train_epoch(state)
+    built = []
+    init = compressed._cs_matrix.__init__
+    monkeypatch.setattr(compressed._cs_matrix, "__init__",
+                        lambda self, *args, **kw: (built.append(type(self)),
+                                                   init(self, *args, **kw))[1])
+    trainer.train_epoch(state)
+    trainer.finetune_fewshot(state, g, support_set(g, k=1))
+    assert built == []
+
+
 def test_finetune_rejects_labels_of_another_graph(sbm):
     cfg = tiny_cfg(epochs=1)
     state = trainer.train(sbm, cfg)
