@@ -10,38 +10,27 @@ by --seed, and primary output files are written atomically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
+import typing
 
 from . import engine, evaluation, experiments, fusion, gating, graphs, trainer
 from .trainer import TrainConfig
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-# every tunable key, its owning module, and how to parse it from text
-CONFIG_REGISTRY = {
-    "epochs": ("trainer", int),
-    "lr": ("trainer", float),
-    "hidden": ("trainer", int),
-    "mask_ratio": ("trainer", float),
-    "gamma": ("trainer", float),
-    "gamma_svg": ("view-gating", float),
-    "lambda_load": ("expert-moe", float),
-    "lambda_div": ("expert-moe", float),
-    "lambda_cls": ("trainer", float),
-    "tau": ("view-gating", float),
-    "top_k": ("expert-moe", int),
-    "n_exp": ("expert-moe", int),
-    "d_s": ("graph-core", int),
-    "edge_hidden": ("view-gating", int),
-    "residual_kinds": ("expert-moe", lambda s: tuple(t for t in s.split(",") if t)),
-    "diversity_targets": ("expert-moe", str),
-    "svg_steps": ("trainer", int),
-    "finetune_epochs": ("trainer", int),
-    "normalize_features": ("graph-core", lambda s: _BOOLEANS[s.lower()]),
-    "seed": ("trainer", int),
-}
+# print-config's owner tag of each key the trainer does not own
+OWNERS = {**dict.fromkeys(("gamma_svg", "tau", "edge_hidden"), "view-gating"),
+          **dict.fromkeys(("lambda_load", "lambda_div", "top_k", "n_exp", "residual_kinds",
+                           "diversity_targets"), "expert-moe"),
+          "d_s": "graph-core", "normalize_features": "graph-core"}
+
+# every config key in TrainConfig's order, its type, and how text becomes a
+# value: booleans as true/false, yes/no or 1/0, tuples as comma lists
+FIELD_TYPES = typing.get_type_hints(TrainConfig)
+_FROM_TEXT = {bool: lambda raw: _BOOLEANS[raw.lower()],
+              tuple[str, ...]: lambda raw: tuple(t for t in raw.split(",") if t)}
+PARSERS = {key: _FROM_TEXT.get(kind, kind) for key, kind in FIELD_TYPES.items()}
 
 
 class UsageError(Exception):
@@ -63,10 +52,10 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_REGISTRY:
+            if key not in PARSERS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = CONFIG_REGISTRY[key][1](raw)
+                values[key] = PARSERS[key](raw)
             except (KeyError, ValueError):
                 raise UsageError(f"{path}:{lineno}: invalid value {raw!r} for {key}") from None
     return values
@@ -76,7 +65,7 @@ def build_config(args) -> TrainConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
-    for key in CONFIG_REGISTRY:
+    for key in PARSERS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -88,14 +77,13 @@ def build_config(args) -> TrainConfig:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file")
-    for key, (_, conv) in CONFIG_REGISTRY.items():
+    for key, kind in FIELD_TYPES.items():
         flag = "--" + key.replace("_", "-")
-        if key == "normalize_features":
+        if kind is bool:
             p.add_argument(flag, dest=key, action="store_const", const=True)
-        elif key == "residual_kinds":
-            p.add_argument(flag, dest=key, type=conv, metavar="KIND[,KIND...]")
         else:
-            p.add_argument(flag, dest=key, type=conv)
+            p.add_argument(flag, dest=key, type=PARSERS[key],
+                           metavar="KIND[,KIND...]" if key == "residual_kinds" else None)
 
 
 def _floats(raw: str, sep: str = ",") -> tuple[float, ...]:
@@ -191,8 +179,11 @@ def build_parser() -> _Parser:
     p.add_argument("--ratios", type=_floats, default="0,0.2,0.5,0.8")
     p.add_argument("--stddev", type=float, default=0.5)
 
-    p = study("exp-sensitivity", "sweep lambda_load or hidden dimension", 3)
-    p.add_argument("--axis", choices=experiments.SWEEP_AXES, required=True)
+    p = study("exp-sensitivity", "sweep one config key, e.g. an ablation", 3)
+    p.add_argument("--axis", required=True, metavar="KEY",
+                   help="the config key to sweep: any but seed and residual_kinds",
+                   choices=[key for key, kind in FIELD_TYPES.items()
+                            if kind in (bool, int, float, str) and key != "seed"])
     p.add_argument("--values", required=True, help="comma-separated values")
 
     p = sub.add_parser("motivate", help="per-bucket filter/depth comparison")
@@ -216,9 +207,9 @@ def _load_graph_checked(path: str) -> graphs.Graph:
 
 def _config_items(cfg: TrainConfig):
     """(key, text value) per config field; tuples as comma lists."""
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        yield f.name, ",".join(value) if isinstance(value, tuple) else value
+    for key in FIELD_TYPES:
+        value = getattr(cfg, key)
+        yield key, ",".join(value) if isinstance(value, tuple) else value
 
 
 def _write_run_config(cfg: TrainConfig, path: str) -> None:
@@ -387,11 +378,11 @@ def cmd_exp_noise(args) -> int:
 
 
 def cmd_exp_sensitivity(args) -> int:
-    conv = float if args.axis == "lambda_load" else int
     try:
-        values = tuple(conv(x) for x in args.values.split(","))
-    except ValueError:
-        raise UsageError(f"--values: expected a comma list of {conv.__name__} values "
+        values = tuple(PARSERS[args.axis](x) for x in args.values.split(","))
+    except (KeyError, ValueError):
+        raise UsageError(f"--values: expected a comma list of "
+                         f"{FIELD_TYPES[args.axis].__name__} values "
                          f"for --axis {args.axis}, got {args.values!r}") from None
     g, cfg, seeds = _study_inputs(args)
     rows = experiments.sensitivity_sweep(g, args.axis, values, cfg, seeds=seeds,
@@ -422,7 +413,7 @@ def cmd_motivate(args) -> int:
 
 def cmd_print_config(_args) -> int:
     for key, value in _config_items(TrainConfig()):
-        print(f"{key} = {value}  # {CONFIG_REGISTRY[key][0]}")
+        print(f"{key} = {value}  # {OWNERS.get(key, 'trainer')}")
     return 0
 
 

@@ -596,18 +596,15 @@ class AdamState:
     """Adam moments for one parameter group; step counts shared."""
 
     lr: float = 3e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
 def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
-    """Standard Adam update with bias correction; zeroes gradients after."""
+    """Adam with bias correction (betas 0.9, 0.999; eps 1e-8); zeroes gradients after."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = 0.9, 0.999
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for i, p in enumerate(params):
@@ -619,7 +616,7 @@ def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.values = p.values - state.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
         p.grad = None
 
 
@@ -731,7 +728,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise ValueError(f"{path}: malformed checkpoint manifest: {err}") from None
     size = len(raw) - start
     named = {}
+    end = 0
     for name, rows, cols, off in entries:
+        if min(rows, cols) < 0 or off != end:
+            raise ValueError(f"{path}: malformed checkpoint manifest: entry '{name}' has "
+                             f"rows {rows}, cols {cols} and offset {off}; the previous "
+                             f"entry ends at payload byte {end}")
         end = off + rows * cols * 8
         if end > size:
             raise ValueError(f"{path}: truncated checkpoint: entry '{name}' needs payload "

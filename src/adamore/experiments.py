@@ -13,7 +13,7 @@ import io
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -194,18 +194,16 @@ def motivation_analysis(g: Graph, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEEP_AXES = ("lambda_load", "hidden")
-
-
 def sensitivity_sweep(g: Graph, axis: str, values, cfg: TrainConfig,
                       seeds=(0, 1, 2), jobs: int = 1) -> list[dict]:
-    """One trained session per (value, seed); probe accuracy table."""
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    """One trained session per (value, seed), with config key ``axis`` set
+    to the value; probe accuracy table. Any key but ``seed``, which each
+    run sets, is an axis; an ablation is a sweep such as ``svg_steps=0``."""
+    if axis == "seed" or axis not in {f.name for f in fields(TrainConfig)}:
+        raise ValueError(f"sweep axis must be a config key other than seed, got {axis!r}")
     if not values:
         raise ValueError("sweep values must be nonempty")
-    cases = [(v, replace(cfg, **{axis: type(getattr(cfg, axis))(v)}), None)
-             for v in values]
+    cases = [(v, replace(cfg, **{axis: v}), None) for v in values]
     return probe_study(g, cases, seeds, jobs)
 
 

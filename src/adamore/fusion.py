@@ -29,19 +29,13 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
     """
     norms = np.linalg.norm(h_coh, axis=1, keepdims=True)
     unit = h_coh / np.maximum(norms, engine.EPS)
-    score = np.full(g.n_nodes, ISOLATED_BLEND)
-    deg = g.degrees().astype(np.float64)
-    if g.n_edges:
-        # the cosine is symmetric: one per undirected edge, counted at both ends
-        per_edge = np.empty(g.n_edges)
-        for lo, hi, a, b in engine.gathered_pairs(unit, unit, g.edges[:, 0], g.edges[:, 1]):
-            np.multiply(a, b, out=a)
-            a.sum(axis=1, out=per_edge[lo:hi])
-        acc = np.bincount(g.pairs[1].idx, weights=per_edge[g.pair_edge.idx],
-                          minlength=g.n_nodes)
-        mask = deg > 0
-        score[mask] = acc[mask] / deg[mask]
-    return np.clip(score, 0.0, 1.0)
+    # the cosine is symmetric: one per undirected edge, counted at both ends
+    per_edge = np.empty(g.n_edges)
+    for lo, hi, a, b in engine.gathered_pairs(unit, unit, g.edges[:, 0], g.edges[:, 1]):
+        np.multiply(a, b, out=a)
+        a.sum(axis=1, out=per_edge[lo:hi])
+    acc = np.bincount(g.pairs[1].idx, weights=per_edge[g.pair_edge.idx], minlength=g.n_nodes)
+    return _incident_mean(acc, g)
 
 
 def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
@@ -49,13 +43,18 @@ def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
 
     Isolated nodes get the neutral blend 0.5.
     """
-    score = np.full(g.n_nodes, ISOLATED_BLEND)
+    w = np.asarray(w).ravel()
+    return _incident_mean(np.bincount(g.pairs[0].idx, weights=w[g.pair_edge.idx],
+                                      minlength=g.n_nodes), g)
+
+
+def _incident_mean(total: np.ndarray, g: Graph) -> np.ndarray:
+    """Per-node ``total`` over the degree, clamped to [0, 1]; isolated nodes
+    get the neutral blend 0.5."""
     deg = g.degrees().astype(np.float64)
-    if g.n_edges:
-        w = np.asarray(w).ravel()
-        total = np.bincount(g.pairs[0].idx, weights=w[g.pair_edge.idx], minlength=g.n_nodes)
-        mask = deg > 0
-        score[mask] = total[mask] / deg[mask]
+    score = np.full(g.n_nodes, ISOLATED_BLEND)
+    mask = deg > 0
+    score[mask] = total[mask] / deg[mask]
     return np.clip(score, 0.0, 1.0)
 
 

@@ -221,12 +221,10 @@ def local_homophily(g: Graph) -> np.ndarray:
     """Fraction of same-label neighbors per node; isolated nodes get -1."""
     if g.labels is None:
         raise ValueError("local_homophily requires labels")
-    same = np.zeros(g.n_nodes)
+    src, dst = (p.idx for p in g.pairs)
+    same = np.bincount(src, weights=(g.labels[src] == g.labels[dst]).astype(np.float64),
+                       minlength=g.n_nodes)
     deg = g.degrees().astype(np.float64)
-    if g.n_edges:
-        src, dst = (p.idx for p in g.pairs)
-        agree = (g.labels[src] == g.labels[dst]).astype(np.float64)
-        np.add.at(same, src, agree)
     h = np.full(g.n_nodes, -1.0)
     mask = deg > 0
     h[mask] = same[mask] / deg[mask]

@@ -93,17 +93,20 @@ def sample_mask(rng: np.random.Generator, n_nodes: int, mask_ratio: float) -> np
     return np.sort(rng.choice(n_nodes, size=count, replace=False))
 
 
-def masked_input(x_values: np.ndarray, mask: np.ndarray, token: Tensor) -> Tensor:
-    """Replace masked feature rows by the learnable token before taping.
+def masked_input(features: np.ndarray, mask: np.ndarray,
+                 token: Tensor) -> tuple[np.ndarray, Tensor]:
+    """(x_gate, x_input) of a masked step: a float copy of ``features`` with
+    the masked rows zeroed, the gate's constant input, and that copy with
+    the learnable token in the masked rows, the experts' taped input.
 
-    Masked rows of ``x_values`` never reach the tape: they are zeroed in
-    ``x_values`` itself first, so even poisoned (NaN) masked rows yield a
-    finite input, and ``x_values`` then holds the input without the token.
+    Masked rows never reach the tape, so even poisoned (NaN) masked rows
+    yield a finite input; ``features`` itself is left unchanged.
     """
-    x_values[mask] = 0.0
-    indicator = np.zeros((x_values.shape[0], 1))
+    x_gate = np.array(features, dtype=np.float64)
+    x_gate[mask] = 0.0
+    indicator = np.zeros((x_gate.shape[0], 1))
     indicator[mask] = 1.0
-    return engine.add(Tensor(x_values), engine.matmul(Tensor(indicator), token))
+    return x_gate, engine.add(Tensor(x_gate), engine.matmul(Tensor(indicator), token))
 
 
 class Model:
@@ -296,8 +299,7 @@ def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, Fo
     engine.reset_tape()
     engine.zero_grads(model.all_parameters())
     mask = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
-    x_gate = np.array(model.graph.features, dtype=np.float64)
-    x_input = masked_input(x_gate, mask, model.mask_token)
+    x_gate, x_input = masked_input(model.graph.features, mask, model.mask_token)
     fwd = _guard("reconstruction forward", state.epoch,
                  lambda: full_forward(model, x_input, state.rng, x_gate=x_gate))
     return mask, fwd
@@ -334,8 +336,11 @@ def init_state(g: Graph, cfg: TrainConfig,
 
 
 def _guard(component: str, epoch: int, fn):
+    """``fn()``, whose non-finite values raise :class:`TrainingError` naming
+    the epoch and ``component``, not a numpy warning."""
     try:
-        return fn()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn()
     except engine.NonFiniteError as err:
         raise TrainingError(f"epoch {epoch}: non-finite {component}: {err}") from err
 
@@ -508,52 +513,42 @@ def classify(state: TrainState, embeddings: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # naive flat MoE baseline
 
-class NaiveMoE:
-    """Flat sparse MoE: one gate routes each node to its top-1 expert among
-    heterogeneous ones through the backbone's router (no backbone, no
-    residual decomposition, no diversity loss)."""
-
-    def __init__(self, g: Graph, cfg: TrainConfig, kinds: Sequence[str]):
-        self.graph = g
-        self.s = graphs.structural_embeddings(graphs.normalize(g), d_s=cfg.d_s)
-        rng = np.random.default_rng(cfg.seed)
-        f_dim, d_e = g.feat_dim, cfg.hidden
-        self.gate_w = engine.glorot(rng, f_dim + cfg.d_s, len(kinds))
-        self.gate_b = engine.zeros_param((1, len(kinds)))
-        self.experts = [experts.init_residual_expert(kind, f_dim, d_e, rng)
-                        for kind in kinds]
-        self.decoder = engine.init_mlp(rng, d_e, d_e, f_dim)
-        self.mask_token = engine.zeros_param((1, f_dim))
-
-    def parameters(self) -> list[Tensor]:
-        return [self.gate_w, self.gate_b, self.mask_token,
-                *(p for ex in self.experts for p in ex.parameters()), *self.decoder.parameters()]
-
-    def forward(self, x_input: Tensor) -> Tensor:
-        view = filters.raw_view(self.graph)
-        weights, _, _ = experts.route(self.gate_w, self.gate_b, x_input, self.s, 1)
-        return experts.mix([ex.forward(x_input, view) for ex in self.experts], weights)
-
-
 def naive_moe_baseline(g: Graph, cfg: TrainConfig,
                        kinds: Sequence[str] | None = None) -> list[dict]:
-    """Per-epoch loss curve of the flat MoE trained on the same objective."""
+    """Per-epoch loss curve of a flat sparse MoE trained on the same
+    objective: one gate routes each node to its top-1 expert among
+    heterogeneous ones through the backbone's router (no backbone, no
+    residual decomposition, no diversity loss)."""
     kinds = tuple(kinds) if kinds is not None else experts.RESIDUAL_KINDS
     g = training_graph(g, cfg)
-    moe = NaiveMoE(g, cfg, kinds)
+    s = graphs.structural_embeddings(graphs.normalize(g), d_s=cfg.d_s)
+    view = filters.raw_view(g)
+    init = np.random.default_rng(cfg.seed)
+    f_dim, d_e = g.feat_dim, cfg.hidden
+    gate_w = engine.glorot(init, f_dim + cfg.d_s, len(kinds))
+    gate_b = engine.zeros_param((1, len(kinds)))
+    pool = [experts.init_residual_expert(kind, f_dim, d_e, init) for kind in kinds]
+    decoder = engine.init_mlp(init, d_e, d_e, f_dim)
+    token = engine.zeros_param((1, f_dim))
+    params = [gate_w, gate_b, token, *(p for ex in pool for p in ex.parameters()),
+              *decoder.parameters()]
     adam = AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     history = []
     for epoch in range(cfg.epochs):
         engine.reset_tape()
-        engine.zero_grads(moe.parameters())
+        engine.zero_grads(params)
         mask = sample_mask(rng, g.n_nodes, cfg.mask_ratio)
-        x_input = masked_input(np.array(g.features), mask, moe.mask_token)
-        h = _guard("naive forward", epoch, lambda: moe.forward(x_input))
-        l_mae = _guard("l_mae", epoch, lambda: mae_loss(
-            h, moe.decoder, g.features, mask, cfg.gamma))
+        _, x_input = masked_input(g.features, mask, token)
+
+        def forward():
+            weights, _, _ = experts.route(gate_w, gate_b, x_input, s, 1)
+            return experts.mix([ex.forward(x_input, view) for ex in pool], weights)
+
+        h = _guard("naive forward", epoch, forward)
+        l_mae = _guard("l_mae", epoch, lambda: mae_loss(h, decoder, g.features, mask, cfg.gamma))
         engine.backward(l_mae)
-        engine.adam_step(moe.parameters(), adam)
+        engine.adam_step(params, adam)
         history.append({"epoch": epoch, "l_mae": l_mae.item(), "l_load": 0.0,
                         "l_div": 0.0, "l_svg": 0.0, "total": l_mae.item()})
     engine.reset_tape()

@@ -82,8 +82,7 @@ def test_criterion_01_gradient_correctness():
         def masked_forward(alpha_override=None):
             # the recon step's inputs: the gate reads the features with the
             # masked rows zeroed, the experts that copy plus the token
-            x_gate = np.array(g.features)
-            x_input = trainer.masked_input(x_gate, plan, model.mask_token)
+            x_gate, x_input = trainer.masked_input(g.features, plan, model.mask_token)
             return trainer.full_forward(model, x_input, np.random.default_rng(500 + trial),
                                         alpha_override=alpha_override, x_gate=x_gate)
 

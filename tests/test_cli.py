@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -6,6 +7,17 @@ import numpy as np
 import pytest
 
 from adamore import cli
+from adamore.trainer import TrainConfig
+
+TINY = ("--epochs", "1", "--hidden", "8", "--d-s", "3", "--edge-hidden", "8", "--n-exp", "2")
+# a value unlike the default for every config key, cheap to train with TINY
+NON_DEFAULT = {
+    "epochs": 2, "lr": 0.01, "hidden": 6, "mask_ratio": 0.25, "gamma": 3.0,
+    "gamma_svg": 2.0, "lambda_load": 0.2, "lambda_div": 0.0, "lambda_cls": 0.5,
+    "tau": 0.75, "top_k": 1, "n_exp": 3, "d_s": 2, "edge_hidden": 4,
+    "residual_kinds": ("gcn-layer", "gin0"), "diversity_targets": "both",
+    "svg_steps": 0, "finetune_epochs": 1, "normalize_features": True, "seed": 3,
+}
 
 
 def run_cli(*argv):
@@ -131,6 +143,16 @@ def test_exp_sensitivity_single_value(sbm_dir, tmp_path):
     assert (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("axis, values", [("svg_steps", "0,1"),
+                                          ("diversity_targets", "foundational,both")])
+def test_exp_sensitivity_sweeps_an_ablation_axis(sbm_dir, tmp_path, axis, values):
+    out = tmp_path / "sweep"
+    assert run_cli("exp-sensitivity", "--data", sbm_dir, "--out", str(out), "--axis", axis,
+                   "--values", values, "--seeds", "1", *TINY) == 0
+    rows = json.loads((out / "report.json").read_text())
+    assert [str(row["value"]) for row in rows] == values.split(",")
+
+
 def test_exp_oracle_weights_accuracy_mode_jobs_agree(sbm_dir, tmp_path):
     reports = []
     for jobs in ("1", "2"):
@@ -199,6 +221,23 @@ def test_config_file_rejects_unparsable_value(sbm_dir, tmp_path, capsys, line):
     assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
                    "--config", str(cfg_file)) == 1
     assert f"{cfg_file}:2: invalid value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+def test_every_config_key_survives_flag_config_file_and_model_dir(sbm_dir, tmp_path, field):
+    value = NON_DEFAULT[field.name]
+    assert value != field.default
+    flag = ["--" + field.name.replace("_", "-")]
+    if not isinstance(value, bool):
+        flag.append(",".join(value) if isinstance(value, tuple) else str(value))
+    argv = ["train", "--data", sbm_dir, "--out", str(tmp_path / "run"), *TINY, *flag]
+    from_flags = cli.build_config(cli.build_parser().parse_args(argv))
+    assert getattr(from_flags, field.name) == value
+    assert run_cli(*argv) == 0
+    read_back = cli.read_config_file(str(tmp_path / "run" / "config.txt"))
+    assert read_back[field.name] == value and type(read_back[field.name]) is type(value)
+    assert TrainConfig(**read_back) == from_flags
+    assert run_cli("embed", "--model-dir", str(tmp_path / "run")) == 0
 
 
 def test_config_file_booleans(tmp_path):

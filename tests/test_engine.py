@@ -873,11 +873,18 @@ def test_output_writers_write_atomically(tmp_path, monkeypatch):
     b"ADAMORE-CKPT-1\n",
     b"ADAMORE-CKPT-1\none\na 1 1 0\n",
     b"ADAMORE-CKPT-1\n1\na 1 1\n",
+    b"ADAMORE-CKPT-1\n1\na 1 2 -16\n",
+    b"ADAMORE-CKPT-1\n1\na -1 2 0\n",
+    b"ADAMORE-CKPT-1\n1\na 2 -1 0\n",
+    b"ADAMORE-CKPT-1\n1\na 1 1 3\n",
+    b"ADAMORE-CKPT-1\n2\na 1 1 0\nb 1 1 0\n",
     b"ADAMORE-CKPT-1\n2\na 1 1 0\n",
-], ids=["header_only", "non_integer_count", "three_field_entry", "count_above_entries"])
+], ids=["header_only", "non_integer_count", "three_field_entry", "negative_offset",
+        "negative_rows", "negative_cols", "misaligned_offset", "overlapping_entries",
+        "count_above_entries"])
 def test_malformed_checkpoint_manifest_is_refused_naming_the_file(tmp_path, manifest):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(struct_pack_header(manifest) + np.zeros(1).tobytes())
+    path.write_bytes(struct_pack_header(manifest) + np.zeros(2).tobytes())
     with pytest.raises(ValueError, match=re.escape(str(path))):
         engine.load_checkpoint(path)
 

@@ -153,6 +153,8 @@ def test_sensitivity_rejects_bad_axis(sbm):
     with pytest.raises(ValueError):
         experiments.sensitivity_sweep(sbm, "dropout", (0.1,), tiny_cfg())
     with pytest.raises(ValueError):
+        experiments.sensitivity_sweep(sbm, "seed", (1, 2), tiny_cfg())     # each run sets it
+    with pytest.raises(ValueError):
         experiments.sensitivity_sweep(sbm, "hidden", (), tiny_cfg())
 
 

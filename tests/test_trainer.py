@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -65,10 +66,14 @@ def test_masked_input_substitutes_token(sbm):
     token = engine.zeros_param((1, sbm.feat_dim))
     token.values = np.full((1, sbm.feat_dim), 7.0)
     plan = np.array([0, 3])
-    x = trainer.masked_input(np.array(sbm.features), plan, token)
+    features = sbm.features.copy()
+    x_gate, x = trainer.masked_input(features, plan, token)
     assert np.allclose(x.values[0], 7.0)
     assert np.allclose(x.values[3], 7.0)
     assert np.array_equal(x.values[1], sbm.features[1])
+    assert np.array_equal(x_gate[[0, 3]], np.zeros((2, sbm.feat_dim)))
+    assert np.array_equal(x_gate[1], sbm.features[1])
+    assert np.array_equal(features, sbm.features)       # the argument is left as it was
 
 
 def test_masked_rows_never_enter_forward(sbm):
@@ -80,9 +85,9 @@ def test_masked_rows_never_enter_forward(sbm):
     poisoned[plan] = np.nan
     engine.reset_tape()
     # the gate input the masked steps build: the features with the masked rows zeroed
-    x_gate = poisoned.copy()
-    x_input = trainer.masked_input(x_gate, plan, state.model.mask_token)
-    assert np.isfinite(x_input.values).all()
+    x_gate, x_input = trainer.masked_input(poisoned, plan, state.model.mask_token)
+    assert np.isfinite(x_gate).all() and np.isfinite(x_input.values).all()
+    assert np.isnan(poisoned[plan]).all()
     fwd = trainer.full_forward(state.model, x_input, np.random.default_rng(0),
                                x_gate=x_gate)
     loss = trainer.mae_loss(fwd.h_final, state.model.decoder, sbm.features,
@@ -421,15 +426,16 @@ def test_fixed_weights_bypass_the_gate(sbm):
     assert np.array_equal(trainer.eval_edge_weights(state), w)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_abort_names_epoch_and_component(sbm):
     cfg = tiny_cfg()
     state = trainer.init_state(sbm, cfg)
     state.model.decoder.w1.values = np.full_like(state.model.decoder.w1.values, 1e308)
     state.epoch = 7
-    with pytest.raises(trainer.TrainingError) as err:
-        trainer.reconstruction_step(state)
-    assert "epoch 7" in str(err.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # numpy's overflow warning must not escape
+        with pytest.raises(trainer.TrainingError) as err:
+            trainer.reconstruction_step(state)
+    assert "epoch 7: non-finite l_mae" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

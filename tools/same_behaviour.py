@@ -17,7 +17,11 @@ of the graph with its labels dropped. On the same graph it stores, as JSON,
 the rows of ``distinctiveness_study``, ``noise_robustness`` and
 ``sensitivity_sweep``, the ``stability_bench`` report with all three arms
 (a three-epoch config, one or two seeds) and the ``motivation_analysis``
-report, which it also stores for a heterophilous four-block SBM.
+report, which it also stores for a heterophilous four-block SBM. Last, it
+stores the CLI's text forms: the ``print-config`` output, and the
+``config.txt`` of one ``adamore train`` run on a tiny SBM with a non-default
+float, int, str, bool and tuple key, as written and as ``read_config_file``
+reads it back.
 
 ``compare`` prints each entry as identical, or as max |diff| / max |ref|,
 and exits 0 only when every entry of both files is identical. With
@@ -30,6 +34,8 @@ parent commit's ``src`` on PYTHONPATH and once with the change's, then
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -38,7 +44,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from adamore import engine, experiments, graphs, trainer
+from adamore import cli, engine, experiments, graphs, trainer
 from adamore.trainer import TrainConfig
 
 CONFIGS = {
@@ -50,6 +56,11 @@ CONFIGS = {
     "oracle": {},
 }
 STUDY = dict(epochs=3, hidden=8, d_s=3, edge_hidden=8, n_exp=2, top_k=1)
+# one non-default key of each type: float, int, str, bool and tuple
+TRAIN_FLAGS = ("--epochs", "2", "--lr", "0.01", "--hidden", "8", "--d-s", "3",
+               "--edge-hidden", "8", "--n-exp", "2", "--top-k", "1",
+               "--diversity-targets", "both", "--normalize-features",
+               "--residual-kinds", "gcn-layer,gin0")
 
 
 def _oracle_weights(g: graphs.Graph) -> np.ndarray:
@@ -127,7 +138,28 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
     digest.update({f"unlabeled_split.{k}": getattr(split, k) for k in ("train", "val", "test")})
     digest.update({f"study.{k}": np.array(json.dumps(v, sort_keys=True))
                    for k, v in _studies(g, replace(base, **STUDY), (seed,)).items()})
+    digest.update({f"cli.{k}": np.array(v) for k, v in _cli_text(seed).items()})
     np.savez(path, **digest)
+
+
+def _cli_text(seed: int) -> dict[str, str]:
+    """The ``print-config`` output, and the ``config.txt`` of a tiny
+    ``adamore train`` run as written and as read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graphs.save_graph(graphs.gen_sbm(10, 2, 0.5, 0.1, feat_dim=6, seed=seed),
+                          os.path.join(tmp, "graph"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["print-config"])
+            printed = out.getvalue()
+            cli.main(["train", "--data", os.path.join(tmp, "graph"),
+                      "--out", os.path.join(tmp, "run"), "--seed", str(seed), *TRAIN_FLAGS])
+        config_path = os.path.join(tmp, "run", "config.txt")
+        with open(config_path) as fh:
+            written = fh.read()
+        read_back = cli.read_config_file(config_path)
+    return {"print_config": printed, "config_txt": written,
+            "config_read_back": repr(read_back)}
 
 
 def _studies(g: graphs.Graph, cfg: TrainConfig, seeds: tuple[int, ...]) -> dict:
