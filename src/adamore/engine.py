@@ -59,7 +59,7 @@ class Tensor:
     shape. Operations never mutate ``values`` in place.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_needs_grad")
+    __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -72,7 +72,6 @@ class Tensor:
         self.values = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._needs_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -125,8 +124,8 @@ def _check_finite(values: np.ndarray, op: str) -> None:
 def _record(op: str, out: Tensor, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     _check_finite(out.values, op)
-    out._needs_grad = any(t._needs_grad for t in inputs)
-    if out._needs_grad:
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    if out.requires_grad:
         _current_tape.records.append((op, out, tuple(inputs), backward_fn))
     return out
 
@@ -146,7 +145,7 @@ def backward(loss: Tensor) -> None:
             continue
         grads = backward_fn(g)
         for inp, gi in zip(inputs, grads):
-            if gi is None or not inp._needs_grad:
+            if gi is None or not inp.requires_grad:
                 continue
             inp.grad = gi if inp.grad is None else inp.grad + gi
 
@@ -164,15 +163,15 @@ def frozen(params: Sequence[Tensor]):
     backward rule forms a product for a frozen input, so its ``grad`` stays
     untouched. The flags are restored on exit, also when the block raises.
     """
-    saved = [p._needs_grad for p in params]
+    saved = [p.requires_grad for p in params]
     for p in params:
-        p._needs_grad = False
+        p.requires_grad = False
     try:
         yield
     finally:
         # reversed, so a parameter listed twice gets its first saved flag
         for p, flag in zip(reversed(params), reversed(saved)):
-            p._needs_grad = flag
+            p.requires_grad = flag
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -199,7 +198,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     av, bv = a.values, b.values
     out = Tensor(av * bv)
-    need_a, need_b = a._needs_grad, b._needs_grad
+    need_a, need_b = a.requires_grad, b.requires_grad
     return _record("mul", out, (a, b), lambda g: (g * bv if need_a else None,
                                                   g * av if need_b else None))
 
@@ -220,7 +219,7 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(f"operation 'scale_by' requires a 1x1 scalar, got {s.shape}")
     av, sv = a.values, s.values[0, 0]
     out = Tensor(av * sv)
-    need_a, need_s = a._needs_grad, s._needs_grad
+    need_a, need_s = a.requires_grad, s.requires_grad
     return _record("scale_by", out, (a, s),
                    lambda g: (g * sv if need_a else None,
                               np.array([[np.sum(g * av)]]) if need_s else None))
@@ -234,7 +233,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"operation 'matmul' mismatch: {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
     out = Tensor(av @ bv)
-    need_a, need_b = a._needs_grad, b._needs_grad
+    need_a, need_b = a.requires_grad, b.requires_grad
     return _record("matmul", out, (a, b), lambda g: (g @ bv.T if need_a else None,
                                                      av.T @ g if need_b else None))
 
@@ -249,7 +248,7 @@ def frobenius(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "frobenius")
     av, bv = a.values, b.values
     out = Tensor(np.sum(av * bv))
-    need_a, need_b = a._needs_grad, b._needs_grad
+    need_a, need_b = a.requires_grad, b.requires_grad
     return _record("frobenius", out, (a, b), lambda g: (g[0, 0] * bv if need_a else None,
                                                         g[0, 0] * av if need_b else None))
 
@@ -262,7 +261,7 @@ def add_row(a: Tensor, r: Tensor) -> Tensor:
     if r.shape != (1, a.shape[1]):
         raise ShapeError(f"operation 'add_row' requires (1, {a.shape[1]}), got {r.shape}")
     out = Tensor(a.values + r.values)
-    need_r = r._needs_grad
+    need_r = r.requires_grad
     return _record("add_row", out, (a, r),
                    lambda g: (g, g.sum(axis=0, keepdims=True) if need_r else None))
 
@@ -273,7 +272,7 @@ def mul_col(a: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"operation 'mul_col' requires ({a.shape[0]}, 1), got {v.shape}")
     av, vv = a.values, v.values
     out = Tensor(av * vv)
-    need_a, need_v = a._needs_grad, v._needs_grad
+    need_a, need_v = a.requires_grad, v.requires_grad
     return _record("mul_col", out, (a, v),
                    lambda g: (g * vv if need_a else None,
                               np.einsum("ij,ij->i", g, av)[:, None] if need_v else None))
@@ -393,7 +392,7 @@ def edge_sum(h: Tensor, w: Tensor, src, dst, n_rows: int) -> Tensor:
     hv, wv = h.values, w.values[:, 0]
     indptr, order, _ = dst.layout
     out = Tensor(_csr_matmul(indptr, src.idx[order], wv[order], n_cols, hv))
-    need_h, need_w = h._needs_grad, w._needs_grad
+    need_h, need_w = h.requires_grad, w.requires_grad
 
     def back(g):
         gh = gw = None
@@ -434,7 +433,7 @@ def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src, dst) -> Tensor:
                          f"and {len(src)}, {len(dst)} pairs")
     src, dst = _as_index(src, a.shape[0]), _as_index(dst, b.shape[0])
     av, bv, vv = a.values, b.values, v.values
-    need_a, need_b, need_v = a._needs_grad, b._needs_grad, v._needs_grad
+    need_a, need_b, need_v = a.requires_grad, b.requires_grad, v.requires_grad
     taped = need_a or need_b or need_v
     n_pairs = len(src)
     ov = np.empty((n_pairs, 1))
@@ -574,7 +573,7 @@ def cosine_rows(a: Tensor, b: Tensor, gram: np.ndarray | None = None) -> Tensor:
     nb = np.sqrt(np.maximum((bg * bv).sum(axis=1, keepdims=True), 0.0))
     denom = na * nb + EPS
     out = Tensor(dots / denom)
-    need_a, need_b = a._needs_grad, b._needs_grad
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def back(g):
         common = g * dots / (denom * denom)
@@ -692,6 +691,8 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
     offset = 0
     blobs = []
     for name, arr in named.items():
+        if name.split() != [name]:   # the manifest reader splits on whitespace
+            raise ValueError(f"checkpoint entry name {name!r} is empty or holds whitespace")
         a = np.ascontiguousarray(arr, dtype=np.float64)
         if a.ndim != 2:
             raise ShapeError(f"checkpoint entry '{name}' must be a matrix, got shape {a.shape}")

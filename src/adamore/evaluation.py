@@ -20,10 +20,18 @@ from .graphs import Graph, SplitSpec
 
 
 @dataclass(frozen=True)
-class ProbeResult:
+class AccuracyResult:
+    """Accuracies over repeated splits or tasks, with their mean and std."""
+
     mean: float
     std: float
     accuracies: tuple[float, ...]
+
+    @classmethod
+    def from_accuracies(cls, accuracies) -> "AccuracyResult":
+        accs = np.array(accuracies)
+        return cls(mean=float(accs.mean()), std=float(accs.std()),
+                   accuracies=tuple(accs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -31,13 +39,6 @@ class ClusterResult:
     acc: float
     nmi: float
     ari: float
-
-
-@dataclass(frozen=True)
-class FewshotResult:
-    mean: float
-    std: float
-    per_task: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +79,13 @@ def probe_once(embeddings: np.ndarray, labels: np.ndarray, split: SplitSpec) -> 
 
 
 def linear_probe(embeddings: np.ndarray, labels: np.ndarray, g: Graph,
-                 repeats: int = 5, seed: int = 0) -> ProbeResult:
+                 repeats: int = 5, seed: int = 0) -> AccuracyResult:
     """Probe accuracy over ``repeats`` seeded 10/10/80 train/val/test splits."""
     accs = []
     for r in range(repeats):
         split = graphs.make_splits(g, (0.1, 0.1, 0.8), seed=seed + r)
         accs.append(probe_once(embeddings, labels, split))
-    accs = np.array(accs)
-    return ProbeResult(mean=float(accs.mean()), std=float(accs.std()),
-                       accuracies=tuple(accs.tolist()))
+    return AccuracyResult.from_accuracies(accs)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def prototype_classify(embeddings: np.ndarray, support: np.ndarray,
 
 
 def prototype_fewshot(embeddings: np.ndarray, labels: np.ndarray, k: int,
-                      n_tasks: int = 100, seed: int = 0) -> FewshotResult:
+                      n_tasks: int = 100, seed: int = 0) -> AccuracyResult:
     """Accuracy over sampled k-shot tasks; queries are the remaining nodes."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -235,6 +234,4 @@ def prototype_fewshot(embeddings: np.ndarray, labels: np.ndarray, k: int,
         pred = prototype_classify(embeddings, support, labels[support],
                                   queries, n_classes)
         accs.append(float((pred == labels[queries]).mean()))
-    accs = np.array(accs)
-    return FewshotResult(mean=float(accs.mean()), std=float(accs.std()),
-                         per_task=tuple(accs.tolist()))
+    return AccuracyResult.from_accuracies(accs)

@@ -56,10 +56,6 @@ class ExpertBank:
         if len(set(self.specs)) != len(self.specs):
             raise ValueError("expert specs must be distinct")
 
-    @property
-    def n_exp(self) -> int:
-        return len(self.specs)
-
     def parameters(self) -> list[Tensor]:
         return [self.gate_w, self.gate_b, self.proj_w, self.proj_b]
 
@@ -87,9 +83,6 @@ class RoutingStats:
     top_k: int
     f: np.ndarray            # fraction of nodes whose top-K contains expert k
     p: Tensor                # (1, N_exp) mean softmax probability over all logits
-
-    def p_values(self) -> np.ndarray:
-        return self.p.values.ravel()
 
 
 def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
@@ -144,7 +137,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: Adjacency
 
     full_probs = engine.softmax_rows(logits)
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
-    stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
+    stats = RoutingStats(channel=bank.channel, n_exp=len(bank.specs), top_k=bank.top_k,
                          f=selected.mean(axis=0), p=mean_p)
     return h_b, stats, [(out, bank.proj_w) for out in outs]
 
@@ -256,10 +249,10 @@ def init_residual_expert(kind: str, feat_dim: int, d_e: int,
     return ResidualExpert(kind=kind, params=params)
 
 
-def init_residual_pool(kinds, feat_dim: int, d_e: int, rng: np.random.Generator,
-                       gamma_init: float = 0.1) -> ResidualPool:
+def init_residual_pool(kinds, feat_dim: int, d_e: int,
+                       rng: np.random.Generator) -> ResidualPool:
     experts = [init_residual_expert(kind, feat_dim, d_e, rng) for kind in kinds]
-    gammas = [Tensor([[gamma_init]], requires_grad=True) for _ in experts]
+    gammas = [Tensor([[0.1]], requires_grad=True) for _ in experts]
     return ResidualPool(experts=experts, gammas=gammas, d_e=d_e)
 
 

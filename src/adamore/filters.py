@@ -96,36 +96,24 @@ def sym_propagate(view: AdjacencyView, h: Tensor) -> Tensor:
     return engine.add(engine.mul_col(agg, view.inv_sqrt_deg), self_term)
 
 
-def apply_filter(spec: FilterSpec, h: Tensor, view: AdjacencyView) -> Tensor:
-    """One filter: the single-spec case of :func:`filter_bank_outputs`."""
-    return filter_bank_outputs([spec], h, view)[0]
-
-
 def filter_bank_outputs(specs: list[FilterSpec], h: Tensor,
                         view: AdjacencyView) -> list[Tensor]:
     """Apply every spec, reusing hop-k outputs for hop-(k+1) within a family."""
     if not specs:
         raise ValueError("filter bank needs at least one spec")
-    sgc_cache: dict[int, Tensor] = {0: h}
-    lap_cache: dict[int, Tensor] = {0: h}
+    hops: dict[tuple[str, int], Tensor] = {("sgc", 0): h, ("lapsgc", 0): h}
 
-    def sgc_hop(k: int) -> Tensor:
-        if k not in sgc_cache:
-            sgc_cache[k] = sym_propagate(view, sgc_hop(k - 1))
-        return sgc_cache[k]
-
-    def lap_hop(k: int) -> Tensor:
-        if k not in lap_cache:
-            prev = lap_hop(k - 1)
-            lap_cache[k] = engine.sub(prev, sym_propagate(view, prev))
-        return lap_cache[k]
+    def hop(kind: str, k: int) -> Tensor:
+        if (kind, k) not in hops:
+            prev = hop(kind, k - 1)
+            step = sym_propagate(view, prev)
+            hops[kind, k] = step if kind == "sgc" else engine.sub(prev, step)
+        return hops[kind, k]
 
     outputs = []
     for spec in specs:
-        if spec.kind == "sgc":
-            outputs.append(sgc_hop(spec.k_hops))
-        elif spec.kind == "lapsgc":
-            outputs.append(lap_hop(spec.k_hops))
+        if spec.kind in ("sgc", "lapsgc"):
+            outputs.append(hop(spec.kind, spec.k_hops))
         elif spec.kind == "spline_lp":
             outputs.append(engine.scale(engine.add(h, neighbor_mean(view, h)), 0.5))
         else:  # spline_hp

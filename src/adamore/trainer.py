@@ -66,7 +66,7 @@ class TrainConfig:
         for name in ("epochs", "hidden", "edge_hidden", "d_s"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("svg_steps", "finetune_epochs"):
+        for name in ("svg_steps", "finetune_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.mask_ratio < 1.0:
@@ -204,18 +204,21 @@ def _edge_weights(model: Model, x: np.ndarray,
     return w, expit(logits.values / model.cfg.tau)
 
 
-def full_forward(model: Model, x_input: Tensor, rng: np.random.Generator | None,
-                 alpha_override: np.ndarray | None = None,
-                 x_gate: np.ndarray | None = None) -> ForwardResult:
+def full_forward(model: Model, rng: np.random.Generator | None,
+                 mask: np.ndarray | None = None,
+                 alpha_override: np.ndarray | None = None) -> ForwardResult:
     """One pass through gating, both channels, and fusion; training mode
     when given an ``rng``, eval mode (no noise) without.
 
-    The experts read ``x_input``; the edge gate reads the constant ``x_gate``,
-    by default the raw features. The masked steps hand in their features
-    with the masked rows zeroed, so the gate sees neither the masked
-    features nor the token, and no gradient flows back through its input."""
+    Without a ``mask`` the gate and the experts read the raw features. With
+    one, both inputs come from :func:`masked_input`: the experts read the
+    features with the token in the masked rows, the gate the constant
+    features with those rows zeroed, so it sees neither the masked features
+    nor the token, and no gradient flows back through its input."""
     g, cfg = model.graph, model.cfg
-    w, w_eval = _edge_weights(model, g.features if x_gate is None else x_gate, rng)
+    x_gate, x_input = ((g.features, Tensor(g.features)) if mask is None
+                       else masked_input(g.features, mask, model.mask_token))
+    w, w_eval = _edge_weights(model, x_gate, rng)
     views = gating.build_views(g, w)
     h_b_coh, stats_coh, outs_coh = experts.backbone_forward(
         model.bank_coh, x_input, model.s, views.a_coh)
@@ -232,16 +235,13 @@ def full_forward(model: Model, x_input: Tensor, rng: np.random.Generator | None,
         alpha = fusion.compute_fusion(w_eval, h_enh_coh.values, g, model.a_tilde)
     h_final = fusion.fuse(h_enh_coh, h_enh_disp, alpha)
 
-    targets = {
-        "foundational": {"coh": outs_coh, "disp": outs_disp},
-        "residual": {"coh": r_outs_coh, "disp": r_outs_disp},
-    }
     mode = cfg.diversity_targets
-    if mode == "both":
-        div = {ch: targets["foundational"][ch] + targets["residual"][ch]
-               for ch in ("coh", "disp")}
-    else:
-        div = targets[mode]
+    div = {"coh": [], "disp": []}
+    for ch, found, res in (("coh", outs_coh, r_outs_coh), ("disp", outs_disp, r_outs_disp)):
+        if mode != "residual":
+            div[ch] += found
+        if mode != "foundational":
+            div[ch] += res
     return ForwardResult(stats_coh=stats_coh, stats_disp=stats_disp,
                          h_final=h_final, alpha=alpha, diversity_targets=div)
 
@@ -299,9 +299,8 @@ def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, Fo
     engine.reset_tape()
     engine.zero_grads(model.all_parameters())
     mask = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
-    x_gate, x_input = masked_input(model.graph.features, mask, model.mask_token)
     fwd = _guard("reconstruction forward", state.epoch,
-                 lambda: full_forward(model, x_input, state.rng, x_gate=x_gate))
+                 lambda: full_forward(model, state.rng, mask))
     return mask, fwd
 
 
@@ -399,7 +398,7 @@ def reconstruction_step(state: TrainState) -> dict:
 
     for stats in (fwd.stats_coh, fwd.stats_disp):
         state.routing_log += [(state.epoch, stats.channel, k, float(f), float(p))
-                              for k, (f, p) in enumerate(zip(stats.f, stats.p_values()))]
+                              for k, (f, p) in enumerate(zip(stats.f, stats.p.values.ravel()))]
     return {**{name: part.item() for name, part in parts.items()}, "total": total.item()}
 
 
@@ -434,7 +433,7 @@ def eval_forward(state: TrainState,
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        return full_forward(model, Tensor(model.graph.features), None, alpha_override)
+        return full_forward(model, None, alpha_override=alpha_override)
 
 
 def embed(state: TrainState, alpha_override: np.ndarray | None = None) -> np.ndarray:

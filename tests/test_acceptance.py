@@ -80,11 +80,8 @@ def test_criterion_01_gradient_correctness():
         plan = trainer.sample_mask(np.random.default_rng(trial), g.n_nodes, 0.5)
 
         def masked_forward(alpha_override=None):
-            # the recon step's inputs: the gate reads the features with the
-            # masked rows zeroed, the experts that copy plus the token
-            x_gate, x_input = trainer.masked_input(g.features, plan, model.mask_token)
-            return trainer.full_forward(model, x_input, np.random.default_rng(500 + trial),
-                                        alpha_override=alpha_override, x_gate=x_gate)
+            return trainer.full_forward(model, np.random.default_rng(500 + trial), plan,
+                                        alpha_override=alpha_override)
 
         alpha0 = masked_forward().alpha
 
@@ -231,8 +228,8 @@ def test_criterion_05_spline_perfect_reconstruction():
         assert set(g.degrees()) == {d}
         h = Tensor(rng.normal(size=(n, 5)))
         view = filters.raw_view(g)
-        lp = filters.apply_filter(filters.FilterSpec("spline_lp", 1), h, view)
-        hp = filters.apply_filter(filters.FilterSpec("spline_hp", 1), h, view)
+        lp = filters.filter_bank_outputs([filters.FilterSpec("spline_lp", 1)], h, view)[0]
+        hp = filters.filter_bank_outputs([filters.FilterSpec("spline_hp", 1)], h, view)[0]
         worst = max(worst, float(np.abs(lp.values + hp.values - h.values).max()))
     elapsed = time.time() - start
     report(5, "spline pair reconstructs the input on d-regular graphs (1e-10)",
@@ -370,7 +367,7 @@ def test_criterion_12_fewshot_protocol(sanity_graph, sanity_states):
     medians = []
     for k in (1, 2, 3):
         res = evaluation.prototype_fewshot(emb, g.labels, k=k, n_tasks=100, seed=5)
-        medians.append(float(np.median(res.per_task)))
+        medians.append(float(np.median(res.accuracies)))
     ok = (medians[0] >= chance + 0.20
           and medians[0] <= medians[1] <= medians[2])
     report(12, "few-shot: 1-shot beats chance by 20 points, non-decreasing in k",

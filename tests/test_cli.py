@@ -272,6 +272,13 @@ def test_train_rejects_zero_hidden_width(sbm_dir, tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_train_rejects_negative_seed_naming_the_key(sbm_dir, tmp_path, capsys):
+    assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
+                   "--seed", "-1") == 1
+    assert "invalid configuration: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_help_everywhere_exits_zero():
     for cmd in cli.COMMANDS:
         with pytest.raises(SystemExit) as exc:

@@ -612,7 +612,7 @@ def test_frozen_parameters_record_nothing_and_get_no_gradient():
         engine.backward(loss)
     assert w.grad is None and b.grad is None
     assert np.allclose(live.grad, np.ones((5, 2)) @ w.values.T / 10.0)
-    assert w._needs_grad and b._needs_grad
+    assert w.requires_grad and b.requires_grad
 
 
 def test_tape_replay_determinism():
@@ -887,6 +887,16 @@ def test_malformed_checkpoint_manifest_is_refused_naming_the_file(tmp_path, mani
     path.write_bytes(struct_pack_header(manifest) + np.zeros(2).tobytes())
     with pytest.raises(ValueError, match=re.escape(str(path))):
         engine.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["a b", "", "x\ny"], ids=["space", "empty", "newline"])
+def test_checkpoint_refuses_a_name_its_manifest_cannot_hold(tmp_path, name):
+    path = tmp_path / "model.ckpt"
+    engine.save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        engine.save_checkpoint(path, {"b": np.ones((1, 1)), name: np.zeros((2, 2))})
+    assert path.read_bytes() == before
 
 
 def struct_pack_header(header: bytes) -> bytes:

@@ -187,7 +187,7 @@ def test_prototype_fewshot_protocol():
     labels = np.repeat([0, 1, 2], 30)
     emb = np.eye(3)[labels] * 5.0 + 0.3 * rng.normal(size=(90, 3))
     res = evaluation.prototype_fewshot(emb, labels, k=2, n_tasks=20, seed=0)
-    assert len(res.per_task) == 20
+    assert len(res.accuracies) == 20
     assert res.mean > 0.95
     rerun = evaluation.prototype_fewshot(emb, labels, k=2, n_tasks=20, seed=0)
     assert res == rerun

@@ -85,7 +85,7 @@ def test_backbone_single_expert_is_projection():
                                     g.feat_dim, emb.shape[1], 4, rng)
     view = filters.raw_view(g)
     h_b, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
-    out = filters.apply_filter(FilterSpec("sgc", 1), Tensor(g.features), view)
+    out = filters.filter_bank_outputs([FilterSpec("sgc", 1)], Tensor(g.features), view)[0]
     expect = out.values @ bank.proj_w.values + bank.proj_b.values
     assert np.allclose(h_b.values, expect, atol=1e-12)
 
@@ -164,8 +164,9 @@ def test_load_balance_at_least_one_for_k1():
 def test_residual_zero_gammas_disable_pool():
     rng = np.random.default_rng(7)
     g, _ = setup_graph(seed=6)
-    pool = experts.init_residual_pool(["gcn-layer", "gin0"], g.feat_dim, 4, rng,
-                                      gamma_init=0.0)
+    pool = experts.init_residual_pool(["gcn-layer", "gin0"], g.feat_dim, 4, rng)
+    for gamma in pool.gammas:
+        gamma.values = np.zeros((1, 1))
     h_r, outs = experts.residual_forward(pool, Tensor(g.features), filters.raw_view(g))
     assert not h_r.values.any()
     assert len(outs) == 2
@@ -176,7 +177,8 @@ def test_residual_zero_gammas_disable_pool():
 def test_residual_single_expert_gamma_one():
     rng = np.random.default_rng(8)
     g, _ = setup_graph(seed=7)
-    pool = experts.init_residual_pool(["sage-mean"], g.feat_dim, 4, rng, gamma_init=1.0)
+    pool = experts.init_residual_pool(["sage-mean"], g.feat_dim, 4, rng)
+    pool.gammas[0].values = np.ones((1, 1))
     view = filters.raw_view(g)
     h_r, outs = experts.residual_forward(pool, Tensor(g.features), view)
     assert np.allclose(h_r.values, outs[0].values, atol=1e-15)

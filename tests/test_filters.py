@@ -41,21 +41,21 @@ def test_spec_validation_and_tokens():
 def test_sgc_zero_hops_is_identity():
     g = path2()
     h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = filters.apply_filter(filters.FilterSpec("sgc", 0), h, filters.raw_view(g))
+    out = filters.filter_bank_outputs([filters.FilterSpec("sgc", 0)], h, filters.raw_view(g))[0]
     assert out is h
 
 
 def test_sgc_one_hop_two_node_path():
     g = path2()
-    out = filters.apply_filter(filters.FilterSpec("sgc", 1), Tensor(np.eye(2)),
-                               filters.raw_view(g))
+    out = filters.filter_bank_outputs([filters.FilterSpec("sgc", 1)], Tensor(np.eye(2)),
+                                      filters.raw_view(g))[0]
     assert np.allclose(out.values, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
 def test_lapsgc_one_hop_two_node_path():
     g = path2()
-    out = filters.apply_filter(filters.FilterSpec("lapsgc", 1),
-                               Tensor(np.eye(2)), filters.raw_view(g))
+    out = filters.filter_bank_outputs([filters.FilterSpec("lapsgc", 1)],
+                                      Tensor(np.eye(2)), filters.raw_view(g))[0]
     assert np.allclose(out.values, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
 
@@ -68,7 +68,8 @@ def test_sgc_matches_dense_oracle_random_graphs():
         g = graphs.make_graph(n, np.stack([iu, ju], axis=1), np.eye(n))
         h = Tensor(rng.normal(size=(n, 3)))
         for k in (1, 2, 3):
-            out = filters.apply_filter(filters.FilterSpec("sgc", k), h, filters.raw_view(g))
+            out = filters.filter_bank_outputs([filters.FilterSpec("sgc", k)], h,
+                                              filters.raw_view(g))[0]
             expect = np.linalg.matrix_power(dense_sym_norm(adj), k) @ h.values
             assert np.allclose(out.values, expect, atol=1e-10)
 
@@ -78,7 +79,8 @@ def test_weighted_view_matches_dense_oracle():
     g = graphs.gen_sbm(5, 2, 0.7, 0.3, feat_dim=4, seed=1)
     w = rng.uniform(0.1, 0.9, size=g.n_edges)
     h = Tensor(rng.normal(size=(g.n_nodes, 3)))
-    out = filters.apply_filter(filters.FilterSpec("sgc", 2), h, view_with_weights(g, w))
+    out = filters.filter_bank_outputs([filters.FilterSpec("sgc", 2)], h,
+                                      view_with_weights(g, w))[0]
     dense = dense_weighted_sym(g, w)
     assert np.allclose(out.values, dense @ dense @ h.values, atol=1e-10)
 
@@ -87,9 +89,9 @@ def test_all_ones_weights_equal_raw_graph():
     rng = np.random.default_rng(4)
     g = graphs.gen_sbm(6, 2, 0.6, 0.2, feat_dim=4, seed=2)
     h = Tensor(rng.normal(size=(g.n_nodes, 3)))
-    raw = filters.apply_filter(filters.FilterSpec("sgc", 2), h, filters.raw_view(g))
-    ones = filters.apply_filter(filters.FilterSpec("sgc", 2), h,
-                                view_with_weights(g, np.ones(g.n_edges)))
+    raw = filters.filter_bank_outputs([filters.FilterSpec("sgc", 2)], h, filters.raw_view(g))[0]
+    ones = filters.filter_bank_outputs([filters.FilterSpec("sgc", 2)], h,
+                                       view_with_weights(g, np.ones(g.n_edges)))[0]
     assert np.allclose(raw.values, ones.values, atol=1e-12)
 
 
@@ -102,9 +104,9 @@ def test_linearity():
     a, b = 0.7, -1.3
     for kind, k in (("sgc", 2), ("lapsgc", 2), ("spline_lp", 1), ("spline_hp", 1)):
         spec = filters.FilterSpec(kind, k)
-        mixed = filters.apply_filter(spec, Tensor(a * h1 + b * h2), view)
-        f1 = filters.apply_filter(spec, Tensor(h1), view)
-        f2 = filters.apply_filter(spec, Tensor(h2), view)
+        mixed = filters.filter_bank_outputs([spec], Tensor(a * h1 + b * h2), view)[0]
+        f1 = filters.filter_bank_outputs([spec], Tensor(h1), view)[0]
+        f2 = filters.filter_bank_outputs([spec], Tensor(h2), view)[0]
         assert np.allclose(mixed.values, a * f1.values + b * f2.values, atol=1e-10)
 
 
@@ -122,8 +124,8 @@ def test_spline_perfect_reconstruction_regular_graphs():
         assert set(g.degrees()) == {d}
         h = Tensor(rng.normal(size=(n, 4)))
         view = filters.raw_view(g)
-        lp = filters.apply_filter(filters.FilterSpec("spline_lp", 1), h, view)
-        hp = filters.apply_filter(filters.FilterSpec("spline_hp", 1), h, view)
+        lp = filters.filter_bank_outputs([filters.FilterSpec("spline_lp", 1)], h, view)[0]
+        hp = filters.filter_bank_outputs([filters.FilterSpec("spline_hp", 1)], h, view)[0]
         assert np.allclose(lp.values + hp.values, h.values, atol=1e-10)
         # on a d-regular graph spline_lp is exactly (I + A/d)/2
         adj = np.zeros((n, n))
@@ -140,8 +142,29 @@ def test_filter_bank_consistency_and_order():
     specs = [filters.FilterSpec("sgc", k) for k in (1, 2, 3)]
     outs = filters.filter_bank_outputs(specs, h, view)
     assert len(outs) == 3
-    direct = filters.apply_filter(filters.FilterSpec("sgc", 3), h, view)
+    direct = filters.filter_bank_outputs([filters.FilterSpec("sgc", 3)], h, view)[0]
     assert np.array_equal(outs[2].values, direct.values)
+
+
+def test_filter_bank_computes_each_hop_once_per_family():
+    rng = np.random.default_rng(8)
+    g = graphs.gen_sbm(5, 2, 0.6, 0.2, feat_dim=3, seed=5)
+    view = filters.raw_view(g)
+    h = Tensor(rng.normal(size=(g.n_nodes, 3)), requires_grad=True)
+
+    def ops(specs):
+        engine.reset_tape()
+        outs = filters.filter_bank_outputs(specs, h, view)
+        return outs, [rec[0] for rec in engine.current_tape().records]
+
+    (sgc1,), hop = ops([filters.FilterSpec("sgc", 1)])
+    (lap1,), lap_hop = ops([filters.FilterSpec("lapsgc", 1)])
+    assert lap_hop == hop + ["sub"]
+    specs = [filters.FilterSpec(kind, k) for kind in ("sgc", "lapsgc") for k in (2, 1)]
+    outs, mixed = ops(specs)
+    assert mixed == 2 * hop + 2 * lap_hop
+    assert np.array_equal(outs[1].values, sgc1.values)
+    assert np.array_equal(outs[3].values, lap1.values)
 
 
 def test_filter_bank_zero_features():
@@ -164,7 +187,7 @@ def test_gradients_flow_through_h_and_weights():
     def loss_fn():
         w_dir = engine.gather_rows(w_und, np.concatenate([np.arange(m), np.arange(m)]))
         view = filters.AdjacencyView(graph=g, weights=w_dir)
-        out = filters.apply_filter(filters.FilterSpec("lapsgc", 2), h, view)
+        out = filters.filter_bank_outputs([filters.FilterSpec("lapsgc", 2)], h, view)[0]
         return engine.frobenius(out, target)
 
     assert check_grad(loss_fn, [h, w_und], seed=1) <= 1e-4
@@ -195,10 +218,10 @@ def test_edgeless_graph_gives_closed_forms():
 
             def loss_fn():
                 view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
-                return engine.frobenius(filters.apply_filter(spec, h, view), target)
+                return engine.frobenius(filters.filter_bank_outputs([spec], h, view)[0], target)
 
             view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
-            out = filters.apply_filter(spec, h, view)
+            out = filters.filter_bank_outputs([spec], h, view)[0]
             assert np.allclose(out.values, gain[kind] * h.values, atol=1e-12), spec
             assert check_grad(loss_fn, [h], seed=3) <= 1e-4, spec
 
@@ -256,9 +279,9 @@ def test_every_filter_is_linear_on_gate_weighted_views(case, k):
     for view in (pair.a_coh, pair.a_disp):
         for kind in filters.FILTER_KINDS:
             spec = filters.FilterSpec(kind, k)
-            mixed = filters.apply_filter(spec, Tensor(a * h1 + b * h2), view).values
-            f1 = filters.apply_filter(spec, Tensor(h1), view).values
-            f2 = filters.apply_filter(spec, Tensor(h2), view).values
+            mixed = filters.filter_bank_outputs([spec], Tensor(a * h1 + b * h2), view)[0].values
+            f1 = filters.filter_bank_outputs([spec], Tensor(h1), view)[0].values
+            f2 = filters.filter_bank_outputs([spec], Tensor(h2), view)[0].values
             scale = abs(a) * np.abs(f1).max() + abs(b) * np.abs(f2).max() + 1.0
             assert np.abs(mixed - (a * f1 + b * f2)).max() <= 1e-12 * scale, spec
 
@@ -276,7 +299,7 @@ def test_filter_gradients_wrt_h_and_view_weights(case, kind, k):
 
     def loss_fn():
         view = gating.build_views(g, w).a_coh
-        out = filters.apply_filter(filters.FilterSpec(kind, k), h, view)
+        out = filters.filter_bank_outputs([filters.FilterSpec(kind, k)], h, view)[0]
         return engine.frobenius(out, target)
 
     params = [h, w] if m else [h]      # no weight entries to check without edges

@@ -63,11 +63,6 @@ TRAIN_FLAGS = ("--epochs", "2", "--lr", "0.01", "--hidden", "8", "--d-s", "3",
                "--residual-kinds", "gcn-layer,gin0")
 
 
-def _oracle_weights(g: graphs.Graph) -> np.ndarray:
-    same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
-    return np.where(same, 0.9, 0.1)
-
-
 def _grads_of_step(state: trainer.TrainState, step) -> dict[str, np.ndarray]:
     """Gradients the step hands to Adam, keyed by parameter name."""
     names = {id(p): name for name, p in state.model.named_parameters().items()}
@@ -129,7 +124,8 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
     digest = {}
     for label, overrides in CONFIGS.items():
         cfg = replace(base, **overrides)
-        fixed = _oracle_weights(g) if label == "oracle" else None
+        fixed = (experiments.oracle_weights(g, experiments.OracleWeightSpec())
+                 if label == "oracle" else None)
         digest.update({f"{label}.{k}": v for k, v in _run(g, cfg, fixed).items()})
     curve = [rec["l_mae"] for rec in trainer.naive_moe_baseline(g, base)]
     digest["flat_moe.l_mae"] = np.array(curve)
