@@ -19,10 +19,18 @@ built. Work with one row per edge and a feature width runs in cache-sized
 row blocks (:func:`gathered_pairs`) through buffers reused for every block,
 so no edges x width array is formed.
 
+Each model-level operation is one record, bit for bit the op chain it
+stands for, and keeps only what its backward needs: :func:`linear` (a w + b)
+and :func:`mixture`, :func:`residual_sum` and :func:`blend` (the weighted
+sums of expert and channel outputs) nothing beyond their inputs, :func:`hop`
+(one normalized propagation) the edge sum only when the degree term needs
+a gradient and h * D^-1/2 only when the edge weights do.
+
 A training session owns one tape and is single-threaded. Call
-:func:`reset_tape` at the start of each optimization step; parameters are
-leaves and survive the reset. The module also holds the one MLP type,
-Adam, and :func:`atomic_write`, the writer of every output file.
+:func:`reset_tape` at the start of each optimization step; a tape is
+differentiated once, and parameters are leaves that survive the reset.
+The module also holds the one MLP type, Adam, and :func:`atomic_write`,
+the writer of every output file.
 """
 
 from __future__ import annotations
@@ -92,9 +100,10 @@ class Tensor:
 
 @dataclass
 class Tape:
-    """Ordered operation records; backward traverses them in reverse."""
+    """Ordered operation records; backward traverses them in reverse, once."""
 
     records: list = field(default_factory=list)
+    differentiated: bool = False
 
     def __len__(self) -> int:
         return len(self.records)
@@ -134,10 +143,14 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every requiring ancestor.
 
     Gradients of tensors that are not ancestors of ``loss`` are untouched.
-    Must not be called twice on the same tape without a reset in between.
+    A second call on one tape would add every record's gradient again, so
+    it raises RuntimeError instead; :func:`reset_tape` starts a new tape.
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward expects a 1x1 loss, got shape {loss.shape}")
+    if _current_tape.differentiated:
+        raise RuntimeError("backward called twice on one tape; reset_tape() starts a new one")
+    _current_tape.differentiated = True
     loss.grad = np.ones((1, 1))
     for op, out, inputs, backward_fn in reversed(_current_tape.records):
         g = out.grad
@@ -213,18 +226,6 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     return _record("add_scalar", out, (a,), lambda g: (g,))
 
 
-def scale_by(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a matrix by a learnable 1x1 scalar tensor."""
-    if s.shape != (1, 1):
-        raise ShapeError(f"operation 'scale_by' requires a 1x1 scalar, got {s.shape}")
-    av, sv = a.values, s.values[0, 0]
-    out = Tensor(av * sv)
-    need_a, need_s = a.requires_grad, s.requires_grad
-    return _record("scale_by", out, (a, s),
-                   lambda g: (g * sv if need_a else None,
-                              np.array([[np.sum(g * av)]]) if need_s else None))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -236,6 +237,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     need_a, need_b = a.requires_grad, b.requires_grad
     return _record("matmul", out, (a, b), lambda g: (g @ bv.T if need_a else None,
                                                      av.T @ g if need_b else None))
+
+
+def linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """a w + b for a 1 x d row b, the bias added in place: the values and
+    gradients of ``add_row(matmul(a, w), b)`` in one record."""
+    if a.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"operation 'linear' mismatch: {a.shape} @ {w.shape} + {b.shape}")
+    av, wv = a.values, w.values
+    out = av @ wv
+    out += b.values
+    need_a, need_w, need_b = a.requires_grad, w.requires_grad, b.requires_grad
+    return _record("linear", Tensor(out), (a, w, b),
+                   lambda g: (g @ wv.T if need_a else None, av.T @ g if need_w else None,
+                              g.sum(axis=0, keepdims=True) if need_b else None))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -372,6 +387,21 @@ def gathered_pairs(x: np.ndarray, y: np.ndarray, xi, yi):
                np.take(y, yi[lo:hi], axis=0, out=by[:hi - lo], mode="clip"))
 
 
+def _weighted_sum(rows: Index, cols: Index, wv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for A[rows[e], cols[e]] = wv[e], laid out by ``rows``: each row
+    sums its entries in ascending e."""
+    indptr, order, _ = rows.layout
+    return _csr_matmul(indptr, cols.idx[order], wv[order], cols.n_rows, x)
+
+
+def _edge_dots(g: np.ndarray, x: np.ndarray, dst: Index, src: Index) -> np.ndarray:
+    """The per-edge dots <g[dst[e]], x[src[e]]> as a column, in row blocks."""
+    out = np.empty((len(src), 1))
+    for lo, hi, gd, xs in gathered_pairs(g, x, dst, src):
+        np.einsum("ij,ij->i", gd, xs, out=out[lo:hi, 0])
+    return out
+
+
 def edge_sum(h: Tensor, w: Tensor, src, dst, n_rows: int) -> Tensor:
     """Weighted edge sum: row i is the sum of w[e] * h[src[e]] over dst[e] = i.
 
@@ -383,29 +413,52 @@ def edge_sum(h: Tensor, w: Tensor, src, dst, n_rows: int) -> Tensor:
     ``scatter_rows(mul_col(gather_rows(h, src), w), dst)`` bit for bit,
     without the edges x columns message matrix.
     """
-    n_cols = h.shape[0]
-    src, dst = _as_index(src, n_cols), _as_index(dst, n_rows)
+    src, dst = _as_index(src, h.shape[0]), _as_index(dst, n_rows)
     m = len(src)
     if len(dst) != m or w.shape != (m, 1):
         raise ShapeError(f"operation 'edge_sum' needs {m} destinations and ({m}, 1) "
                          f"weights, got {len(dst)} and {w.shape}")
     hv, wv = h.values, w.values[:, 0]
-    indptr, order, _ = dst.layout
-    out = Tensor(_csr_matmul(indptr, src.idx[order], wv[order], n_cols, hv))
     need_h, need_w = h.requires_grad, w.requires_grad
+    return _record("edge_sum", Tensor(_weighted_sum(dst, src, wv, hv)), (h, w),
+                   lambda g: (_weighted_sum(src, dst, wv, g) if need_h else None,
+                              _edge_dots(g, hv, dst, src) if need_w else None))
+
+
+def hop(h: Tensor, w: Tensor, inv_sqrt_deg: Tensor, inv_deg: Tensor, src, dst) -> Tensor:
+    """One hop of D^-1/2 (W + I) D^-1/2, edge_sum(h * s, w) * s + h * d for the
+    columns s = ``inv_sqrt_deg``, d = ``inv_deg``: one record for the five of
+    ``add(mul_col(edge_sum(mul_col(h, s), w), s), mul_col(h, d))``. s and h
+    are inputs twice, so their gradient terms come back in the chain's reverse
+    order (outer s first, h * s before h * d) and every sum into them keeps
+    its bits. The edge sum is kept only for s's gradient, h * s only for w's."""
+    n = h.shape[0]
+    src, dst = _as_index(src, n), _as_index(dst, n)
+    m = len(src)
+    if len(dst) != m or w.shape != (m, 1) or {inv_sqrt_deg.shape, inv_deg.shape} != {(n, 1)}:
+        raise ShapeError(f"operation 'hop' needs {m} destinations, ({m}, 1) weights and "
+                         f"({n}, 1) degree terms, got {len(dst)}, {w.shape}, "
+                         f"{inv_sqrt_deg.shape} and {inv_deg.shape}")
+    hv, wv, sv, dv = h.values, w.values[:, 0], inv_sqrt_deg.values, inv_deg.values
+    need_h, need_w = h.requires_grad, w.requires_grad
+    need_s, need_d = inv_sqrt_deg.requires_grad, inv_deg.requires_grad
+    hs = hv * sv
+    agg = _weighted_sum(dst, src, wv, hs)
+    out = agg * sv
+    out += hv * dv
+    agg, hs = (agg if need_s else None), (hs if need_w else None)
 
     def back(g):
-        gh = gw = None
-        if need_h:
-            indptr, order, _ = src.layout
-            gh = _csr_matmul(indptr, dst.idx[order], wv[order], n_rows, g)
-        if need_w:
-            gw = np.empty((m, 1))
-            for lo, hi, gd, hs in gathered_pairs(g, hv, dst, src):
-                np.einsum("ij,ij->i", gd, hs, out=gw[lo:hi, 0])
-        return gh, gw
+        g_agg = g * sv
+        g_hs = _weighted_sum(src, dst, wv, g_agg) if need_h or need_s else None
+        return (np.einsum("ij,ij->i", g, agg)[:, None] if need_s else None,
+                _edge_dots(g_agg, hs, dst, src) if need_w else None,
+                g_hs * sv if need_h else None,
+                np.einsum("ij,ij->i", g_hs, hv)[:, None] if need_s else None,
+                g * dv if need_h else None,
+                np.einsum("ij,ij->i", g, hv)[:, None] if need_d else None)
 
-    return _record("edge_sum", out, (h, w), back)
+    return _record("hop", Tensor(out), (inv_sqrt_deg, w, h, inv_sqrt_deg, h, inv_deg), back)
 
 
 def gather_rows(a: Tensor, index) -> Tensor:
@@ -483,15 +536,82 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g[:, :na], g[:, na:]))
 
 
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    out = Tensor(a.values[:, j0:j1].copy())
+# ---------------------------------------------------------------------------
+# weighted sums of model outputs
+
+def mixture(outs: Sequence[Tensor], weights: Tensor) -> Tensor:
+    """sum_k weights[:, k] * outs[k], added in k order: the gate-weighted
+    mixture per row, one record for the chain of ``mul_col`` by each weight
+    column and ``add``. As it, the backward visits k in descending order and
+    sums the weight gradient from one-column buffers."""
+    shape = outs[0].shape
+    if weights.shape != (shape[0], len(outs)) or any(o.shape != shape for o in outs):
+        raise ShapeError(f"operation 'mixture' needs {len(outs)} outputs of one shape and "
+                         f"({shape[0]}, {len(outs)}) weights, got "
+                         f"{[o.shape for o in outs]} and {weights.shape}")
+    wv = weights.values
+    out = outs[0].values * wv[:, :1]
+    for k in range(1, len(outs)):
+        out += outs[k].values * wv[:, k:k + 1]
+    needs = [o.requires_grad for o in outs]
+    need_w = weights.requires_grad
+    ks = range(len(outs) - 1, -1, -1)
 
     def back(g):
-        buf = np.zeros_like(a.values)
-        buf[:, j0:j1] = g
-        return (buf,)
+        gw = None
+        if need_w:
+            for k in ks:
+                buf = np.zeros_like(wv)
+                buf[:, k] = np.einsum("ij,ij->i", g, outs[k].values)
+                gw = buf if gw is None else gw + buf
+        return (*(g * wv[:, k:k + 1] if needs[k] else None for k in ks), gw)
 
-    return _record("slice_cols", out, (a,), back)
+    return _record("mixture", Tensor(out), (*(outs[k] for k in ks), weights), back)
+
+
+def residual_sum(base: Tensor, terms: Sequence[Tensor], scales: Sequence[Tensor]) -> Tensor:
+    """base + ((s_1 t_1 + s_2 t_2) + ...) for 1x1 scales s_k, one record for
+    the chain of each scaled term, their ``add`` in order and the add to base."""
+    if ({t.shape for t in terms} != {base.shape} or len(scales) != len(terms)
+            or {s.shape for s in scales} != {(1, 1)}):
+        raise ShapeError(f"operation 'residual_sum' needs terms of shape {base.shape} and "
+                         f"one 1x1 scale each, got {[t.shape for t in (*terms, *scales)]}")
+    svs = [s.values[0, 0] for s in scales]
+    out = terms[0].values * svs[0]
+    for t, sv in zip(terms[1:], svs[1:]):
+        out += t.values * sv
+    out += base.values
+    needs = [(t.requires_grad, s.requires_grad) for t, s in zip(terms, scales)]
+    ks = range(len(terms) - 1, -1, -1)
+
+    def back(g):
+        grads = [g]
+        for k in ks:
+            need_t, need_s = needs[k]
+            grads += [g * svs[k] if need_t else None,
+                      np.array([[np.sum(g * terms[k].values)]]) if need_s else None]
+        return grads
+
+    return _record("residual_sum", Tensor(out), (base, *(x for k in ks
+                                                         for x in (terms[k], scales[k]))), back)
+
+
+def blend(a: Tensor, b: Tensor, alpha: np.ndarray) -> Tensor:
+    """[alpha * a, (1 - alpha) * b] for a constant n x 1 column ``alpha``, written
+    into one output: one record for ``concat_cols`` of the two ``mul_col``."""
+    if a.shape != b.shape or alpha.shape != (a.shape[0], 1):
+        raise ShapeError(f"operation 'blend' needs two equal shapes and a ({a.shape[0]}, 1) "
+                         f"blend column, got {a.shape}, {b.shape} and {alpha.shape}")
+    one_minus = 1.0 - alpha
+    d = a.shape[1]
+    out = np.empty((a.shape[0], 2 * d))
+    np.multiply(a.values, alpha, out=out[:, :d])
+    np.multiply(b.values, one_minus, out=out[:, d:])
+    need_a, need_b = a.requires_grad, b.requires_grad
+    # b first: the chain's backward reached the dispersive product first
+    return _record("blend", Tensor(out), (b, a),
+                   lambda g: (g[:, d:] * one_minus if need_b else None,
+                              g[:, :d] * alpha if need_a else None))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +774,7 @@ class MLP:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, h: Tensor) -> Tensor:
-        hidden = relu(add_row(matmul(h, self.w1), self.b1))
-        return add_row(matmul(hidden, self.w2), self.b2)
+        return linear(relu(linear(h, self.w1, self.b1)), self.w2, self.b2)
 
 
 def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> MLP:

@@ -57,7 +57,7 @@ def _fit_logreg(x: np.ndarray, y: np.ndarray, n_classes: int,
     for _ in range(steps):
         engine.reset_tape()
         engine.zero_grads([w, b])
-        logits = engine.add_row(engine.matmul(x_const, w), b)
+        logits = engine.linear(x_const, w, b)
         loss = engine.scale(engine.frobenius(engine.log_softmax_rows(logits), target),
                             -1.0 / x.shape[0])
         engine.backward(loss)

@@ -102,14 +102,8 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
 def route(gate_w: Tensor, gate_b: Tensor, x: Tensor, s: np.ndarray,
           k: int) -> tuple[Tensor, np.ndarray, Tensor]:
     """Per-node top-``k`` gate over [x, s]: (weights, selected, logits)."""
-    logits = engine.add_row(engine.matmul(engine.concat_cols(x, Tensor(s)), gate_w), gate_b)
+    logits = engine.linear(engine.concat_cols(x, Tensor(s)), gate_w, gate_b)
     return (*topk_softmax(logits, k), logits)
-
-
-def mix(outs: list[Tensor], weights: Tensor) -> Tensor:
-    """sum_k weights[:, k] * outs[k], the gate-weighted mixture per row."""
-    return reduce(engine.add, (engine.mul_col(out, engine.slice_cols(weights, k, k + 1))
-                               for k, out in enumerate(outs)))
 
 
 def bank_mixture(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView):
@@ -117,7 +111,7 @@ def bank_mixture(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView
     of the filter outputs Y_k, and the gate's selection and logits."""
     weights, selected, logits = route(bank.gate_w, bank.gate_b, x, s, bank.top_k)
     outs = filter_bank_outputs(list(bank.specs), x, view)
-    return mix(outs, weights), outs, selected, logits
+    return engine.mixture(outs, weights), outs, selected, logits
 
 
 def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView):
@@ -133,7 +127,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: Adjacency
     """
     n = x.shape[0]
     mixed, outs, selected, logits = bank_mixture(bank, x, s, view)
-    h_b = engine.add_row(engine.matmul(mixed, bank.proj_w), bank.proj_b)
+    h_b = engine.linear(mixed, bank.proj_w, bank.proj_b)
 
     full_probs = engine.softmax_rows(logits)
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
@@ -167,9 +161,8 @@ class ResidualExpert:
 
     def forward(self, x: Tensor, view: AdjacencyView) -> Tensor:
         if self.kind == "gcn-layer":
-            return engine.relu(engine.add_row(
-                engine.matmul(sym_propagate(view, x), self.params["w"]),
-                self.params["b"]))
+            return engine.relu(engine.linear(sym_propagate(view, x), self.params["w"],
+                                             self.params["b"]))
         if self.kind == "sage-mean":
             mean_nb = neighbor_mean(view, x)
             out = engine.add(engine.matmul(x, self.params["w_self"]),
@@ -177,10 +170,8 @@ class ResidualExpert:
             return engine.relu(engine.add_row(out, self.params["b"]))
         if self.kind == "gin0":
             agg = engine.add(x, neighbor_sum(view, x))
-            h = engine.relu(engine.add_row(engine.matmul(agg, self.params["w1"]),
-                                           self.params["b1"]))
-            return engine.relu(engine.add_row(engine.matmul(h, self.params["w2"]),
-                                              self.params["b2"]))
+            h = engine.relu(engine.linear(agg, self.params["w1"], self.params["b1"]))
+            return engine.relu(engine.linear(h, self.params["w2"], self.params["b2"]))
         if self.kind == "gat-1head":
             return _gat_forward(self.params, x, view)
         raise ValueError(f"unknown residual expert kind {self.kind!r}")
@@ -219,7 +210,6 @@ class ResidualPool:
 
     experts: list[ResidualExpert]
     gammas: list[Tensor]            # one 1x1 scalar per expert
-    d_e: int
 
     @property
     def n_r(self) -> int:
@@ -253,16 +243,18 @@ def init_residual_pool(kinds, feat_dim: int, d_e: int,
                        rng: np.random.Generator) -> ResidualPool:
     experts = [init_residual_expert(kind, feat_dim, d_e, rng) for kind in kinds]
     gammas = [Tensor([[0.1]], requires_grad=True) for _ in experts]
-    return ResidualPool(experts=experts, gammas=gammas, d_e=d_e)
+    return ResidualPool(experts=experts, gammas=gammas)
 
 
-def residual_forward(pool: ResidualPool, x: Tensor,
+def residual_forward(pool: ResidualPool, h_b: Tensor, x: Tensor,
                      view: AdjacencyView) -> tuple[Tensor, list[Tensor]]:
-    """Scaled sum of all residual expert outputs; all experts activated."""
+    """(h_b + sum_k gamma_k r_k, [r_k]): the backbone output plus the scaled
+    outputs r_k of all residual experts, one :func:`engine.residual_sum`
+    record; ``h_b`` itself for an empty pool."""
     if pool.n_r == 0:
-        return Tensor(np.zeros((x.shape[0], pool.d_e))), []
+        return h_b, []
     outs = [ex.forward(x, view) for ex in pool.experts]
-    return reduce(engine.add, map(engine.scale_by, outs, pool.gammas)), outs
+    return engine.residual_sum(h_b, outs, pool.gammas), outs
 
 
 # ---------------------------------------------------------------------------

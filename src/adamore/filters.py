@@ -89,11 +89,8 @@ def neighbor_mean(view: AdjacencyView, h: Tensor) -> Tensor:
 
 
 def sym_propagate(view: AdjacencyView, h: Tensor) -> Tensor:
-    """One hop of D^-1/2 (W + I) D^-1/2 with the view's weighted degrees."""
-    # record order fixes the bits of the gradient sums into the degree terms
-    self_term = engine.mul_col(h, view.inv_deg)
-    agg = neighbor_sum(view, engine.mul_col(h, view.inv_sqrt_deg))
-    return engine.add(engine.mul_col(agg, view.inv_sqrt_deg), self_term)
+    """One hop of D^-1/2 (W + I) D^-1/2 on the view, an :func:`engine.hop`."""
+    return engine.hop(h, view.weights, view.inv_sqrt_deg, view.inv_deg, *view.graph.pairs)
 
 
 def filter_bank_outputs(specs: list[FilterSpec], h: Tensor,

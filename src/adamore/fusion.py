@@ -71,17 +71,9 @@ def compute_fusion(w: np.ndarray, h_coh: np.ndarray, g: Graph,
 
 
 def fuse(h_coh: Tensor, h_disp: Tensor, alpha: np.ndarray) -> Tensor:
-    """Concatenate alpha-scaled cohesive and (1-alpha)-scaled dispersive halves."""
-    if h_coh.shape != h_disp.shape:
-        raise engine.ShapeError(
-            f"fuse requires matching channel shapes, got {h_coh.shape} and {h_disp.shape}")
-    a = Tensor(np.asarray(alpha).reshape(-1, 1))
-    if a.shape[0] != h_coh.shape[0]:
-        raise engine.ShapeError(
-            f"alpha length {a.shape[0]} does not match {h_coh.shape[0]} nodes")
-    one_minus = Tensor(1.0 - a.values)
-    return engine.concat_cols(engine.mul_col(h_coh, a),
-                              engine.mul_col(h_disp, one_minus))
+    """Concatenate alpha-scaled cohesive and (1-alpha)-scaled dispersive
+    halves, one :func:`engine.blend` record."""
+    return engine.blend(h_coh, h_disp, np.asarray(alpha, dtype=np.float64).reshape(-1, 1))
 
 
 def export_alpha_tsv(alpha: np.ndarray, path: str) -> None:

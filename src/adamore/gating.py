@@ -63,7 +63,7 @@ def edge_logits(params: engine.MLP, x: Tensor, s: np.ndarray, g: Graph) -> Tenso
     u = engine.concat_cols(x, Tensor(s))
     w_top = engine.gather_rows(params.w1, np.arange(half))
     w_bot = engine.gather_rows(params.w1, np.arange(half, 2 * half))
-    top = engine.add_row(engine.matmul(u, w_top), params.b1)
+    top = engine.linear(u, w_top, params.b1)
     bot = engine.matmul(u, w_bot)
     out = engine.add_row(engine.pair_mlp(top, bot, params.w2, *g.pairs), params.b2)
     return engine.scale(engine.scatter_rows(out, g.pair_edge, g.n_edges), 0.5)

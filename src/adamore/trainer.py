@@ -224,10 +224,10 @@ def full_forward(model: Model, rng: np.random.Generator | None,
         model.bank_coh, x_input, model.s, views.a_coh)
     h_b_disp, stats_disp, outs_disp = experts.backbone_forward(
         model.bank_disp, x_input, model.s, views.a_disp)
-    h_r_coh, r_outs_coh = experts.residual_forward(model.pool_coh, x_input, views.a_coh)
-    h_r_disp, r_outs_disp = experts.residual_forward(model.pool_disp, x_input, views.a_disp)
-    h_enh_coh = engine.add(h_b_coh, h_r_coh)
-    h_enh_disp = engine.add(h_b_disp, h_r_disp)
+    h_enh_coh, r_outs_coh = experts.residual_forward(model.pool_coh, h_b_coh, x_input,
+                                                     views.a_coh)
+    h_enh_disp, r_outs_disp = experts.residual_forward(model.pool_disp, h_b_disp, x_input,
+                                                       views.a_disp)
 
     if alpha_override is not None:
         alpha = np.asarray(alpha_override, dtype=np.float64).ravel()
@@ -488,9 +488,8 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
             mask, fwd = _masked_forward(state, cfg)
             loss, _ = masked_objective(fwd, model, mask, cfg, state.epoch)
             if cfg.lambda_cls:
-                logits = engine.add_row(
-                    engine.matmul(engine.gather_rows(fwd.h_final, support), model.head_w),
-                    model.head_b)
+                logits = engine.linear(engine.gather_rows(fwd.h_final, support),
+                                       model.head_w, model.head_b)
                 log_probs = engine.log_softmax_rows(logits)
                 l_cls = engine.scale(engine.frobenius(log_probs, Tensor(onehot)),
                                      -1.0 / len(support))
@@ -542,7 +541,7 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
 
         def forward():
             weights, _, _ = experts.route(gate_w, gate_b, x_input, s, 1)
-            return experts.mix([ex.forward(x_input, view) for ex in pool], weights)
+            return engine.mixture([ex.forward(x_input, view) for ex in pool], weights)
 
         h = _guard("naive forward", epoch, forward)
         l_mae = _guard("l_mae", epoch, lambda: mae_loss(h, decoder, g.features, mask, cfg.gamma))

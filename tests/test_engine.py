@@ -145,6 +145,30 @@ def test_backward_leaves_non_ancestors_untouched():
     assert other.grad is None
 
 
+def test_second_backward_on_one_tape_raises_and_leaves_gradients():
+    """A second backward would add every record's gradient again (w1 would
+    get 4 and w2 3 times the first call's, not twice); it must refuse."""
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(4, 3)))
+    w1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+
+    def loss():
+        engine.reset_tape()
+        engine.zero_grads([w1, w2])
+        return engine.mean_all(engine.matmul(engine.matmul(x, w1), w2))
+
+    first = loss()
+    engine.backward(first)
+    grads = w1.grad.copy(), w2.grad.copy()
+    with pytest.raises(RuntimeError, match="reset_tape"):
+        engine.backward(first)
+    assert np.array_equal(w1.grad, grads[0]) and np.array_equal(w2.grad, grads[1])
+    engine.backward(loss())        # a fresh tape differentiates again
+    assert np.array_equal(w1.grad, grads[0]) and np.array_equal(w2.grad, grads[1])
+    engine.reset_tape()
+
+
 # ---------------------------------------------------------------------------
 # backward: finite differences for every op
 
@@ -188,12 +212,6 @@ def _(rng):
     return [a], lambda: engine.mean_all(engine.add_scalar(a, 2.5))
 
 
-@op_case("scale_by")
-def _(rng):
-    a, s = _param(rng, (3, 4)), _param(rng, (1, 1))
-    return [a, s], lambda: engine.mean_all(engine.scale_by(a, s))
-
-
 @op_case("matmul")
 def _(rng):
     a, b = _param(rng, (3, 4)), _param(rng, (4, 2))
@@ -210,6 +228,13 @@ def _(rng):
 def _(rng):
     a, b = _param(rng, (3, 4)), _param(rng, (3, 4))
     return [a, b], lambda: engine.frobenius(a, b)
+
+
+@op_case("linear")
+def _(rng):
+    a, w, b = _param(rng, (5, 4)), _param(rng, (4, 3)), _param(rng, (1, 3))
+    c = Tensor(rng.normal(size=(5, 3)))
+    return [a, w, b], lambda: engine.frobenius(engine.linear(a, w, b), c)
 
 
 @op_case("add_row")
@@ -245,13 +270,6 @@ def _(rng):
     a, b = _param(rng, (4, 2)), _param(rng, (4, 3))
     c = Tensor(rng.normal(size=(4, 5)))
     return [a, b], lambda: engine.frobenius(engine.concat_cols(a, b), c)
-
-
-@op_case("slice_cols")
-def _(rng):
-    a = _param(rng, (4, 5))
-    c = Tensor(rng.normal(size=(4, 2)))
-    return [a], lambda: engine.frobenius(engine.slice_cols(a, 1, 3), c)
 
 
 @op_case("relu")
@@ -375,6 +393,64 @@ def _(rng):
 @op_case("pair_mlp")
 def _(rng):
     return _pair_mlp_case(rng, a_grad=True, b_grad=True, v_grad=True)
+
+
+def _hop_case(rng, h_grad: bool, w_grad: bool, deg_grad: bool):
+    # the edge_sum case's graph: node 4 has no edges
+    src = np.array([0, 1, 1, 3, 2, 0, 3])
+    dst = np.array([1, 0, 3, 1, 0, 2, 2])
+    h = Tensor(_safe_values(rng, (5, 3)), requires_grad=h_grad)
+    w = Tensor(rng.uniform(0.2, 1.0, size=(7, 1)), requires_grad=w_grad)
+    s, d = (Tensor(rng.uniform(0.3, 1.0, size=(5, 1)), requires_grad=deg_grad)
+            for _ in range(2))
+    c = Tensor(rng.normal(size=(5, 3)))
+    params = [t for t in (h, w, s, d) if t.requires_grad]
+    return params, lambda: engine.frobenius(engine.hop(h, w, s, d, src, dst), c)
+
+
+@op_case("hop_h_frozen")
+def _(rng):
+    return _hop_case(rng, h_grad=False, w_grad=True, deg_grad=True)
+
+
+@op_case("hop_w_frozen")
+def _(rng):
+    return _hop_case(rng, h_grad=True, w_grad=False, deg_grad=True)
+
+
+@op_case("hop_degrees_frozen")
+def _(rng):
+    return _hop_case(rng, h_grad=True, w_grad=True, deg_grad=False)
+
+
+@op_case("hop")
+def _(rng):
+    return _hop_case(rng, h_grad=True, w_grad=True, deg_grad=True)
+
+
+@op_case("mixture")
+def _(rng):
+    outs = [_param(rng, (5, 3)) for _ in range(3)]
+    weights = _param(rng, (5, 3))
+    c = Tensor(rng.normal(size=(5, 3)))
+    return [*outs, weights], lambda: engine.frobenius(engine.mixture(outs, weights), c)
+
+
+@op_case("residual_sum")
+def _(rng):
+    base, terms = _param(rng, (5, 3)), [_param(rng, (5, 3)) for _ in range(3)]
+    scales = [_param(rng, (1, 1)) for _ in terms]
+    c = Tensor(rng.normal(size=(5, 3)))
+    return [base, *terms, *scales], lambda: engine.frobenius(
+        engine.residual_sum(base, terms, scales), c)
+
+
+@op_case("blend")
+def _(rng):
+    a, b = _param(rng, (5, 3)), _param(rng, (5, 3))
+    alpha = rng.uniform(size=(5, 1))
+    c = Tensor(rng.normal(size=(5, 6)))
+    return [a, b], lambda: engine.frobenius(engine.blend(a, b, alpha), c)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))

@@ -167,11 +167,10 @@ def test_residual_zero_gammas_disable_pool():
     pool = experts.init_residual_pool(["gcn-layer", "gin0"], g.feat_dim, 4, rng)
     for gamma in pool.gammas:
         gamma.values = np.zeros((1, 1))
-    h_r, outs = experts.residual_forward(pool, Tensor(g.features), filters.raw_view(g))
-    assert not h_r.values.any()
-    assert len(outs) == 2
     h_b = Tensor(rng.normal(size=(g.n_nodes, 4)))
-    assert np.array_equal(engine.add(h_b, h_r).values, h_b.values)
+    h_enh, outs = experts.residual_forward(pool, h_b, Tensor(g.features), filters.raw_view(g))
+    assert len(outs) == 2
+    assert np.array_equal(h_enh.values, h_b.values)
 
 
 def test_residual_single_expert_gamma_one():
@@ -180,7 +179,8 @@ def test_residual_single_expert_gamma_one():
     pool = experts.init_residual_pool(["sage-mean"], g.feat_dim, 4, rng)
     pool.gammas[0].values = np.ones((1, 1))
     view = filters.raw_view(g)
-    h_r, outs = experts.residual_forward(pool, Tensor(g.features), view)
+    h_r, outs = experts.residual_forward(pool, Tensor(np.zeros((g.n_nodes, 4))),
+                                         Tensor(g.features), view)
     assert np.allclose(h_r.values, outs[0].values, atol=1e-15)
 
 
@@ -192,18 +192,18 @@ def test_residual_two_identical_experts_average():
     e2 = experts.init_residual_expert("gcn-layer", g.feat_dim, 4, rng_b)
     pool = experts.ResidualPool(experts=[e1, e2],
                                 gammas=[Tensor([[0.5]], requires_grad=True),
-                                        Tensor([[0.5]], requires_grad=True)],
-                                d_e=4)
-    h_r, outs = experts.residual_forward(pool, Tensor(g.features), filters.raw_view(g))
+                                        Tensor([[0.5]], requires_grad=True)])
+    h_r, outs = experts.residual_forward(pool, Tensor(np.zeros((g.n_nodes, 4))),
+                                         Tensor(g.features), filters.raw_view(g))
     assert np.allclose(h_r.values, outs[0].values, atol=1e-12)
 
 
 def test_residual_empty_pool():
     g, _ = setup_graph(seed=9)
-    pool = experts.ResidualPool(experts=[], gammas=[], d_e=6)
-    h_r, outs = experts.residual_forward(pool, Tensor(g.features), filters.raw_view(g))
-    assert h_r.shape == (g.n_nodes, 6)
-    assert not h_r.values.any() and outs == []
+    pool = experts.ResidualPool(experts=[], gammas=[])
+    h_b = Tensor(np.ones((g.n_nodes, 6)), requires_grad=True)
+    h_enh, outs = experts.residual_forward(pool, h_b, Tensor(g.features), filters.raw_view(g))
+    assert h_enh is h_b and outs == []
 
 
 def test_residual_unknown_kind_rejected():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,26 @@ def test_same_behaviour_digests(tmp_path):
     assert "default.metrics: max|diff|" in report.getvalue()
     assert tool.main(["compare", a, b]) == 0
     assert tool.main(["compare", a, other]) == 1
+    assert "environment: identical" in lines
+
+
+def test_compare_names_the_settings_two_digests_were_made_under(tmp_path):
+    tool = _load_tool()
+    env = tool.environment()
+    assert {"thread_env", "blas_threads", "numpy", "blas"} <= env.keys()
+    ref = {"loss": np.array([0.75]), "environment": np.array(json.dumps(env))}
+    threads = (env["blas_threads"] or 0) + 1     # differs from both recorded settings
+    moved = dict(env, thread_env=dict(env["thread_env"], OPENBLAS_NUM_THREADS=str(threads)),
+                 blas_threads=threads)
+    a, b = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+    np.savez(a, **ref)
+    np.savez(b, **dict(ref, environment=np.array(json.dumps(moved))))
+    report = io.StringIO()
+    assert not tool.compare(a, b, out=report, rel=1.0)
+    line = next(x for x in report.getvalue().splitlines() if x.startswith("environment:"))
+    assert "thread_env.OPENBLAS_NUM_THREADS" in line and f"'{threads}'" in line
+    assert f"blas_threads {env['blas_threads']!r} vs {threads}" in line
+    assert "numpy" not in line
 
 
 def test_compare_rel_accepts_a_perturbed_digest_within_tolerance(tmp_path):

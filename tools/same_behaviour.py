@@ -21,10 +21,14 @@ report, which it also stores for a heterophilous four-block SBM. Last, it
 stores the CLI's text forms: the ``print-config`` output, and the
 ``config.txt`` of one ``adamore train`` run on a tiny SBM with a non-default
 float, int, str, bool and tuple key, as written and as ``read_config_file``
-reads it back.
+reads it back. The ``environment`` entry records where the digest was made:
+``benchmarks/worker.environment()``, that is the thread variables, the BLAS
+thread count and the library versions. Above n = 200 the bytes of a
+training run depend on the BLAS thread count.
 
-``compare`` prints each entry as identical, or as max |diff| / max |ref|,
-and exits 0 only when every entry of both files is identical. With
+``compare`` prints each entry as identical, or as max |diff| / max |ref|
+(for ``environment``, the settings that differ), and exits 0 only when
+every entry of both files is identical. With
 ``--rel TOL`` it also accepts a numeric entry whose ratio is at most TOL,
 the proof for a change that reorders a sum. Run ``collect`` once with the
 parent commit's ``src`` on PYTHONPATH and once with the change's, then
@@ -41,11 +45,15 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from adamore import cli, engine, experiments, graphs, trainer
 from adamore.trainer import TrainConfig
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from worker import environment  # noqa: E402
 
 CONFIGS = {
     "default": {},
@@ -135,6 +143,7 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
     digest.update({f"study.{k}": np.array(json.dumps(v, sort_keys=True))
                    for k, v in _studies(g, replace(base, **STUDY), (seed,)).items()})
     digest.update({f"cli.{k}": np.array(v) for k, v in _cli_text(seed).items()})
+    digest["environment"] = np.array(json.dumps(environment(), sort_keys=True))
     np.savez(path, **digest)
 
 
@@ -196,6 +205,25 @@ def _difference(a: np.ndarray | None, b: np.ndarray | None) -> tuple[str, float]
     return f"max|diff| / max|ref| = {diff:.3g} / {ref:.3g} = {rel:.3g}", rel
 
 
+def _flat(settings: dict, prefix: str = "") -> dict:
+    """Nested settings as one level, keyed by dotted paths."""
+    out = {}
+    for key, value in settings.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _settings_difference(a: np.ndarray, b: np.ndarray) -> str:
+    """The settings two ``environment`` entries disagree on, A's value first."""
+    ea, eb = _flat(json.loads(str(a))), _flat(json.loads(str(b)))
+    keys = sorted(k for k in ea.keys() | eb.keys() if ea.get(k) != eb.get(k))
+    return "made under other settings: " + ", ".join(
+        f"{k} {ea.get(k)!r} vs {eb.get(k)!r}" for k in keys)
+
+
 def compare(path_a: str, path_b: str, out=sys.stdout, rel: float = 0.0) -> bool:
     """True when every entry is identical, or numeric and within ``rel``."""
     with np.load(path_a) as fa, np.load(path_b) as fb:
@@ -203,6 +231,8 @@ def compare(path_a: str, path_b: str, out=sys.stdout, rel: float = 0.0) -> bool:
     same = True
     for key in sorted(a.keys() | b.keys()):
         diff = _difference(a.get(key), b.get(key))
+        if diff and key == "environment" and key in a and key in b:
+            diff = _settings_difference(a[key], b[key]), np.inf
         same &= diff is None or bool(diff[1] <= rel)
         print(f"{key}: {diff[0] if diff else 'identical'}", file=out)
     print(json.dumps({"entries": len(a.keys() | b.keys()), "rel": rel, "same": same}),
