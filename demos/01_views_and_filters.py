@@ -33,14 +33,13 @@ print("cohesive + dispersive weights are exactly the adjacency:",
 
 # low-pass smooths within communities, high-pass accentuates boundaries
 h = Tensor(g.features)
-low = filters.filter_bank_outputs([filters.FilterSpec("sgc", 2)], h, pair.a_coh)[0]
-high = filters.filter_bank_outputs([filters.FilterSpec("lapsgc", 1)], h, pair.a_disp)[0]
+low = filters.filter_bank_outputs("sgc", 2, h, pair.a_coh)[1]
+high = filters.filter_bank_outputs("lapsgc", 1, h, pair.a_disp)[0]
 print("low-pass output row 0: ", np.round(low.values[0], 3))
 print("high-pass output row 0:", np.round(high.values[0], 3))
 
 # the spline pair splits any signal into two halves that sum back exactly
 view = filters.raw_view(g)
-lp, hp = filters.filter_bank_outputs(
-    [filters.FilterSpec("spline_lp", 1), filters.FilterSpec("spline_hp", 1)], h, view)
+lp, hp = filters.spline_pair(view, h)
 err = np.abs(lp.values + hp.values - g.features).max()
 print(f"spline low + high reconstructs the input, max error {err:.2e}")

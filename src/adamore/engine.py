@@ -542,8 +542,8 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 def mixture(outs: Sequence[Tensor], weights: Tensor) -> Tensor:
     """sum_k weights[:, k] * outs[k], added in k order: the gate-weighted
     mixture per row, one record for the chain of ``mul_col`` by each weight
-    column and ``add``. As it, the backward visits k in descending order and
-    sums the weight gradient from one-column buffers."""
+    column and ``add``. As it, the backward visits k in descending order; it
+    writes column k of the weight gradient in place."""
     shape = outs[0].shape
     if weights.shape != (shape[0], len(outs)) or any(o.shape != shape for o in outs):
         raise ShapeError(f"operation 'mixture' needs {len(outs)} outputs of one shape and "
@@ -560,10 +560,9 @@ def mixture(outs: Sequence[Tensor], weights: Tensor) -> Tensor:
     def back(g):
         gw = None
         if need_w:
+            gw = np.empty_like(wv)
             for k in ks:
-                buf = np.zeros_like(wv)
-                buf[:, k] = np.einsum("ij,ij->i", g, outs[k].values)
-                gw = buf if gw is None else gw + buf
+                gw[:, k] = np.einsum("ij,ij->i", g, outs[k].values)
         return (*(g * wv[:, k:k + 1] if needs[k] else None for k in ks), gw)
 
     return _record("mixture", Tensor(out), (*(outs[k] for k in ks), weights), back)

@@ -44,6 +44,19 @@ class ClusterResult:
 # ---------------------------------------------------------------------------
 # linear probe
 
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of the row softmax of ``logits`` against ``labels``."""
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return engine.scale(engine.frobenius(engine.log_softmax_rows(logits), Tensor(onehot)),
+                        -1.0 / len(labels))
+
+
+def predict(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Labels of the linear classifier (w, b): the row argmax of x w + b."""
+    return (x @ w + b).argmax(axis=1)
+
+
 def _fit_logreg(x: np.ndarray, y: np.ndarray, n_classes: int,
                 steps: int = 500, lr: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch gradient descent on softmax cross-entropy."""
@@ -51,16 +64,10 @@ def _fit_logreg(x: np.ndarray, y: np.ndarray, n_classes: int,
     w = engine.zeros_param((x.shape[1], n_classes))
     b = engine.zeros_param((1, n_classes))
     x_const = Tensor(x)
-    onehot = np.zeros((x.shape[0], n_classes))
-    onehot[np.arange(x.shape[0]), y] = 1.0
-    target = Tensor(onehot)
     for _ in range(steps):
         engine.reset_tape()
         engine.zero_grads([w, b])
-        logits = engine.linear(x_const, w, b)
-        loss = engine.scale(engine.frobenius(engine.log_softmax_rows(logits), target),
-                            -1.0 / x.shape[0])
-        engine.backward(loss)
+        engine.backward(softmax_cross_entropy(engine.linear(x_const, w, b), y))
         w.values = w.values - lr * w.grad
         b.values = b.values - lr * b.grad
     engine.reset_tape()
@@ -74,8 +81,7 @@ def probe_once(embeddings: np.ndarray, labels: np.ndarray, split: SplitSpec) -> 
         raise ValueError("probe train split contains a single class")
     n_classes = int(labels.max()) + 1
     w, b = _fit_logreg(embeddings[split.train], train_y, n_classes)
-    pred = (embeddings[split.test] @ w + b).argmax(axis=1)
-    return float((pred == labels[split.test]).mean())
+    return float((predict(embeddings[split.test], w, b) == labels[split.test]).mean())
 
 
 def linear_probe(embeddings: np.ndarray, labels: np.ndarray, g: Graph,

@@ -142,7 +142,7 @@ def _per_bucket_accuracy(emb: np.ndarray, g: Graph, bucket: np.ndarray,
                          n_buckets: int, split) -> list[float]:
     w, b = evaluation._fit_logreg(emb[split.train], g.labels[split.train],
                                   g.n_classes, steps=300, lr=0.05)
-    pred = (emb @ w + b).argmax(axis=1)
+    pred = evaluation.predict(emb, w, b)
     out = []
     for q in range(n_buckets):
         members = np.intersect1d(split.test, np.flatnonzero(bucket == q))
@@ -169,9 +169,10 @@ def motivation_analysis(g: Graph, seed: int = 0) -> dict:
         raise ValueError("every node is isolated; no homophily buckets")
     bucket = np.full(g.n_nodes, -1, dtype=np.int64)
     bucket[valid], n_hb = _bucket_indices(homo[valid])
-    sgc_emb, lap_emb, deep_emb = (out.values for out in filters.filter_bank_outputs(
-        [filters.FilterSpec(kind, k) for kind, k in (("sgc", 1), ("lapsgc", 1), ("sgc", 4))],
-        engine.Tensor(g.features), filters.raw_view(g)))
+    x, view = engine.Tensor(g.features), filters.raw_view(g)
+    sgc_emb, _, _, deep_emb = (out.values for out in filters.filter_bank_outputs(
+        "sgc", 4, x, view))
+    lap_emb = filters.filter_bank_outputs("lapsgc", 1, x, view)[0].values
     homophily_section = {
         "n_buckets": n_hb,
         "bucket_mean_homophily": [

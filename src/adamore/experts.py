@@ -1,20 +1,20 @@
 """Sparse MoE backbone and the heterogeneous residual expert pool.
 
-Each channel owns a bank of same-architecture filter experts differing in
-hop count; a per-node gate, :func:`route`, which the flat-MoE baseline
-shares, picks the top-K by logit (ties to the lowest expert index) and
-renormalizes the selected logits with a softmax. All filter outputs are
-computed densely at desk scale; sparsity lives in the mixture weights only.
-The selected weights of a row sum to 1, so the bank mixes its F-wide filter
-outputs first and projects the mixture once to d_e. The residual pool is
-dense-activated message-passing experts summed with learnable scaling
-factors; every one of them, GAT included, aggregates its input features
-before projecting them. Outputs are regularized toward pairwise
-dissimilarity through linear-kernel CKA. A foundational output reaches the
-regularizer as its factors (filter output Y, projection W): centering drops
-the bias, so each HSIC comes from F x F blocks of centered filter outputs
-and S = W W^T, never from the n x d_e projection, unless F >= d_e, where
-projecting first is the cheaper basis.
+Each channel owns a bank of same-architecture filter experts: hops 1..N of
+one filter family, N the width of the bank's gate. A per-node gate,
+:func:`route`, which the flat-MoE baseline shares, picks the top-K by logit
+(ties to the lowest expert index) and renormalizes the selected logits with
+a softmax. All filter outputs are computed densely at desk scale; sparsity
+lives in the mixture weights only. The selected weights of a row sum to 1,
+so the bank mixes its F-wide filter outputs first and projects the mixture
+once to d_e. The residual pool is dense-activated message-passing experts
+summed with learnable scaling factors; every one of them, GAT included,
+aggregates its input features before projecting them. Outputs are
+regularized toward pairwise dissimilarity through linear-kernel CKA. A
+foundational output reaches the regularizer as its factors (filter output Y,
+projection W): centering drops the bias, so each HSIC comes from F x F
+blocks of centered filter outputs and S = W W^T, never from the n x d_e
+projection, unless F >= d_e, where projecting first is the cheaper basis.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
-from .filters import (AdjacencyView, FilterSpec, filter_bank_outputs, neighbor_mean,
-                      neighbor_sum, sym_propagate)
+from .filters import (AdjacencyView, filter_bank_outputs, neighbor_mean, neighbor_sum,
+                      sym_propagate)
 
 RESIDUAL_KINDS = ("gcn-layer", "sage-mean", "gin0", "gat-1head")
 
@@ -40,10 +40,10 @@ RESIDUAL_KINDS = ("gcn-layer", "sage-mean", "gin0", "gat-1head")
 
 @dataclass
 class ExpertBank:
-    """Foundational filter experts with a top-K gate and shared projection."""
+    """Hops 1..N of one filter family with a top-K gate and shared projection."""
 
     channel: str                    # "coh" or "disp"
-    specs: tuple[FilterSpec, ...]
+    family: str                     # "sgc" or "lapsgc"
     top_k: int
     gate_w: Tensor                  # (F + d_s, N_exp)
     gate_b: Tensor                  # (1, N_exp)
@@ -51,21 +51,22 @@ class ExpertBank:
     proj_b: Tensor                  # (1, d_e)
 
     def __post_init__(self):
-        if not 1 <= self.top_k <= len(self.specs):
-            raise ValueError(f"top_k={self.top_k} out of range for {len(self.specs)} experts")
-        if len(set(self.specs)) != len(self.specs):
-            raise ValueError("expert specs must be distinct")
+        if not 1 <= self.top_k <= self.n_exp:
+            raise ValueError(f"top_k={self.top_k} out of range for {self.n_exp} experts")
+
+    @property
+    def n_exp(self) -> int:
+        return self.gate_w.shape[1]
 
     def parameters(self) -> list[Tensor]:
         return [self.gate_w, self.gate_b, self.proj_w, self.proj_b]
 
 
-def init_expert_bank(channel: str, specs, top_k: int, feat_dim: int, d_s: int,
-                     d_e: int, rng: np.random.Generator) -> ExpertBank:
-    n_exp = len(specs)
+def init_expert_bank(channel: str, family: str, n_exp: int, top_k: int, feat_dim: int,
+                     d_s: int, d_e: int, rng: np.random.Generator) -> ExpertBank:
     return ExpertBank(
         channel=channel,
-        specs=tuple(specs),
+        family=family,
         top_k=top_k,
         gate_w=engine.glorot(rng, feat_dim + d_s, n_exp),
         gate_b=engine.zeros_param((1, n_exp)),
@@ -110,7 +111,7 @@ def bank_mixture(bank: ExpertBank, x: Tensor, s: np.ndarray, view: AdjacencyView
     """(M, outs, selected, logits): the top-K mixture M = sum_k g_k Y_k (n x F)
     of the filter outputs Y_k, and the gate's selection and logits."""
     weights, selected, logits = route(bank.gate_w, bank.gate_b, x, s, bank.top_k)
-    outs = filter_bank_outputs(list(bank.specs), x, view)
+    outs = filter_bank_outputs(bank.family, bank.n_exp, x, view)
     return engine.mixture(outs, weights), outs, selected, logits
 
 
@@ -131,7 +132,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: Adjacency
 
     full_probs = engine.softmax_rows(logits)
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
-    stats = RoutingStats(channel=bank.channel, n_exp=len(bank.specs), top_k=bank.top_k,
+    stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
                          f=selected.mean(axis=0), p=mean_p)
     return h_b, stats, [(out, bank.proj_w) for out in outs]
 

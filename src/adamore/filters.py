@@ -1,11 +1,12 @@
 """Graph filter operators over weighted adjacency views.
 
-All filters are pure propagation (no nonlinearity): SGC applies the
-symmetrically renormalized view k times, LapSGC applies (I - A~) k times,
-and the spline pair provides the complementary low/high split whose sum is
-the identity. A view records its weighted degree once, when it is built;
-every hop on the view reads that record, so weight gradients stay exact
-through the normalization.
+All filters are pure propagation (no nonlinearity). A filter bank is hops
+1..N of one family: SGC applies the symmetrically renormalized view A~ k
+times, LapSGC applies (I - A~) k times, and each hop is computed once from
+the one before. The spline pair is the complementary low/high split whose
+sum is the identity. A view records its weighted degree once, when it is
+built; every hop on the view reads that record, so weight gradients stay
+exact through the normalization.
 """
 
 from __future__ import annotations
@@ -17,22 +18,6 @@ import numpy as np
 from . import engine
 from .engine import Tensor
 from .graphs import Graph
-
-FILTER_KINDS = ("sgc", "lapsgc", "spline_lp", "spline_hp")
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """One configured filter: a kind and its hop count."""
-
-    kind: str
-    k_hops: int = 1
-
-    def __post_init__(self):
-        if self.kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.k_hops < 0:
-            raise ValueError("k_hops must be >= 0")
 
 
 @dataclass
@@ -93,26 +78,21 @@ def sym_propagate(view: AdjacencyView, h: Tensor) -> Tensor:
     return engine.hop(h, view.weights, view.inv_sqrt_deg, view.inv_deg, *view.graph.pairs)
 
 
-def filter_bank_outputs(specs: list[FilterSpec], h: Tensor,
+def spline_pair(view: AdjacencyView, h: Tensor) -> tuple[Tensor, Tensor]:
+    """(lp, hp) = ((h + M h) / 2, (h - M h) / 2), M the neighbor mean."""
+    mean = neighbor_mean(view, h)
+    return engine.scale(engine.add(h, mean), 0.5), engine.scale(engine.sub(h, mean), 0.5)
+
+
+def filter_bank_outputs(family: str, n_hops: int, h: Tensor,
                         view: AdjacencyView) -> list[Tensor]:
-    """Apply every spec, reusing hop-k outputs for hop-(k+1) within a family."""
-    if not specs:
-        raise ValueError("filter bank needs at least one spec")
-    hops: dict[tuple[str, int], Tensor] = {("sgc", 0): h, ("lapsgc", 0): h}
-
-    def hop(kind: str, k: int) -> Tensor:
-        if (kind, k) not in hops:
-            prev = hop(kind, k - 1)
-            step = sym_propagate(view, prev)
-            hops[kind, k] = step if kind == "sgc" else engine.sub(prev, step)
-        return hops[kind, k]
-
+    """Hops 1..``n_hops`` of ``family``: A~^k h for ``"sgc"``, (I - A~)^k h
+    for ``"lapsgc"``, each from the one before."""
+    if family not in ("sgc", "lapsgc"):
+        raise ValueError(f"unknown filter family {family!r}")
     outputs = []
-    for spec in specs:
-        if spec.kind in ("sgc", "lapsgc"):
-            outputs.append(hop(spec.kind, spec.k_hops))
-        elif spec.kind == "spline_lp":
-            outputs.append(engine.scale(engine.add(h, neighbor_mean(view, h)), 0.5))
-        else:  # spline_hp
-            outputs.append(engine.scale(engine.sub(h, neighbor_mean(view, h)), 0.5))
+    for _ in range(n_hops):
+        step = sym_propagate(view, h)
+        h = step if family == "sgc" else engine.sub(h, step)
+        outputs.append(h)
     return outputs

@@ -28,10 +28,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from . import engine, experts, filters, fusion, gating, graphs
+from . import engine, evaluation, experts, filters, fusion, gating, graphs
 from .engine import AdamState, Tensor
 from .experts import ExpertBank, ResidualPool, RoutingStats
-from .filters import FilterSpec
 from .graphs import Graph
 
 
@@ -123,12 +122,10 @@ class Model:
         f_dim, d_e = g.feat_dim, cfg.hidden
         self.gate: engine.MLP = gating.init_edge_gate(
             f_dim, cfg.d_s, cfg.edge_hidden, rng)
-        coh_specs = [FilterSpec("sgc", k) for k in range(1, cfg.n_exp + 1)]
-        disp_specs = [FilterSpec("lapsgc", k) for k in range(1, cfg.n_exp + 1)]
         self.bank_coh: ExpertBank = experts.init_expert_bank(
-            "coh", coh_specs, cfg.top_k, f_dim, cfg.d_s, d_e, rng)
+            "coh", "sgc", cfg.n_exp, cfg.top_k, f_dim, cfg.d_s, d_e, rng)
         self.bank_disp: ExpertBank = experts.init_expert_bank(
-            "disp", disp_specs, cfg.top_k, f_dim, cfg.d_s, d_e, rng)
+            "disp", "lapsgc", cfg.n_exp, cfg.top_k, f_dim, cfg.d_s, d_e, rng)
         self.pool_coh: ResidualPool = experts.init_residual_pool(
             cfg.residual_kinds, f_dim, d_e, rng)
         self.pool_disp: ResidualPool = experts.init_residual_pool(
@@ -428,12 +425,14 @@ def eval_forward(state: TrainState,
     """Deterministic eval-mode forward pass (no noise, no masking).
 
     Every parameter is frozen, so nothing is recorded; the tape of the
-    previous step is dropped first.
+    previous step is dropped first. Non-finite values raise
+    :class:`TrainingError`, as in training.
     """
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        return full_forward(model, None, alpha_override=alpha_override)
+        return _guard("eval forward", state.epoch,
+                      lambda: full_forward(model, None, alpha_override=alpha_override))
 
 
 def embed(state: TrainState, alpha_override: np.ndarray | None = None) -> np.ndarray:
@@ -446,7 +445,8 @@ def eval_edge_weights(state: TrainState) -> np.ndarray:
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        _, w_eval = _edge_weights(model, model.graph.features, None)
+        _, w_eval = _guard("eval edge weights", state.epoch,
+                           lambda: _edge_weights(model, model.graph.features, None))
     return w_eval.ravel().copy()
 
 
@@ -480,8 +480,6 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
     model.add_head(g.n_classes, state.rng)
     trainable = model.gating_parameters() + model.head_parameters()
     state.adam_head = AdamState(lr=cfg.lr)
-    onehot = np.zeros((len(support), g.n_classes))
-    onehot[np.arange(len(support)), g.labels[support.idx]] = 1.0
 
     for _ in range(cfg.finetune_epochs):
         with _updating(model, trainable):
@@ -490,9 +488,7 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
             if cfg.lambda_cls:
                 logits = engine.linear(engine.gather_rows(fwd.h_final, support),
                                        model.head_w, model.head_b)
-                log_probs = engine.log_softmax_rows(logits)
-                l_cls = engine.scale(engine.frobenius(log_probs, Tensor(onehot)),
-                                     -1.0 / len(support))
+                l_cls = evaluation.softmax_cross_entropy(logits, g.labels[support.idx])
                 loss = engine.add(loss, engine.scale(l_cls, cfg.lambda_cls))
             engine.backward(loss)
         engine.adam_step(trainable, state.adam_head)
@@ -504,8 +500,7 @@ def classify(state: TrainState, embeddings: np.ndarray) -> np.ndarray:
     """Predicted labels from the fine-tuned head."""
     if state.model.head_w is None:
         raise ValueError("model has no classification head; fine-tune first")
-    logits = embeddings @ state.model.head_w.values + state.model.head_b.values
-    return logits.argmax(axis=1)
+    return evaluation.predict(embeddings, state.model.head_w.values, state.model.head_b.values)
 
 
 # ---------------------------------------------------------------------------

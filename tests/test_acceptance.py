@@ -228,8 +228,7 @@ def test_criterion_05_spline_perfect_reconstruction():
         assert set(g.degrees()) == {d}
         h = Tensor(rng.normal(size=(n, 5)))
         view = filters.raw_view(g)
-        lp = filters.filter_bank_outputs([filters.FilterSpec("spline_lp", 1)], h, view)[0]
-        hp = filters.filter_bank_outputs([filters.FilterSpec("spline_hp", 1)], h, view)[0]
+        lp, hp = filters.spline_pair(view, h)
         worst = max(worst, float(np.abs(lp.values + hp.values - h.values).max()))
     elapsed = time.time() - start
     report(5, "spline pair reconstructs the input on d-regular graphs (1e-10)",
@@ -265,8 +264,7 @@ def test_criterion_07_backbone_oracle_equivalence():
         feats = rng.normal(size=(g.n_nodes, 4))
         g = graphs.make_graph(g.n_nodes, g.edges, feats)
         emb = graphs.structural_embeddings(graphs.normalize(g), d_s=3)
-        specs = [filters.FilterSpec("sgc", k) for k in (1, 2, 3)]
-        bank = experts.init_expert_bank("coh", specs, top_k=3, feat_dim=4,
+        bank = experts.init_expert_bank("coh", "sgc", 3, top_k=3, feat_dim=4,
                                         d_s=3, d_e=5, rng=rng)
         w = rng.uniform(0.2, 0.8, size=(g.n_edges, 1))
         view = gating.build_views(g, Tensor(w)).a_coh

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from adamore import cli
+from adamore import cli, engine
 from adamore.trainer import TrainConfig
 
 TINY = ("--epochs", "1", "--hidden", "8", "--d-s", "3", "--edge-hidden", "8", "--n-exp", "2")
@@ -264,6 +264,24 @@ def test_embed_names_a_truncated_checkpoint(model_dir, tmp_path, capsys):
         assert cut < header_end or "entry '" in err
     ckpt.write_bytes(whole)
     assert run_cli("embed", "--model-dir", str(run), "--out", str(tmp_path / "e.tsv")) == 0
+
+
+@pytest.mark.parametrize("entry", ["bank_coh.2", "gate.0"])
+def test_eval_passes_name_a_non_finite_op(model_dir, tmp_path, capsys, entry):
+    """A checkpoint entry at 1e308 overflows the eval forward: embed and the
+    eval commands exit 2 with a message naming the op, not a traceback."""
+    run = tmp_path / "run"
+    shutil.copytree(model_dir, run)
+    ckpt = str(run / "model.ckpt")
+    named = engine.load_checkpoint(ckpt)
+    named[entry] = np.full_like(named[entry], 1e308)
+    engine.save_checkpoint(ckpt, named)
+    for command, *flags in (("embed", "--out", str(tmp_path / "e.tsv")),
+                            ("eval-probe", "--repeats", "1"), ("eval-cluster",)):
+        assert run_cli(command, "--model-dir", str(run), *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite eval forward: operation '" in err, err
+    assert not (tmp_path / "e.tsv").exists()
 
 
 def test_train_rejects_zero_hidden_width(sbm_dir, tmp_path, capsys):

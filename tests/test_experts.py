@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from adamore import engine, experts, filters, gating, graphs
 from adamore.engine import Tensor
-from adamore.filters import FilterSpec
 
 from _oracles import check_grad
 
@@ -27,8 +26,7 @@ def dense_view_matrix(g, w_und, self_loop=True):
 
 
 def sgc_bank(g, emb, rng, n_exp=4, top_k=2, d_e=5):
-    specs = [FilterSpec("sgc", k) for k in range(1, n_exp + 1)]
-    return experts.init_expert_bank("coh", specs, top_k, g.feat_dim, emb.shape[1], d_e, rng)
+    return experts.init_expert_bank("coh", "sgc", n_exp, top_k, g.feat_dim, emb.shape[1], d_e, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +69,7 @@ def test_backbone_topk_closed_form_weights():
     assert np.allclose(stats.f, [1.0, 1.0, 0.0, 0.0])
     assert abs(stats.f.sum() - bank.top_k) < 1e-12
     w0 = np.exp(2.0) / (np.exp(2.0) + np.exp(1.0))
-    outs = filters.filter_bank_outputs(list(bank.specs), Tensor(g.features), view)
+    outs = filters.filter_bank_outputs(bank.family, bank.n_exp, Tensor(g.features), view)
     proj = [o.values @ bank.proj_w.values + bank.proj_b.values for o in outs]
     expect = w0 * proj[0] + (1.0 - w0) * proj[1]
     assert np.allclose(h_b.values, expect, atol=1e-10)
@@ -81,11 +79,10 @@ def test_backbone_topk_closed_form_weights():
 def test_backbone_single_expert_is_projection():
     rng = np.random.default_rng(2)
     g, emb = setup_graph(seed=3)
-    bank = experts.init_expert_bank("coh", [FilterSpec("sgc", 1)], 1,
-                                    g.feat_dim, emb.shape[1], 4, rng)
+    bank = experts.init_expert_bank("coh", "sgc", 1, 1, g.feat_dim, emb.shape[1], 4, rng)
     view = filters.raw_view(g)
     h_b, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
-    out = filters.filter_bank_outputs([FilterSpec("sgc", 1)], Tensor(g.features), view)[0]
+    out = filters.filter_bank_outputs("sgc", 1, Tensor(g.features), view)[0]
     expect = out.values @ bank.proj_w.values + bank.proj_b.values
     assert np.allclose(h_b.values, expect, atol=1e-12)
 
@@ -109,12 +106,8 @@ def test_backbone_selected_weights_sum_to_one():
 def test_backbone_rejects_k_above_n_exp():
     rng = np.random.default_rng(4)
     g, emb = setup_graph()
-    with pytest.raises(ValueError):
-        experts.init_expert_bank("coh", [FilterSpec("sgc", 1)], 2,
-                                 g.feat_dim, emb.shape[1], 4, rng)
-    with pytest.raises(ValueError, match="distinct"):
-        experts.init_expert_bank("coh", [FilterSpec("sgc", 1)] * 2, 1,
-                                 g.feat_dim, emb.shape[1], 4, rng)
+    with pytest.raises(ValueError, match="top_k=2 out of range for 1 experts"):
+        experts.init_expert_bank("coh", "sgc", 1, 2, g.feat_dim, emb.shape[1], 4, rng)
 
 
 def test_backbone_gradients_match_finite_differences():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,31 +33,33 @@ def dense_weighted_sym(g, w):
     return a / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
 
 
-def test_spec_validation_and_tokens():
-    with pytest.raises(ValueError):
-        filters.FilterSpec("nope", 1)
-    with pytest.raises(ValueError):
-        filters.FilterSpec("sgc", -1)
+# every filter: the two bank families and the two halves of the spline pair
+FILTERS = ("sgc", "lapsgc", "spline_lp", "spline_hp")
 
 
-def test_sgc_zero_hops_is_identity():
+def apply_filter(name, h, view, k=1):
+    """Hop k of a bank family, or one half of the spline pair."""
+    if name.startswith("spline"):
+        return filters.spline_pair(view, h)[name == "spline_hp"]
+    return filters.filter_bank_outputs(name, k, h, view)[-1]
+
+
+def test_unknown_filter_family_raises():
     g = path2()
-    h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = filters.filter_bank_outputs([filters.FilterSpec("sgc", 0)], h, filters.raw_view(g))[0]
-    assert out is h
+    for family in ("spline_lp", "nope"):
+        with pytest.raises(ValueError, match="unknown filter family"):
+            filters.filter_bank_outputs(family, 1, Tensor(np.eye(2)), filters.raw_view(g))
 
 
 def test_sgc_one_hop_two_node_path():
     g = path2()
-    out = filters.filter_bank_outputs([filters.FilterSpec("sgc", 1)], Tensor(np.eye(2)),
-                                      filters.raw_view(g))[0]
+    out = filters.filter_bank_outputs("sgc", 1, Tensor(np.eye(2)), filters.raw_view(g))[0]
     assert np.allclose(out.values, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
 
 def test_lapsgc_one_hop_two_node_path():
     g = path2()
-    out = filters.filter_bank_outputs([filters.FilterSpec("lapsgc", 1)],
-                                      Tensor(np.eye(2)), filters.raw_view(g))[0]
+    out = filters.filter_bank_outputs("lapsgc", 1, Tensor(np.eye(2)), filters.raw_view(g))[0]
     assert np.allclose(out.values, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
 
@@ -67,9 +71,8 @@ def test_sgc_matches_dense_oracle_random_graphs():
         iu, ju = np.nonzero(np.triu(adj, 1))
         g = graphs.make_graph(n, np.stack([iu, ju], axis=1), np.eye(n))
         h = Tensor(rng.normal(size=(n, 3)))
-        for k in (1, 2, 3):
-            out = filters.filter_bank_outputs([filters.FilterSpec("sgc", k)], h,
-                                              filters.raw_view(g))[0]
+        outs = filters.filter_bank_outputs("sgc", 3, h, filters.raw_view(g))
+        for k, out in enumerate(outs, 1):
             expect = np.linalg.matrix_power(dense_sym_norm(adj), k) @ h.values
             assert np.allclose(out.values, expect, atol=1e-10)
 
@@ -79,8 +82,7 @@ def test_weighted_view_matches_dense_oracle():
     g = graphs.gen_sbm(5, 2, 0.7, 0.3, feat_dim=4, seed=1)
     w = rng.uniform(0.1, 0.9, size=g.n_edges)
     h = Tensor(rng.normal(size=(g.n_nodes, 3)))
-    out = filters.filter_bank_outputs([filters.FilterSpec("sgc", 2)], h,
-                                      view_with_weights(g, w))[0]
+    out = filters.filter_bank_outputs("sgc", 2, h, view_with_weights(g, w))[1]
     dense = dense_weighted_sym(g, w)
     assert np.allclose(out.values, dense @ dense @ h.values, atol=1e-10)
 
@@ -89,9 +91,8 @@ def test_all_ones_weights_equal_raw_graph():
     rng = np.random.default_rng(4)
     g = graphs.gen_sbm(6, 2, 0.6, 0.2, feat_dim=4, seed=2)
     h = Tensor(rng.normal(size=(g.n_nodes, 3)))
-    raw = filters.filter_bank_outputs([filters.FilterSpec("sgc", 2)], h, filters.raw_view(g))[0]
-    ones = filters.filter_bank_outputs([filters.FilterSpec("sgc", 2)], h,
-                                       view_with_weights(g, np.ones(g.n_edges)))[0]
+    raw = filters.filter_bank_outputs("sgc", 2, h, filters.raw_view(g))[1]
+    ones = filters.filter_bank_outputs("sgc", 2, h, view_with_weights(g, np.ones(g.n_edges)))[1]
     assert np.allclose(raw.values, ones.values, atol=1e-12)
 
 
@@ -102,11 +103,10 @@ def test_linearity():
     h1 = rng.normal(size=(g.n_nodes, 3))
     h2 = rng.normal(size=(g.n_nodes, 3))
     a, b = 0.7, -1.3
-    for kind, k in (("sgc", 2), ("lapsgc", 2), ("spline_lp", 1), ("spline_hp", 1)):
-        spec = filters.FilterSpec(kind, k)
-        mixed = filters.filter_bank_outputs([spec], Tensor(a * h1 + b * h2), view)[0]
-        f1 = filters.filter_bank_outputs([spec], Tensor(h1), view)[0]
-        f2 = filters.filter_bank_outputs([spec], Tensor(h2), view)[0]
+    for name in FILTERS:
+        mixed = apply_filter(name, Tensor(a * h1 + b * h2), view, 2)
+        f1 = apply_filter(name, Tensor(h1), view, 2)
+        f2 = apply_filter(name, Tensor(h2), view, 2)
         assert np.allclose(mixed.values, a * f1.values + b * f2.values, atol=1e-10)
 
 
@@ -124,10 +124,9 @@ def test_spline_perfect_reconstruction_regular_graphs():
         assert set(g.degrees()) == {d}
         h = Tensor(rng.normal(size=(n, 4)))
         view = filters.raw_view(g)
-        lp = filters.filter_bank_outputs([filters.FilterSpec("spline_lp", 1)], h, view)[0]
-        hp = filters.filter_bank_outputs([filters.FilterSpec("spline_hp", 1)], h, view)[0]
+        lp, hp = filters.spline_pair(view, h)
         assert np.allclose(lp.values + hp.values, h.values, atol=1e-10)
-        # on a d-regular graph spline_lp is exactly (I + A/d)/2
+        # on a d-regular graph the low half is exactly (I + A/d)/2
         adj = np.zeros((n, n))
         for u, v in g.edges:
             adj[u, v] = adj[v, u] = 1.0
@@ -139,39 +138,37 @@ def test_filter_bank_consistency_and_order():
     g = graphs.gen_sbm(5, 2, 0.6, 0.2, feat_dim=3, seed=5)
     view = filters.raw_view(g)
     h = Tensor(rng.normal(size=(g.n_nodes, 3)))
-    specs = [filters.FilterSpec("sgc", k) for k in (1, 2, 3)]
-    outs = filters.filter_bank_outputs(specs, h, view)
+    outs = filters.filter_bank_outputs("sgc", 3, h, view)
     assert len(outs) == 3
-    direct = filters.filter_bank_outputs([filters.FilterSpec("sgc", 3)], h, view)[0]
+    direct = reduce(lambda x, _: filters.sym_propagate(view, x), range(3), h)
     assert np.array_equal(outs[2].values, direct.values)
+    shorter = filters.filter_bank_outputs("sgc", 2, h, view)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(outs, shorter))
 
 
 def test_filter_bank_computes_each_hop_once_per_family():
+    """n hops tape n ``hop`` records (sgc), or n ``hop`` + ``sub`` pairs in
+    order (lapsgc), each hop reading the output of the one before."""
     rng = np.random.default_rng(8)
     g = graphs.gen_sbm(5, 2, 0.6, 0.2, feat_dim=3, seed=5)
     view = filters.raw_view(g)
     h = Tensor(rng.normal(size=(g.n_nodes, 3)), requires_grad=True)
-
-    def ops(specs):
-        engine.reset_tape()
-        outs = filters.filter_bank_outputs(specs, h, view)
-        return outs, [rec[0] for rec in engine.current_tape().records]
-
-    (sgc1,), hop = ops([filters.FilterSpec("sgc", 1)])
-    (lap1,), lap_hop = ops([filters.FilterSpec("lapsgc", 1)])
-    assert lap_hop == hop + ["sub"]
-    specs = [filters.FilterSpec(kind, k) for kind in ("sgc", "lapsgc") for k in (2, 1)]
-    outs, mixed = ops(specs)
-    assert mixed == 2 * hop + 2 * lap_hop
-    assert np.array_equal(outs[1].values, sgc1.values)
-    assert np.array_equal(outs[3].values, lap1.values)
+    for family, per_hop in (("sgc", ["hop"]), ("lapsgc", ["hop", "sub"])):
+        for n in (1, 2, 4):
+            engine.reset_tape()
+            outs = filters.filter_bank_outputs(family, n, h, view)
+            records = engine.current_tape().records
+            assert [rec[0] for rec in records] == n * per_hop
+            # a hop record's third input is the h it propagates
+            assert [rec[2][2] for rec in records[::len(per_hop)]] == [h, *outs[:-1]]
+    engine.reset_tape()
 
 
 def test_filter_bank_zero_features():
     g = graphs.gen_sbm(4, 2, 0.6, 0.2, feat_dim=3, seed=6)
-    outs = filters.filter_bank_outputs(
-        [filters.FilterSpec("sgc", 1), filters.FilterSpec("lapsgc", 2)],
-        Tensor(np.zeros((g.n_nodes, 3))), filters.raw_view(g))
+    zeros, view = Tensor(np.zeros((g.n_nodes, 3))), filters.raw_view(g)
+    outs = [*filters.filter_bank_outputs("sgc", 1, zeros, view),
+            *filters.filter_bank_outputs("lapsgc", 2, zeros, view)]
     for out in outs:
         assert not out.values.any()
 
@@ -187,7 +184,7 @@ def test_gradients_flow_through_h_and_weights():
     def loss_fn():
         w_dir = engine.gather_rows(w_und, np.concatenate([np.arange(m), np.arange(m)]))
         view = filters.AdjacencyView(graph=g, weights=w_dir)
-        out = filters.filter_bank_outputs([filters.FilterSpec("lapsgc", 2)], h, view)[0]
+        out = filters.filter_bank_outputs("lapsgc", 2, h, view)[1]
         return engine.frobenius(out, target)
 
     assert check_grad(loss_fn, [h, w_und], seed=1) <= 1e-4
@@ -199,8 +196,8 @@ def test_view_records_its_degree_once():
     engine.reset_tape()
     w = Tensor(rng.uniform(0.2, 0.8, size=(g.n_edges, 1)), requires_grad=True)
     view = gating.build_views(g, w).a_coh
-    specs = [filters.FilterSpec(kind, k) for kind in ("sgc", "lapsgc") for k in (1, 2, 3, 4)]
-    filters.filter_bank_outputs(specs, Tensor(g.features), view)
+    for family in ("sgc", "lapsgc"):
+        filters.filter_bank_outputs(family, 4, Tensor(g.features), view)
     reads = [rec for rec in engine.current_tape().records
              if rec[0] == "scatter_rows" and rec[2][0] is view.weights]
     assert len(reads) == 1
@@ -212,18 +209,16 @@ def test_edgeless_graph_gives_closed_forms():
     h = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     target = Tensor(rng.normal(size=(4, 3)))
     gain = {"sgc": 1.0, "lapsgc": 0.0, "spline_lp": 0.5, "spline_hp": 0.5}
-    for kind in filters.FILTER_KINDS:
+    for name in FILTERS:
         for k in (1, 2):
-            spec = filters.FilterSpec(kind, k)
-
             def loss_fn():
                 view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
-                return engine.frobenius(filters.filter_bank_outputs([spec], h, view)[0], target)
+                return engine.frobenius(apply_filter(name, h, view, k), target)
 
             view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
-            out = filters.filter_bank_outputs([spec], h, view)[0]
-            assert np.allclose(out.values, gain[kind] * h.values, atol=1e-12), spec
-            assert check_grad(loss_fn, [h], seed=3) <= 1e-4, spec
+            out = apply_filter(name, h, view, k)
+            assert np.allclose(out.values, gain[name] * h.values, atol=1e-12), (name, k)
+            assert check_grad(loss_fn, [h], seed=3) <= 1e-4, (name, k)
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +272,18 @@ def test_every_filter_is_linear_on_gate_weighted_views(case, k):
     h1, h2 = rng.normal(size=(2, g.n_nodes, 3))
     a, b = rng.normal(size=2)
     for view in (pair.a_coh, pair.a_disp):
-        for kind in filters.FILTER_KINDS:
-            spec = filters.FilterSpec(kind, k)
-            mixed = filters.filter_bank_outputs([spec], Tensor(a * h1 + b * h2), view)[0].values
-            f1 = filters.filter_bank_outputs([spec], Tensor(h1), view)[0].values
-            f2 = filters.filter_bank_outputs([spec], Tensor(h2), view)[0].values
+        for name in FILTERS:
+            mixed = apply_filter(name, Tensor(a * h1 + b * h2), view, k).values
+            f1 = apply_filter(name, Tensor(h1), view, k).values
+            f2 = apply_filter(name, Tensor(h2), view, k).values
             scale = abs(a) * np.abs(f1).max() + abs(b) * np.abs(f2).max() + 1.0
-            assert np.abs(mixed - (a * f1 + b * f2)).max() <= 1e-12 * scale, spec
+            assert np.abs(mixed - (a * f1 + b * f2)).max() <= 1e-12 * scale, name
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(_random_graphs(), st.sampled_from(filters.FILTER_KINDS), st.integers(1, 3))
+@given(_random_graphs(), st.sampled_from(FILTERS), st.integers(1, 3))
 @example((graphs.make_graph(3, np.zeros((0, 2)), np.eye(3)), 0), "lapsgc", 2)
-def test_filter_gradients_wrt_h_and_view_weights(case, kind, k):
+def test_filter_gradients_wrt_h_and_view_weights(case, name, k):
     g, seed = case
     rng = np.random.default_rng(seed)
     m = g.n_edges
@@ -299,8 +293,7 @@ def test_filter_gradients_wrt_h_and_view_weights(case, kind, k):
 
     def loss_fn():
         view = gating.build_views(g, w).a_coh
-        out = filters.filter_bank_outputs([filters.FilterSpec(kind, k)], h, view)[0]
-        return engine.frobenius(out, target)
+        return engine.frobenius(apply_filter(name, h, view, k), target)
 
     params = [h, w] if m else [h]      # no weight entries to check without edges
     assert check_grad(loss_fn, params, seed=seed % 1000) <= 1e-4

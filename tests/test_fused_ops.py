@@ -82,11 +82,11 @@ def test_four_hops_on_one_view_equal_the_five_record_chain(monkeypatch, needs):
     rng = np.random.default_rng(2)
     h = _leaf(rng, (g.n_nodes, 5), needs[0])
     w = _leaf(rng, (2 * g.n_edges, 1), needs[1], low=0.0)
-    specs = [filters.FilterSpec(kind, k) for kind in ("sgc", "lapsgc") for k in range(1, 5)]
 
     def bank():
         view = filters.AdjacencyView(graph=g, weights=w)
-        return reduce(engine.concat_cols, filters.filter_bank_outputs(specs, h, view))
+        outs = [filters.filter_bank_outputs(family, 4, h, view) for family in ("sgc", "lapsgc")]
+        return reduce(engine.concat_cols, outs[0] + outs[1])
 
     fused = _run(bank, [h, w])
     monkeypatch.setattr(filters, "sym_propagate", _chain_hop)
@@ -100,7 +100,7 @@ def test_mixture_equals_sliced_weight_products_summed(n_out, repeat):
     rng = np.random.default_rng(3)
     outs = [_leaf(rng, (6, 4)) for _ in range(n_out)]
     if repeat:
-        outs.append(outs[0])         # as a bank's hop-0 output shared by two specs
+        outs.append(outs[0])         # a repeated tensor gets both gradient terms
     weights = _leaf(rng, (6, len(outs)))
     weights.values[0] = 0.0          # so the outputs' gradient rows 0 are -0.0
     # outs[0] also enters after the mixture, so its gradient sums three or

@@ -440,6 +440,19 @@ def test_nan_abort_names_epoch_and_component(sbm):
     assert "epoch 7: non-finite l_mae" in str(err.value)
 
 
+def test_eval_passes_abort_naming_the_pass(sbm):
+    state = trainer.init_state(sbm, tiny_cfg())
+    state.model.gate.w1.values = np.full_like(state.model.gate.w1.values, 1e308)
+    state.epoch = 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # numpy's overflow warning must not escape
+        for run, component in ((trainer.eval_edge_weights, "eval edge weights"),
+                               (trainer.embed, "eval forward")):
+            with pytest.raises(trainer.TrainingError, match=f"epoch 4: non-finite {component}"):
+                run(state)
+    assert all(p.requires_grad for p in state.model.all_parameters())
+
+
 # ---------------------------------------------------------------------------
 # few-shot fine-tuning
 

@@ -12,10 +12,14 @@ oracle edge weights. Per config it stores the metrics records, the routing
 log, the eval-mode edge weights, alpha and embeddings, the checkpoint
 arrays as written and read back, the tape length at every ``backward``,
 every parameter gradient of one svg step and one reconstruction step at the
-trained state, and the flat-MoE ``l_mae`` curve. It also stores the splits
-of the graph with its labels dropped. On the same graph it stores, as JSON,
-the rows of ``distinctiveness_study``, ``noise_robustness`` and
-``sensitivity_sweep``, the ``stability_bench`` report with all three arms
+trained state, the k-means scores and 1-shot prototype accuracies of the
+embeddings, and the flat-MoE ``l_mae`` curve. The ``default`` run is then
+fine-tuned for five epochs on four labeled nodes per class; the digest
+holds its gate and head parameters and the ``classify`` labels. It also
+stores the splits of the graph with its labels dropped. On the same graph
+it stores, as JSON, the rows of ``distinctiveness_study``,
+``noise_robustness``, ``sensitivity_sweep`` and one accuracy-mode
+``probe_study`` case, the ``stability_bench`` report with all three arms
 (a three-epoch config, one or two seeds) and the ``motivation_analysis``
 report, which it also stores for a heterophilous four-block SBM. Last, it
 stores the CLI's text forms: the ``print-config`` output, and the
@@ -49,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from adamore import cli, engine, experiments, graphs, trainer
+from adamore import cli, engine, evaluation, experiments, graphs, trainer
 from adamore.trainer import TrainConfig
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -89,7 +93,20 @@ def _grads_of_step(state: trainer.TrainState, step) -> dict[str, np.ndarray]:
     return grads
 
 
-def _run(g: graphs.Graph, cfg: TrainConfig, fixed) -> dict[str, np.ndarray]:
+def _finetuned(g: graphs.Graph, state: trainer.TrainState) -> dict[str, np.ndarray]:
+    """Gate and head parameters after a five-epoch fine-tune on four labeled
+    nodes per class, and the labels ``classify`` gives the new embeddings."""
+    support = np.concatenate([np.flatnonzero(g.labels == c)[:4] for c in range(g.n_classes)])
+    trainer.finetune_fewshot(state, g, support, replace(state.model.cfg, finetune_epochs=5))
+    out = {f"finetune.{name}": p.values.copy()
+           for name, p in state.model.named_parameters().items()
+           if name.split(".")[0] in ("gate", "head")}
+    out["finetune.classify"] = trainer.classify(state, trainer.embed(state))
+    return out
+
+
+def _run(g: graphs.Graph, cfg: TrainConfig, fixed,
+         finetune: bool = False) -> dict[str, np.ndarray]:
     tapes = []
     original = engine.backward
 
@@ -123,6 +140,12 @@ def _run(g: graphs.Graph, cfg: TrainConfig, fixed) -> dict[str, np.ndarray]:
                     for k, v in _grads_of_step(state, trainer.svg_step).items()})
     out.update({f"recon_grad.{k}": v
                 for k, v in _grads_of_step(state, trainer.reconstruction_step).items()})
+    clusters = evaluation.kmeans_eval(out["embeddings"], g.labels, g.n_classes)
+    out["kmeans"] = np.array([clusters.acc, clusters.nmi, clusters.ari])
+    out["prototype_1shot"] = np.array(evaluation.prototype_fewshot(
+        out["embeddings"], g.labels, 1, n_tasks=20).accuracies)
+    if finetune:
+        out.update(_finetuned(g, state))
     return out
 
 
@@ -134,7 +157,8 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
         cfg = replace(base, **overrides)
         fixed = (experiments.oracle_weights(g, experiments.OracleWeightSpec())
                  if label == "oracle" else None)
-        digest.update({f"{label}.{k}": v for k, v in _run(g, cfg, fixed).items()})
+        digest.update({f"{label}.{k}": v
+                       for k, v in _run(g, cfg, fixed, label == "default").items()})
     curve = [rec["l_mae"] for rec in trainer.naive_moe_baseline(g, base)]
     digest["flat_moe.l_mae"] = np.array(curve)
     unlabeled = graphs.make_graph(g.n_nodes, g.edges, g.features)
@@ -174,11 +198,15 @@ def _studies(g: graphs.Graph, cfg: TrainConfig, seeds: tuple[int, ...]) -> dict:
     stability = experiments.stability_bench(g, cfg, seeds=(seeds[0], seeds[0] + 1),
                                             include_homogeneous=True)
     heterophilous = graphs.gen_sbm(50, 4, 0.01, 0.08, feat_dim=8, feat_signal=0.8, seed=3)
+    accuracy_mode = experiments.OracleWeightSpec(mode="accuracy", p_coh_correct=0.8,
+                                                 p_disp_correct=0.7)
     return {
         "distinctiveness": experiments.distinctiveness_study(
             g, cfg, pairs=((0.9, 0.1), (0.6, 0.4)), seeds=seeds),
         "noise": experiments.noise_robustness(g, cfg, ratios=(0.0, 0.5), seeds=seeds),
         "sensitivity": experiments.sensitivity_sweep(g, "hidden", (8, 16), cfg, seeds=seeds),
+        "oracle_accuracy": experiments.probe_study(g, [("0.8/0.7", cfg, accuracy_mode)],
+                                                   seeds),
         "stability": {"curves": stability.curve_rows(), "volatility": stability.volatility,
                       "final_loss": stability.final_loss,
                       "volatility_ratio": stability.volatility_ratio},
