@@ -26,15 +26,15 @@ print("structural embedding of node 0:", np.round(s[0], 3))
 # this is exactly what the learned gate is trained to discover
 same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
 w = np.where(same, 0.9, 0.1).reshape(-1, 1)
-pair = gating.build_views(g, Tensor(w))
-total = pair.a_coh.weights.values + pair.a_disp.weights.values
+a_coh, a_disp = gating.build_views(g, Tensor(w))
+total = a_coh.weights.values + a_disp.weights.values
 print("cohesive + dispersive weights are exactly the adjacency:",
       bool((total == 1.0).all()))
 
 # low-pass smooths within communities, high-pass accentuates boundaries
 h = Tensor(g.features)
-low = filters.filter_bank_outputs("sgc", 2, h, pair.a_coh)[1]
-high = filters.filter_bank_outputs("lapsgc", 1, h, pair.a_disp)[0]
+low = filters.filter_bank_outputs("sgc", 2, h, a_coh)[1]
+high = filters.filter_bank_outputs("lapsgc", 1, h, a_disp)[0]
 print("low-pass output row 0: ", np.round(low.values[0], 3))
 print("high-pass output row 0:", np.round(high.values[0], 3))
 

@@ -42,7 +42,6 @@ RESIDUAL_KINDS = ("gcn-layer", "sage-mean", "gin0", "gat-1head")
 class ExpertBank:
     """Hops 1..N of one filter family with a top-K gate and shared projection."""
 
-    channel: str                    # "coh" or "disp"
     family: str                     # "sgc" or "lapsgc"
     top_k: int
     gate_w: Tensor                  # (F + d_s, N_exp)
@@ -62,24 +61,19 @@ class ExpertBank:
         return [self.gate_w, self.gate_b, self.proj_w, self.proj_b]
 
 
-def init_expert_bank(channel: str, family: str, n_exp: int, top_k: int, feat_dim: int,
+def init_expert_bank(family: str, n_exp: int, top_k: int, feat_dim: int,
                      d_s: int, d_e: int, rng: np.random.Generator) -> ExpertBank:
-    return ExpertBank(
-        channel=channel,
-        family=family,
-        top_k=top_k,
-        gate_w=engine.glorot(rng, feat_dim + d_s, n_exp),
-        gate_b=engine.zeros_param((1, n_exp)),
-        proj_w=engine.glorot(rng, feat_dim, d_e),
-        proj_b=engine.zeros_param((1, d_e)),
-    )
+    return ExpertBank(family=family, top_k=top_k,
+                      gate_w=engine.glorot(rng, feat_dim + d_s, n_exp),
+                      gate_b=engine.zeros_param((1, n_exp)),
+                      proj_w=engine.glorot(rng, feat_dim, d_e),
+                      proj_b=engine.zeros_param((1, d_e)))
 
 
 @dataclass
 class RoutingStats:
     """Per-step routing summary; f is constant, p stays differentiable."""
 
-    channel: str
     n_exp: int
     top_k: int
     f: np.ndarray            # fraction of nodes whose top-K contains expert k
@@ -132,8 +126,7 @@ def backbone_forward(bank: ExpertBank, x: Tensor, s: np.ndarray, view: Adjacency
 
     full_probs = engine.softmax_rows(logits)
     mean_p = engine.matmul(Tensor(np.full((1, n), 1.0 / n)), full_probs)
-    stats = RoutingStats(channel=bank.channel, n_exp=bank.n_exp, top_k=bank.top_k,
-                         f=selected.mean(axis=0), p=mean_p)
+    stats = RoutingStats(bank.n_exp, bank.top_k, f=selected.mean(axis=0), p=mean_p)
     return h_b, stats, [(out, bank.proj_w) for out in outs]
 
 
@@ -212,10 +205,6 @@ class ResidualPool:
     experts: list[ResidualExpert]
     gammas: list[Tensor]            # one 1x1 scalar per expert
 
-    @property
-    def n_r(self) -> int:
-        return len(self.experts)
-
 
 def init_residual_expert(kind: str, feat_dim: int, d_e: int,
                          rng: np.random.Generator) -> ResidualExpert:
@@ -252,7 +241,7 @@ def residual_forward(pool: ResidualPool, h_b: Tensor, x: Tensor,
     """(h_b + sum_k gamma_k r_k, [r_k]): the backbone output plus the scaled
     outputs r_k of all residual experts, one :func:`engine.residual_sum`
     record; ``h_b`` itself for an empty pool."""
-    if pool.n_r == 0:
+    if not pool.experts:
         return h_b, []
     outs = [ex.forward(x, view) for ex in pool.experts]
     return engine.residual_sum(h_b, outs, pool.gammas), outs

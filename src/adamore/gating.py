@@ -7,20 +7,19 @@ endpoint blocks,
 [u_i, u_j] W1 = u_i W1[:F + d_s] + u_j W1[F + d_s:] with u = [x, s], so it
 runs on the n node rows and only the hidden ReLU and the output layer run
 per directed edge.
-Gumbel-Sigmoid turns logits into soft weights in (0, 1); the cohesive view
-carries w per edge and the dispersive view 1 - w, so the two views sum to
-the original adjacency entrywise. The cross-filter loss trains only this
-module: a parameter-free low-pass filter must reproduce the dispersive
-backbone output on the dispersive view (and the high-pass mirror on the
-cohesive view), with backbone outputs held constant. Propagation commutes
-with the constant projection, P(M W + 1 b^T) = P([M, 1]) [W; b^T], so each
-backbone output comes as its factors (M, W, b): the F + 1 wide [M, 1] is
-propagated and scored under the Gram of [W; b^T], never d_e wide.
+Gumbel-Sigmoid turns logits into soft weights in (0, 1); the views come as
+the pair (cohesive, dispersive), the cohesive view carrying w per edge and
+the dispersive view 1 - w, so the two sum to the original adjacency
+entrywise. The cross-filter loss trains only this module: a parameter-free
+low-pass filter must reproduce the dispersive backbone output on the
+dispersive view (and the high-pass mirror on the cohesive view), with
+backbone outputs held constant. Propagation commutes with the constant
+projection, P(M W + 1 b^T) = P([M, 1]) [W; b^T], so each backbone output
+comes as its factors (M, W, b): the F + 1 wide [M, 1] is propagated and
+scored under the Gram of [W; b^T], never d_e wide.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,14 +33,6 @@ def init_edge_gate(feat_dim: int, d_s: int, hidden: int,
                    rng: np.random.Generator) -> engine.MLP:
     """The edge MLP on the 2(F + d_s) joint edge representation."""
     return engine.init_mlp(rng, 2 * (feat_dim + d_s), hidden, 1)
-
-
-@dataclass
-class ViewPair:
-    """The cohesive and dispersive views derived from per-edge weights."""
-
-    a_coh: AdjacencyView
-    a_disp: AdjacencyView
 
 
 def edge_logits(params: engine.MLP, x: Tensor, s: np.ndarray, g: Graph) -> Tensor:
@@ -81,8 +72,8 @@ def gumbel_sigmoid_weights(logits: Tensor, tau: float,
     return engine.sigmoid(engine.scale(logits, 1.0 / tau))
 
 
-def build_views(g: Graph, w: Tensor) -> ViewPair:
-    """Cohesive view carries w on both directions, dispersive carries 1 - w."""
+def build_views(g: Graph, w: Tensor) -> tuple[AdjacencyView, AdjacencyView]:
+    """(a_coh, a_disp): the cohesive view carries w both ways, the dispersive 1 - w."""
     m = g.n_edges
     if w.shape != (m, 1):
         raise engine.ShapeError(f"expected one weight per edge ({m}, 1), got {w.shape}")
@@ -91,8 +82,7 @@ def build_views(g: Graph, w: Tensor) -> ViewPair:
         raise ValueError("edge weights must lie in [0, 1]")
     w_dir = engine.gather_rows(w, g.pair_edge)
     disp_dir = engine.sub(Tensor(np.ones((2 * m, 1))), w_dir)
-    return ViewPair(a_coh=AdjacencyView(graph=g, weights=w_dir),
-                    a_disp=AdjacencyView(graph=g, weights=disp_dir))
+    return AdjacencyView(graph=g, weights=w_dir), AdjacencyView(graph=g, weights=disp_dir)
 
 
 def scaled_cosine_error(recon: Tensor, target: Tensor, gamma: float,
@@ -114,7 +104,7 @@ def _filter_basis(factors: Factors) -> tuple[Tensor, np.ndarray]:
     return Tensor(np.hstack([mix.values, np.ones((mix.shape[0], 1))])), proj @ proj.T
 
 
-def svg_loss(views: ViewPair, coh: Factors, disp: Factors,
+def svg_loss(views: tuple[AdjacencyView, AdjacencyView], coh: Factors, disp: Factors,
              gamma_svg: float = 1.0) -> Tensor:
     """Cross-filter reconstruction loss; trains the edge gate only.
 
@@ -123,11 +113,13 @@ def svg_loss(views: ViewPair, coh: Factors, disp: Factors,
     the gating MLP. P h = P([M, 1]) [W; b^T], and each row dot and norm of
     the cosines is a quadratic form in G = [W; b^T][W; b^T]^T: the loss
     scores P([M, 1]) and [M, 1] - P([M, 1]) against [M, 1] under G.
+    ``views`` is the (a_coh, a_disp) pair of :func:`build_views`.
     """
+    a_coh, a_disp = views
     disp_basis, disp_gram = _filter_basis(disp)
-    lpf_recon = sym_propagate(views.a_disp, disp_basis)
+    lpf_recon = sym_propagate(a_disp, disp_basis)
     coh_basis, coh_gram = _filter_basis(coh)
-    hpf_recon = engine.sub(coh_basis, sym_propagate(views.a_coh, coh_basis))
+    hpf_recon = engine.sub(coh_basis, sym_propagate(a_coh, coh_basis))
     return engine.add(scaled_cosine_error(lpf_recon, disp_basis, gamma_svg, disp_gram),
                       scaled_cosine_error(hpf_recon, coh_basis, gamma_svg, coh_gram))
 

@@ -1,5 +1,7 @@
 """Unsupervised training loop: masked reconstruction with alternating steps.
 
+Each channel of :data:`CHANNELS` runs a backbone bank of its filter family
+and a residual pool on its own view; per-channel lists follow that order.
 Each epoch runs two isolated optimization steps. Step 1 updates only the
 edge-gating MLP by the cross-filter reconstruction loss; it builds its own
 views and detached backbone targets and never runs the full forward.
@@ -35,7 +37,11 @@ from .graphs import Graph
 
 
 class TrainingError(RuntimeError):
-    """Training aborted; message names the epoch and loss component."""
+    """Training or an eval pass aborted; the message names the failing part."""
+
+
+# each channel and the filter family of its backbone bank, in tape order
+CHANNELS = (("coh", "sgc"), ("disp", "lapsgc"))
 
 
 @dataclass(frozen=True)
@@ -122,14 +128,11 @@ class Model:
         f_dim, d_e = g.feat_dim, cfg.hidden
         self.gate: engine.MLP = gating.init_edge_gate(
             f_dim, cfg.d_s, cfg.edge_hidden, rng)
-        self.bank_coh: ExpertBank = experts.init_expert_bank(
-            "coh", "sgc", cfg.n_exp, cfg.top_k, f_dim, cfg.d_s, d_e, rng)
-        self.bank_disp: ExpertBank = experts.init_expert_bank(
-            "disp", "lapsgc", cfg.n_exp, cfg.top_k, f_dim, cfg.d_s, d_e, rng)
-        self.pool_coh: ResidualPool = experts.init_residual_pool(
-            cfg.residual_kinds, f_dim, d_e, rng)
-        self.pool_disp: ResidualPool = experts.init_residual_pool(
-            cfg.residual_kinds, f_dim, d_e, rng)
+        # per channel, in CHANNELS order; every bank is drawn before any pool
+        self.banks: list[ExpertBank] = [experts.init_expert_bank(
+            family, cfg.n_exp, cfg.top_k, f_dim, cfg.d_s, d_e, rng) for _, family in CHANNELS]
+        self.pools: list[ResidualPool] = [experts.init_residual_pool(
+            cfg.residual_kinds, f_dim, d_e, rng) for _ in CHANNELS]
         self.decoder = engine.init_mlp(rng, 2 * d_e, d_e, f_dim)
         self.mask_token = engine.zeros_param((1, f_dim))
         self.head_w: Tensor | None = None
@@ -145,12 +148,12 @@ class Model:
         groups below select from this table by name prefix."""
         named = {}
         for prefix, group in (("gate", self.gate.parameters()),
-                              ("bank_coh", self.bank_coh.parameters()),
-                              ("bank_disp", self.bank_disp.parameters()),
+                              *((f"bank_{channel}", bank.parameters())
+                                for (channel, _), bank in zip(CHANNELS, self.banks)),
                               ("decoder", self.decoder.parameters())):
             for i, p in enumerate(group):
                 named[f"{prefix}.{i}"] = p
-        for channel, pool in (("coh", self.pool_coh), ("disp", self.pool_disp)):
+        for (channel, _), pool in zip(CHANNELS, self.pools):
             for k, expert in enumerate(pool.experts):
                 for key, p in expert.params.items():
                     named[f"pool_{channel}.{k}.{key}"] = p
@@ -180,11 +183,10 @@ class Model:
 
 @dataclass
 class ForwardResult:
-    stats_coh: RoutingStats
-    stats_disp: RoutingStats
+    stats: list[RoutingStats]                          # per channel
     h_final: Tensor
     alpha: np.ndarray
-    diversity_targets: dict[str, list[experts.Output]]
+    diversity_targets: list[list[experts.Output]]      # per channel
 
 
 def _edge_weights(model: Model, x: np.ndarray,
@@ -217,29 +219,22 @@ def full_forward(model: Model, rng: np.random.Generator | None,
                        else masked_input(g.features, mask, model.mask_token))
     w, w_eval = _edge_weights(model, x_gate, rng)
     views = gating.build_views(g, w)
-    h_b_coh, stats_coh, outs_coh = experts.backbone_forward(
-        model.bank_coh, x_input, model.s, views.a_coh)
-    h_b_disp, stats_disp, outs_disp = experts.backbone_forward(
-        model.bank_disp, x_input, model.s, views.a_disp)
-    h_enh_coh, r_outs_coh = experts.residual_forward(model.pool_coh, h_b_coh, x_input,
-                                                     views.a_coh)
-    h_enh_disp, r_outs_disp = experts.residual_forward(model.pool_disp, h_b_disp, x_input,
-                                                       views.a_disp)
+    backbones = [experts.backbone_forward(bank, x_input, model.s, view)
+                 for bank, view in zip(model.banks, views)]
+    enhanced = [experts.residual_forward(pool, h_b, x_input, view)
+                for pool, (h_b, _, _), view in zip(model.pools, backbones, views)]
 
+    h_coh, h_disp = (h for h, _ in enhanced)
     if alpha_override is not None:
         alpha = np.asarray(alpha_override, dtype=np.float64).ravel()
     else:
-        alpha = fusion.compute_fusion(w_eval, h_enh_coh.values, g, model.a_tilde)
-    h_final = fusion.fuse(h_enh_coh, h_enh_disp, alpha)
+        alpha = fusion.compute_fusion(w_eval, h_coh.values, g, model.a_tilde)
+    h_final = fusion.fuse(h_coh, h_disp, alpha)
 
     mode = cfg.diversity_targets
-    div = {"coh": [], "disp": []}
-    for ch, found, res in (("coh", outs_coh, r_outs_coh), ("disp", outs_disp, r_outs_disp)):
-        if mode != "residual":
-            div[ch] += found
-        if mode != "foundational":
-            div[ch] += res
-    return ForwardResult(stats_coh=stats_coh, stats_disp=stats_disp,
+    div = [(found if mode != "residual" else []) + (res if mode != "foundational" else [])
+           for (_, _, found), (_, res) in zip(backbones, enhanced)]
+    return ForwardResult(stats=[stats for _, stats, _ in backbones],
                          h_final=h_final, alpha=alpha, diversity_targets=div)
 
 
@@ -262,17 +257,11 @@ def composite_loss(l_mae: Tensor, l_load: Tensor, l_div: Tensor,
     return total
 
 
-def _channel_mean_diversity(div_targets: dict[str, list[experts.Output]]) -> Tensor:
-    terms = [experts.diversity_loss(outs) for outs in div_targets.values()
-             if len(outs) >= 2]
+def _channel_mean(terms: list[Tensor]) -> Tensor:
+    """The mean of per-channel loss terms; 0 without any."""
     if not terms:
         return Tensor([[0.0]])
     return engine.scale(reduce(engine.add, terms), 1.0 / len(terms))
-
-
-def _mean_load(fwd: ForwardResult) -> Tensor:
-    return engine.scale(engine.add(experts.load_balance_loss(fwd.stats_coh),
-                                   experts.load_balance_loss(fwd.stats_disp)), 0.5)
 
 
 def masked_objective(fwd: ForwardResult, model: Model, mask: np.ndarray,
@@ -284,8 +273,10 @@ def masked_objective(fwd: ForwardResult, model: Model, mask: np.ndarray,
     """
     l_mae = _guard("l_mae", epoch, lambda: mae_loss(
         fwd.h_final, model.decoder, model.graph.features, mask, cfg.gamma))
-    l_load = _guard("l_load", epoch, lambda: _mean_load(fwd))
-    l_div = _guard("l_div", epoch, lambda: _channel_mean_diversity(fwd.diversity_targets))
+    l_load = _guard("l_load", epoch, lambda: _channel_mean(
+        [experts.load_balance_loss(stats) for stats in fwd.stats]))
+    l_div = _guard("l_div", epoch, lambda: _channel_mean(
+        [experts.diversity_loss(outs) for outs in fwd.diversity_targets if len(outs) >= 2]))
     total = _guard("total", epoch, lambda: composite_loss(l_mae, l_load, l_div, cfg))
     return total, {"l_mae": l_mae, "l_load": l_load, "l_div": l_div}
 
@@ -331,14 +322,15 @@ def init_state(g: Graph, cfg: TrainConfig,
                       rng=np.random.default_rng(cfg.seed))
 
 
-def _guard(component: str, epoch: int, fn):
+def _guard(component: str, epoch: int | None, fn):
     """``fn()``, whose non-finite values raise :class:`TrainingError` naming
-    the epoch and ``component``, not a numpy warning."""
+    ``component`` and, unless None, the ``epoch``, not a numpy warning."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return fn()
     except engine.NonFiniteError as err:
-        raise TrainingError(f"epoch {epoch}: non-finite {component}: {err}") from err
+        where = "" if epoch is None else f"epoch {epoch}: "
+        raise TrainingError(f"{where}non-finite {component}: {err}") from err
 
 
 def _updating(model: Model, params: Sequence[Tensor]):
@@ -371,9 +363,8 @@ def svg_step(state: TrainState) -> float:
     def forward():
         w, _ = _edge_weights(model, g.features, state.rng)
         views, held = gating.build_views(g, w), gating.build_views(g, w.detach())
-        banks = ((model.bank_coh, held.a_coh), (model.bank_disp, held.a_disp))
         return views, [(experts.bank_mixture(b, x_raw, model.s, v)[0], b.proj_w, b.proj_b)
-                       for b, v in banks]
+                       for b, v in zip(model.banks, held)]
 
     with _updating(model, model.gating_parameters()):
         views, (coh, disp) = _guard("l_svg forward", epoch, forward)
@@ -393,8 +384,8 @@ def reconstruction_step(state: TrainState) -> dict:
         engine.backward(total)
     engine.adam_step(model.main_parameters(), state.adam_main)
 
-    for stats in (fwd.stats_coh, fwd.stats_disp):
-        state.routing_log += [(state.epoch, stats.channel, k, float(f), float(p))
+    for (channel, _), stats in zip(CHANNELS, fwd.stats):
+        state.routing_log += [(state.epoch, channel, k, float(f), float(p))
                               for k, (f, p) in enumerate(zip(stats.f, stats.p.values.ravel()))]
     return {**{name: part.item() for name, part in parts.items()}, "total": total.item()}
 
@@ -431,7 +422,7 @@ def eval_forward(state: TrainState,
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        return _guard("eval forward", state.epoch,
+        return _guard("eval forward", None,
                       lambda: full_forward(model, None, alpha_override=alpha_override))
 
 
@@ -445,7 +436,7 @@ def eval_edge_weights(state: TrainState) -> np.ndarray:
     model = state.model
     engine.reset_tape()
     with _updating(model, []):
-        _, w_eval = _guard("eval edge weights", state.epoch,
+        _, w_eval = _guard("eval edge weights", None,
                            lambda: _edge_weights(model, model.graph.features, None))
     return w_eval.ravel().copy()
 

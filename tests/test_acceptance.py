@@ -89,8 +89,8 @@ def test_criterion_01_gradient_correctness():
             fwd = masked_forward(alpha0)
             return trainer.masked_objective(fwd, model, plan, cfg, epoch=0)[0]
 
-        probe = [model.gate.w1, model.bank_coh.proj_w, model.bank_disp.gate_w,
-                 model.pool_coh.experts[0].params["w"], model.pool_coh.gammas[0],
+        probe = [model.gate.w1, model.banks[0].proj_w, model.banks[1].gate_w,
+                 model.pools[0].experts[0].params["w"], model.pools[0].gammas[0],
                  model.decoder.w2, model.mask_token]
         worst_e2e = max(worst_e2e, check_grad(loss_fn, probe, seed=trial,
                                               n_entries=3))
@@ -167,15 +167,15 @@ def test_criterion_03_view_complementarity():
     exact = True
     for _ in range(1000):
         w = rng.random((g.n_edges, 1))
-        pair = gating.build_views(g, Tensor(w))
-        total = pair.a_coh.weights.values + pair.a_disp.weights.values
+        a_coh, a_disp = gating.build_views(g, Tensor(w))
+        total = a_coh.weights.values + a_disp.weights.values
         exact = exact and bool((total == 1.0).all())
     # dense check on one draw: A_coh + A_disp reconstructs A entrywise
     w = rng.random((g.n_edges, 1))
-    pair = gating.build_views(g, Tensor(w))
+    a_coh, a_disp = gating.build_views(g, Tensor(w))
     dense = np.zeros((g.n_nodes, g.n_nodes))
-    for (u, v), wc, wd in zip(g.edges, pair.a_coh.weights.values[:g.n_edges, 0],
-                              pair.a_disp.weights.values[:g.n_edges, 0]):
+    for (u, v), wc, wd in zip(g.edges, a_coh.weights.values[:g.n_edges, 0],
+                              a_disp.weights.values[:g.n_edges, 0]):
         dense[u, v] = dense[v, u] = wc + wd
     exact = exact and bool((dense == _dense_adj(g)).all())
     elapsed = time.time() - start
@@ -236,10 +236,10 @@ def test_criterion_05_spline_perfect_reconstruction():
 
 
 def test_criterion_06_load_balance_closed_forms():
-    uniform = experts.RoutingStats("coh", 4, 1, np.full(4, 0.25),
+    uniform = experts.RoutingStats(4, 1, np.full(4, 0.25),
                                    Tensor(np.full((1, 4), 0.25)))
     err_uniform = abs(experts.load_balance_loss(uniform).item() - 1.0)
-    collapse = experts.RoutingStats("coh", 4, 1, np.array([1.0, 0, 0, 0]),
+    collapse = experts.RoutingStats(4, 1, np.array([1.0, 0, 0, 0]),
                                     Tensor(np.array([[1.0, 0, 0, 0]])))
     err_collapse = abs(experts.load_balance_loss(collapse).item() - 4.0)
     rng = np.random.default_rng(11)
@@ -248,7 +248,7 @@ def test_criterion_06_load_balance_closed_forms():
         n_exp = int(rng.integers(2, 8))
         profile = np.bincount(rng.integers(0, n_exp, size=50),
                               minlength=n_exp) / 50.0
-        stats = experts.RoutingStats("coh", n_exp, 1, profile,
+        stats = experts.RoutingStats(n_exp, 1, profile,
                                      Tensor(profile[None, :]))
         floor_ok = floor_ok and experts.load_balance_loss(stats).item() >= 1.0 - 1e-12
     ok = err_uniform <= 1e-10 and err_collapse <= 1e-10 and floor_ok
@@ -264,10 +264,10 @@ def test_criterion_07_backbone_oracle_equivalence():
         feats = rng.normal(size=(g.n_nodes, 4))
         g = graphs.make_graph(g.n_nodes, g.edges, feats)
         emb = graphs.structural_embeddings(graphs.normalize(g), d_s=3)
-        bank = experts.init_expert_bank("coh", "sgc", 3, top_k=3, feat_dim=4,
+        bank = experts.init_expert_bank("sgc", 3, top_k=3, feat_dim=4,
                                         d_s=3, d_e=5, rng=rng)
         w = rng.uniform(0.2, 0.8, size=(g.n_edges, 1))
-        view = gating.build_views(g, Tensor(w)).a_coh
+        view = gating.build_views(g, Tensor(w))[0]
         h_b, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
 
         # brute-force dense mixture oracle

@@ -269,7 +269,8 @@ def test_embed_names_a_truncated_checkpoint(model_dir, tmp_path, capsys):
 @pytest.mark.parametrize("entry", ["bank_coh.2", "gate.0"])
 def test_eval_passes_name_a_non_finite_op(model_dir, tmp_path, capsys, entry):
     """A checkpoint entry at 1e308 overflows the eval forward: embed and the
-    eval commands exit 2 with a message naming the op, not a traceback."""
+    eval commands exit 2 with a message naming the op, not a traceback, and
+    no epoch, which a model loaded from its directory does not know."""
     run = tmp_path / "run"
     shutil.copytree(model_dir, run)
     ckpt = str(run / "model.ckpt")
@@ -281,6 +282,7 @@ def test_eval_passes_name_a_non_finite_op(model_dir, tmp_path, capsys, entry):
         assert run_cli(command, "--model-dir", str(run), *flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite eval forward: operation '" in err, err
+        assert "epoch" not in err, err
     assert not (tmp_path / "e.tsv").exists()
 
 

@@ -26,7 +26,7 @@ def dense_view_matrix(g, w_und, self_loop=True):
 
 
 def sgc_bank(g, emb, rng, n_exp=4, top_k=2, d_e=5):
-    return experts.init_expert_bank("coh", "sgc", n_exp, top_k, g.feat_dim, emb.shape[1], d_e, rng)
+    return experts.init_expert_bank("sgc", n_exp, top_k, g.feat_dim, emb.shape[1], d_e, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_backbone_topk_closed_form_weights():
 def test_backbone_single_expert_is_projection():
     rng = np.random.default_rng(2)
     g, emb = setup_graph(seed=3)
-    bank = experts.init_expert_bank("coh", "sgc", 1, 1, g.feat_dim, emb.shape[1], 4, rng)
+    bank = experts.init_expert_bank("sgc", 1, 1, g.feat_dim, emb.shape[1], 4, rng)
     view = filters.raw_view(g)
     h_b, _, _ = experts.backbone_forward(bank, Tensor(g.features), emb, view)
     out = filters.filter_bank_outputs("sgc", 1, Tensor(g.features), view)[0]
@@ -107,7 +107,7 @@ def test_backbone_rejects_k_above_n_exp():
     rng = np.random.default_rng(4)
     g, emb = setup_graph()
     with pytest.raises(ValueError, match="top_k=2 out of range for 1 experts"):
-        experts.init_expert_bank("coh", "sgc", 1, 2, g.feat_dim, emb.shape[1], 4, rng)
+        experts.init_expert_bank("sgc", 1, 2, g.feat_dim, emb.shape[1], 4, rng)
 
 
 def test_backbone_gradients_match_finite_differences():
@@ -118,8 +118,8 @@ def test_backbone_gradients_match_finite_differences():
     w_und = Tensor(rng.uniform(0.3, 0.7, size=(g.n_edges, 1)), requires_grad=True)
 
     def loss_fn():
-        pair = gating.build_views(g, w_und)
-        h_b, stats, _ = experts.backbone_forward(bank, Tensor(g.features), emb, pair.a_coh)
+        a_coh, _ = gating.build_views(g, w_und)
+        h_b, stats, _ = experts.backbone_forward(bank, Tensor(g.features), emb, a_coh)
         return engine.add(engine.frobenius(h_b, target),
                           experts.load_balance_loss(stats))
 
@@ -131,10 +131,10 @@ def test_backbone_gradients_match_finite_differences():
 # load balance loss
 
 def test_load_balance_closed_forms():
-    uniform = experts.RoutingStats("coh", 4, 1, np.full(4, 0.25),
+    uniform = experts.RoutingStats(4, 1, np.full(4, 0.25),
                                    Tensor(np.full((1, 4), 0.25)))
     assert abs(experts.load_balance_loss(uniform).item() - 1.0) < 1e-12
-    collapse = experts.RoutingStats("coh", 4, 1, np.array([1.0, 0, 0, 0]),
+    collapse = experts.RoutingStats(4, 1, np.array([1.0, 0, 0, 0]),
                                     Tensor(np.array([[1.0, 0, 0, 0]])))
     assert abs(experts.load_balance_loss(collapse).item() - 4.0) < 1e-12
 
@@ -147,7 +147,7 @@ def test_load_balance_at_least_one_for_k1():
         n_exp = int(rng.integers(2, 6))
         assignment = rng.integers(0, n_exp, size=40)
         profile = np.bincount(assignment, minlength=n_exp) / 40.0
-        stats = experts.RoutingStats("coh", n_exp, 1, profile, Tensor(profile[None, :]))
+        stats = experts.RoutingStats(n_exp, 1, profile, Tensor(profile[None, :]))
         assert experts.load_balance_loss(stats).item() >= 1.0 - 1e-12
 
 
@@ -212,11 +212,11 @@ def test_gcn_and_sage_match_dense_oracles():
     rng = np.random.default_rng(10)
     g, _ = setup_graph(seed=10)
     w_und = rng.uniform(0.2, 0.9, size=g.n_edges)
-    pair = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
+    a_coh, _ = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
     x = Tensor(g.features)
 
     gcn = experts.init_residual_expert("gcn-layer", g.feat_dim, 4, rng)
-    out = gcn.forward(x, pair.a_coh)
+    out = gcn.forward(x, a_coh)
     aw = dense_view_matrix(g, w_und)
     d = aw.sum(axis=1)
     at = aw / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
@@ -224,7 +224,7 @@ def test_gcn_and_sage_match_dense_oracles():
     assert np.allclose(out.values, expect, atol=1e-12)
 
     sage = experts.init_residual_expert("sage-mean", g.feat_dim, 4, rng)
-    out = sage.forward(x, pair.a_coh)
+    out = sage.forward(x, a_coh)
     a_edge = dense_view_matrix(g, w_und, self_loop=False)
     mean_nb = (a_edge @ g.features) / (a_edge.sum(axis=1, keepdims=True) + engine.EPS)
     expect = np.maximum(
@@ -237,9 +237,9 @@ def test_gin_matches_dense_oracle():
     rng = np.random.default_rng(11)
     g, _ = setup_graph(seed=11)
     w_und = rng.uniform(0.2, 0.9, size=g.n_edges)
-    pair = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
+    a_coh, _ = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
     gin = experts.init_residual_expert("gin0", g.feat_dim, 4, rng)
-    out = gin.forward(Tensor(g.features), pair.a_coh)
+    out = gin.forward(Tensor(g.features), a_coh)
     a_edge = dense_view_matrix(g, w_und, self_loop=False)
     agg = g.features + a_edge @ g.features
     h = np.maximum(agg @ gin.params["w1"].values + gin.params["b1"].values, 0.0)
@@ -252,9 +252,9 @@ def test_gat_matches_dense_oracle(feat_dim, d_e):
     rng = np.random.default_rng(12)
     g, _ = setup_graph(seed=12, feat_dim=feat_dim)
     w_und = rng.uniform(0.2, 0.9, size=g.n_edges)
-    pair = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
+    a_coh, _ = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
     gat = experts.init_residual_expert("gat-1head", g.feat_dim, d_e, rng)
-    out = gat.forward(Tensor(g.features), pair.a_coh)
+    out = gat.forward(Tensor(g.features), a_coh)
 
     xe = g.features @ gat.params["w"].values
     s_src = (xe @ gat.params["a_src"].values).ravel()
@@ -284,8 +284,8 @@ def test_residual_experts_gradients_match_finite_differences(feat_dim, d_e):
         w_und = Tensor(rng.uniform(0.3, 0.8, size=(g.n_edges, 1)), requires_grad=True)
 
         def loss_fn():
-            pair = gating.build_views(g, w_und)
-            out = expert.forward(Tensor(g.features), pair.a_coh)
+            a_coh, _ = gating.build_views(g, w_und)
+            out = expert.forward(Tensor(g.features), a_coh)
             return engine.frobenius(out, target)
 
         err = check_grad(loss_fn, expert.parameters() + [w_und], seed=13, n_entries=3)

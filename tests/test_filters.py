@@ -195,7 +195,7 @@ def test_view_records_its_degree_once():
     g = graphs.gen_sbm(5, 2, 0.6, 0.2, feat_dim=3, seed=8)
     engine.reset_tape()
     w = Tensor(rng.uniform(0.2, 0.8, size=(g.n_edges, 1)), requires_grad=True)
-    view = gating.build_views(g, w).a_coh
+    view = gating.build_views(g, w)[0]
     for family in ("sgc", "lapsgc"):
         filters.filter_bank_outputs(family, 4, Tensor(g.features), view)
     reads = [rec for rec in engine.current_tape().records
@@ -212,10 +212,10 @@ def test_edgeless_graph_gives_closed_forms():
     for name in FILTERS:
         for k in (1, 2):
             def loss_fn():
-                view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
+                view = gating.build_views(g, Tensor(np.zeros((0, 1))))[0]
                 return engine.frobenius(apply_filter(name, h, view, k), target)
 
-            view = gating.build_views(g, Tensor(np.zeros((0, 1)))).a_coh
+            view = gating.build_views(g, Tensor(np.zeros((0, 1))))[0]
             out = apply_filter(name, h, view, k)
             assert np.allclose(out.values, gain[name] * h.values, atol=1e-12), (name, k)
             assert check_grad(loss_fn, [h], seed=3) <= 1e-4, (name, k)
@@ -253,10 +253,10 @@ def test_views_sum_to_the_raw_graph(case):
     """W_coh h + W_disp h = A h: the two views split each edge's weight."""
     g, seed = case
     rng = np.random.default_rng(seed)
-    pair = gating.build_views(g, _gate_weights(g, rng))
+    a_coh, a_disp = gating.build_views(g, _gate_weights(g, rng))
     h = rng.normal(size=(g.n_nodes, 3))
-    total = (filters.neighbor_sum(pair.a_coh, Tensor(h)).values
-             + filters.neighbor_sum(pair.a_disp, Tensor(h)).values)
+    total = (filters.neighbor_sum(a_coh, Tensor(h)).values
+             + filters.neighbor_sum(a_disp, Tensor(h)).values)
     raw = filters.neighbor_sum(filters.raw_view(g), Tensor(h)).values
     scale = filters.neighbor_sum(filters.raw_view(g), Tensor(np.abs(h))).values
     assert np.abs(total - raw).max(initial=0.0) <= 1e-12 * scale.max(initial=0.0)
@@ -268,10 +268,10 @@ def test_views_sum_to_the_raw_graph(case):
 def test_every_filter_is_linear_on_gate_weighted_views(case, k):
     g, seed = case
     rng = np.random.default_rng(seed)
-    pair = gating.build_views(g, _gate_weights(g, rng))
+    a_coh, a_disp = gating.build_views(g, _gate_weights(g, rng))
     h1, h2 = rng.normal(size=(2, g.n_nodes, 3))
     a, b = rng.normal(size=2)
-    for view in (pair.a_coh, pair.a_disp):
+    for view in (a_coh, a_disp):
         for name in FILTERS:
             mixed = apply_filter(name, Tensor(a * h1 + b * h2), view, k).values
             f1 = apply_filter(name, Tensor(h1), view, k).values
@@ -292,7 +292,7 @@ def test_filter_gradients_wrt_h_and_view_weights(case, name, k):
     target = Tensor(rng.normal(size=(g.n_nodes, 3)))
 
     def loss_fn():
-        view = gating.build_views(g, w).a_coh
+        view = gating.build_views(g, w)[0]
         return engine.frobenius(apply_filter(name, h, view, k), target)
 
     params = [h, w] if m else [h]      # no weight entries to check without edges

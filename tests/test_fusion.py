@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def test_semantic_score_mixed_neighbors_mean():
     h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     score = fusion.semantic_score(h, g)
     assert abs(score[0] - 0.5) < 1e-7
+
+
+def test_semantic_score_of_a_row_whose_norm_overflows():
+    """A row whose norm exceeds the float range still has its direction:
+    on a path whose rows all point one way every cue is 1, with no warning."""
+    g = graphs.make_graph(3, [(0, 1), (1, 2)], np.eye(3))
+    h = np.array([[1.0, 2.0], [1e200, 2e200], [1.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score = fusion.semantic_score(h, g)
+    assert np.allclose(score, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_semantic_score_isolated_sentinel():

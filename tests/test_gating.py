@@ -165,11 +165,11 @@ def test_temperature_sharpening():
 def test_build_views_extremes():
     g, _ = small_graph(seed=3)
     m = g.n_edges
-    pair = gating.build_views(g, Tensor(np.ones((m, 1))))
-    assert np.allclose(pair.a_coh.weights.values, 1.0)
-    assert np.allclose(pair.a_disp.weights.values, 0.0)
-    half = gating.build_views(g, Tensor(np.full((m, 1), 0.5)))
-    assert np.array_equal(half.a_coh.weights.values, half.a_disp.weights.values)
+    a_coh, a_disp = gating.build_views(g, Tensor(np.ones((m, 1))))
+    assert np.allclose(a_coh.weights.values, 1.0)
+    assert np.allclose(a_disp.weights.values, 0.0)
+    a_coh, a_disp = gating.build_views(g, Tensor(np.full((m, 1), 0.5)))
+    assert np.array_equal(a_coh.weights.values, a_disp.weights.values)
 
 
 def test_build_views_complementarity_exact():
@@ -178,17 +178,17 @@ def test_build_views_complementarity_exact():
     rng = np.random.default_rng(5)
     for _ in range(100):
         w = rng.random((m, 1))
-        pair = gating.build_views(g, Tensor(w))
-        total = pair.a_coh.weights.values + pair.a_disp.weights.values
+        a_coh, a_disp = gating.build_views(g, Tensor(w))
+        total = a_coh.weights.values + a_disp.weights.values
         assert (total == 1.0).all()
 
 
 def test_build_views_single_edge():
     g = graphs.make_graph(2, [(0, 1)], np.eye(2))
-    pair = gating.build_views(g, Tensor([[0.7]]))
-    assert pair.a_coh.weights.values[0, 0] == 0.7
-    assert abs(pair.a_disp.weights.values[0, 0] - 0.3) < 1e-15
-    assert pair.a_coh.weights.values[0, 0] + pair.a_disp.weights.values[0, 0] == 1.0
+    a_coh, a_disp = gating.build_views(g, Tensor([[0.7]]))
+    assert a_coh.weights.values[0, 0] == 0.7
+    assert abs(a_disp.weights.values[0, 0] - 0.3) < 1e-15
+    assert a_coh.weights.values[0, 0] + a_disp.weights.values[0, 0] == 1.0
 
 
 def test_build_views_rejects_out_of_range():

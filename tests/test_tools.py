@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+from adamore import engine
+from adamore.engine import Tensor
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -39,6 +42,30 @@ def test_same_behaviour_digests(tmp_path):
     assert tool.main(["compare", a, b]) == 0
     assert tool.main(["compare", a, other]) == 1
     assert "environment: identical" in lines
+    with np.load(a) as digest:
+        counts, ops = digest["default.tape_at_backward"], digest["default.tape_ops_at_backward"]
+    assert ops.shape == counts.shape and all(len(h) == 64 for h in ops)
+    assert "default.tape_ops_at_backward: identical" in lines
+
+
+def test_tape_op_hash_sees_record_order(tmp_path):
+    """Two tapes with the same records in another order have equal lengths
+    but different op hashes, and compare rejects them at any tolerance."""
+    tool = _load_tool()
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    paths = []
+    for first, second in ((engine.exp, engine.relu), (engine.relu, engine.exp)):
+        engine.reset_tape()
+        first(x)
+        second(x)
+        paths.append(str(tmp_path / f"{first.__name__}.npz"))
+        np.savez(paths[-1], tape_at_backward=np.array([len(engine.current_tape())]),
+                 tape_ops_at_backward=np.array([tool.tape_op_sha256()]))
+    engine.reset_tape()
+    report = io.StringIO()
+    assert not tool.compare(*paths, out=report, rel=1.0)
+    assert "tape_at_backward: identical" in report.getvalue()
+    assert "tape_ops_at_backward: differs" in report.getvalue()
 
 
 def test_compare_names_the_settings_two_digests_were_made_under(tmp_path):

@@ -10,8 +10,9 @@ targets ``both``, ``hidden=8`` (F >= d_e, the projected-first basis) and an
 empty residual pool. A fifth run trains the default config under fixed
 oracle edge weights. Per config it stores the metrics records, the routing
 log, the eval-mode edge weights, alpha and embeddings, the checkpoint
-arrays as written and read back, the tape length at every ``backward``,
-every parameter gradient of one svg step and one reconstruction step at the
+arrays as written and read back, the tape length at every ``backward``
+and a sha256 of the tape's op-name sequence there (so a reorder of
+records shows even when every value matches), every parameter gradient of one svg step and one reconstruction step at the
 trained state, the k-means scores and 1-shot prototype accuracies of the
 embeddings, and the flat-MoE ``l_mae`` curve. The ``default`` run is then
 fine-tuned for five epochs on four labeled nodes per class; the digest
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -73,6 +75,12 @@ TRAIN_FLAGS = ("--epochs", "2", "--lr", "0.01", "--hidden", "8", "--d-s", "3",
                "--edge-hidden", "8", "--n-exp", "2", "--top-k", "1",
                "--diversity-targets", "both", "--normalize-features",
                "--residual-kinds", "gcn-layer,gin0")
+
+
+def tape_op_sha256() -> str:
+    """sha256 of the current tape's op names in record order."""
+    ops = "\n".join(rec[0] for rec in engine.current_tape().records)
+    return hashlib.sha256(ops.encode()).hexdigest()
 
 
 def _grads_of_step(state: trainer.TrainState, step) -> dict[str, np.ndarray]:
@@ -107,11 +115,12 @@ def _finetuned(g: graphs.Graph, state: trainer.TrainState) -> dict[str, np.ndarr
 
 def _run(g: graphs.Graph, cfg: TrainConfig, fixed,
          finetune: bool = False) -> dict[str, np.ndarray]:
-    tapes = []
+    tapes, op_hashes = [], []
     original = engine.backward
 
     def counted(loss):
         tapes.append(len(engine.current_tape()))
+        op_hashes.append(tape_op_sha256())
         original(loss)
 
     engine.backward = counted
@@ -126,6 +135,7 @@ def _run(g: graphs.Graph, cfg: TrainConfig, fixed,
         "routing": np.array([(e, c == "disp", k, f, p) for e, c, k, f, p in state.routing_log],
                             dtype=float),
         "tape_at_backward": np.array(tapes),
+        "tape_ops_at_backward": np.array(op_hashes),
         "weights": trainer.eval_edge_weights(state),
         "alpha": trainer.eval_forward(state).alpha,
         "embeddings": trainer.embed(state),
