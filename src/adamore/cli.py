@@ -198,13 +198,6 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # command implementations
 
-def _load_graph_checked(path: str) -> graphs.Graph:
-    try:
-        return graphs.load_graph(path)
-    except graphs.GraphFormatError as err:
-        raise UsageError(str(err)) from err
-
-
 def _config_items(cfg: TrainConfig):
     """(key, text value) per config field; tuples as comma lists."""
     for key in FIELD_TYPES:
@@ -230,7 +223,7 @@ def _load_model_dir(model_dir: str):
     cfg = TrainConfig(**read_config_file(cfg_path))
     with open(data_path) as fh:
         graph_dir = fh.read().strip()
-    g = _load_graph_checked(graph_dir)
+    g = graphs.load_graph(graph_dir)
     with open(sha_path) as fh:
         trained_on = fh.read().strip()
     if graphs.fingerprint(g) != trained_on:
@@ -252,7 +245,7 @@ def cmd_gen_sbm(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    g = _load_graph_checked(args.data)
+    g = graphs.load_graph(args.data)
     state = trainer.train(g, cfg)
     os.makedirs(args.out, exist_ok=True)
     trainer.write_metrics(state.history, os.path.join(args.out, "metrics.jsonl"))
@@ -332,7 +325,7 @@ def cmd_eval_fewshot(args) -> int:
 
 def cmd_bench_stability(args) -> int:
     cfg = build_config(args)
-    g = _load_graph_checked(args.data)
+    g = graphs.load_graph(args.data)
     report = experiments.stability_bench(g, cfg, seeds=tuple(range(args.seeds)),
                                          include_homogeneous=args.include_homogeneous,
                                          jobs=args.jobs)
@@ -351,7 +344,7 @@ def cmd_bench_stability(args) -> int:
 def _study_inputs(args):
     """(graph, config, seeds) of an ``exp-*`` command."""
     cfg = build_config(args)
-    return _require_labels(_load_graph_checked(args.data)), cfg, tuple(range(args.seeds))
+    return _require_labels(graphs.load_graph(args.data)), cfg, tuple(range(args.seeds))
 
 
 def cmd_exp_oracle_weights(args) -> int:
@@ -403,7 +396,7 @@ def _write_rows(rows, out_dir: str, label: str) -> None:
 
 
 def cmd_motivate(args) -> int:
-    g = _require_labels(_load_graph_checked(args.data))
+    g = _require_labels(graphs.load_graph(args.data))
     report = experiments.motivation_analysis(g, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     experiments.write_report_json(report, os.path.join(args.out, "report.json"))
@@ -441,7 +434,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return COMMANDS[args.command](args)
-    except UsageError as err:
+    except (UsageError, graphs.GraphFormatError) as err:
         print(err, file=sys.stderr)
         return 1
     except (ValueError, OSError, trainer.TrainingError) as err:

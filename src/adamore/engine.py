@@ -580,19 +580,14 @@ def residual_sum(base: Tensor, terms: Sequence[Tensor], scales: Sequence[Tensor]
     for t, sv in zip(terms[1:], svs[1:]):
         out += t.values * sv
     out += base.values
-    needs = [(t.requires_grad, s.requires_grad) for t, s in zip(terms, scales)]
-    ks = range(len(terms) - 1, -1, -1)
+    need_t, need_s = [t.requires_grad for t in terms], [s.requires_grad for s in scales]
 
     def back(g):
-        grads = [g]
-        for k in ks:
-            need_t, need_s = needs[k]
-            grads += [g * svs[k] if need_t else None,
-                      np.array([[np.sum(g * terms[k].values)]]) if need_s else None]
-        return grads
+        return (g, *(g * sv if need else None for sv, need in zip(svs, need_t)),
+                *(np.array([[np.sum(g * t.values)]]) if need else None
+                  for t, need in zip(terms, need_s)))
 
-    return _record("residual_sum", Tensor(out), (base, *(x for k in ks
-                                                         for x in (terms[k], scales[k]))), back)
+    return _record("residual_sum", Tensor(out), (base, *terms, *scales), back)
 
 
 def blend(a: Tensor, b: Tensor, alpha: np.ndarray) -> Tensor:
@@ -607,10 +602,9 @@ def blend(a: Tensor, b: Tensor, alpha: np.ndarray) -> Tensor:
     np.multiply(a.values, alpha, out=out[:, :d])
     np.multiply(b.values, one_minus, out=out[:, d:])
     need_a, need_b = a.requires_grad, b.requires_grad
-    # b first: the chain's backward reached the dispersive product first
-    return _record("blend", Tensor(out), (b, a),
-                   lambda g: (g[:, d:] * one_minus if need_b else None,
-                              g[:, :d] * alpha if need_a else None))
+    return _record("blend", Tensor(out), (a, b),
+                   lambda g: (g[:, :d] * alpha if need_a else None,
+                              g[:, d:] * one_minus if need_b else None))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ a softmax. All filter outputs are computed densely at desk scale; sparsity
 lives in the mixture weights only. The selected weights of a row sum to 1,
 so the bank mixes its F-wide filter outputs first and projects the mixture
 once to d_e. The residual pool is dense-activated message-passing experts
-summed with learnable scaling factors; every one of them, GAT included,
-aggregates its input features before projecting them. Outputs are
+summed with learnable scaling factors: its kinds, one parameter table per
+expert and one scale each. :data:`RESIDUAL_KINDS` is the one definition of a
+kind, its layer and its initializer; every layer, GAT included, aggregates
+its input features before projecting them. Outputs are
 regularized toward pairwise dissimilarity through linear-kernel CKA. A
 foundational output reaches the regularizer as its factors (filter output Y,
 projection W): centering drops the bias, so each HSIC comes from F x F
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -31,9 +33,6 @@ from . import engine
 from .engine import Tensor
 from .filters import (AdjacencyView, filter_bank_outputs, neighbor_mean, neighbor_sum,
                       sym_propagate)
-
-RESIDUAL_KINDS = ("gcn-layer", "sage-mean", "gin0", "gat-1head")
-
 
 # ---------------------------------------------------------------------------
 # sparse backbone
@@ -143,35 +142,22 @@ def load_balance_loss(stats: RoutingStats) -> Tensor:
 # ---------------------------------------------------------------------------
 # residual experts
 
-@dataclass
-class ResidualExpert:
-    """One heterogeneous message-passing layer with its own F -> d_e weights."""
-
-    kind: str
-    params: dict[str, Tensor] = field(default_factory=dict)
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
-    def forward(self, x: Tensor, view: AdjacencyView) -> Tensor:
-        if self.kind == "gcn-layer":
-            return engine.relu(engine.linear(sym_propagate(view, x), self.params["w"],
-                                             self.params["b"]))
-        if self.kind == "sage-mean":
-            mean_nb = neighbor_mean(view, x)
-            out = engine.add(engine.matmul(x, self.params["w_self"]),
-                             engine.matmul(mean_nb, self.params["w_nb"]))
-            return engine.relu(engine.add_row(out, self.params["b"]))
-        if self.kind == "gin0":
-            agg = engine.add(x, neighbor_sum(view, x))
-            h = engine.relu(engine.linear(agg, self.params["w1"], self.params["b1"]))
-            return engine.relu(engine.linear(h, self.params["w2"], self.params["b2"]))
-        if self.kind == "gat-1head":
-            return _gat_forward(self.params, x, view)
-        raise ValueError(f"unknown residual expert kind {self.kind!r}")
+def _gcn_layer(p: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
+    return engine.relu(engine.linear(sym_propagate(view, x), p["w"], p["b"]))
 
 
-def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
+def _sage_mean(p: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
+    mean_nb = neighbor_mean(view, x)    # before both products: it fixes the record order
+    out = engine.add(engine.matmul(x, p["w_self"]), engine.matmul(mean_nb, p["w_nb"]))
+    return engine.relu(engine.add_row(out, p["b"]))
+
+
+def _gin0(p: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
+    h = engine.relu(engine.linear(engine.add(x, neighbor_sum(view, x)), p["w1"], p["b1"]))
+    return engine.relu(engine.linear(h, p["w2"], p["b2"]))
+
+
+def _gat_1head(p: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
     """Single-head attention over view-weighted neighbors plus self.
 
     Scores are x (W a) and the message sum_j alpha_ij x_j is projected by W
@@ -179,9 +165,9 @@ def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> T
     """
     n = view.graph.n_nodes
     src_all, dst_all, pair_rows = view.graph.looped_pairs
-    w = params["w"]
-    s_src = engine.matmul(x, engine.matmul(w, params["a_src"]))
-    s_dst = engine.matmul(x, engine.matmul(w, params["a_dst"]))
+    w = p["w"]
+    s_src = engine.matmul(x, engine.matmul(w, p["a_src"]))
+    s_dst = engine.matmul(x, engine.matmul(w, p["a_dst"]))
     scores = engine.leaky_relu(engine.add(engine.gather_rows(s_src, src_all),
                                           engine.gather_rows(s_dst, dst_all)))
     # constant shift keeps exp bounded; softmax ratios are shift-invariant
@@ -198,42 +184,49 @@ def _gat_forward(params: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> T
     return engine.matmul(engine.edge_sum(x, alpha, src_all, dst_all, n), w)
 
 
+# kind -> (layer (params, x, view) -> n x d_e, initializer (F, d_e, rng) -> params);
+# each initializer draws its parameters in the order it lists them
+RESIDUAL_KINDS = {
+    "gcn-layer": (_gcn_layer, lambda f, d, rng: {
+        "w": engine.glorot(rng, f, d), "b": engine.zeros_param((1, d))}),
+    "sage-mean": (_sage_mean, lambda f, d, rng: {
+        "w_self": engine.glorot(rng, f, d), "w_nb": engine.glorot(rng, f, d),
+        "b": engine.zeros_param((1, d))}),
+    "gin0": (_gin0, lambda f, d, rng: {
+        "w1": engine.glorot(rng, f, d), "b1": engine.zeros_param((1, d)),
+        "w2": engine.glorot(rng, d, d), "b2": engine.zeros_param((1, d))}),
+    "gat-1head": (_gat_1head, lambda f, d, rng: {
+        "w": engine.glorot(rng, f, d), "a_src": engine.glorot(rng, d, 1),
+        "a_dst": engine.glorot(rng, d, 1)}),
+}
+
+
+def _residual_kind(kind: str):
+    """(layer, initializer) of ``kind`` from :data:`RESIDUAL_KINDS`."""
+    if kind not in RESIDUAL_KINDS:
+        raise ValueError(f"unknown residual expert kind {kind!r}")
+    return RESIDUAL_KINDS[kind]
+
+
 @dataclass
 class ResidualPool:
     """Dense-activated heterogeneous experts with learnable scaling factors."""
 
-    experts: list[ResidualExpert]
-    gammas: list[Tensor]            # one 1x1 scalar per expert
-
-
-def init_residual_expert(kind: str, feat_dim: int, d_e: int,
-                         rng: np.random.Generator) -> ResidualExpert:
-    if kind == "gcn-layer":
-        params = {"w": engine.glorot(rng, feat_dim, d_e),
-                  "b": engine.zeros_param((1, d_e))}
-    elif kind == "sage-mean":
-        params = {"w_self": engine.glorot(rng, feat_dim, d_e),
-                  "w_nb": engine.glorot(rng, feat_dim, d_e),
-                  "b": engine.zeros_param((1, d_e))}
-    elif kind == "gin0":
-        params = {"w1": engine.glorot(rng, feat_dim, d_e),
-                  "b1": engine.zeros_param((1, d_e)),
-                  "w2": engine.glorot(rng, d_e, d_e),
-                  "b2": engine.zeros_param((1, d_e))}
-    elif kind == "gat-1head":
-        params = {"w": engine.glorot(rng, feat_dim, d_e),
-                  "a_src": engine.glorot(rng, d_e, 1),
-                  "a_dst": engine.glorot(rng, d_e, 1)}
-    else:
-        raise ValueError(f"unknown residual expert kind {kind!r}")
-    return ResidualExpert(kind=kind, params=params)
+    kinds: tuple[str, ...]
+    params: list[dict[str, Tensor]]     # one parameter table per expert
+    gammas: list[Tensor]                # one 1x1 scalar per expert
 
 
 def init_residual_pool(kinds, feat_dim: int, d_e: int,
                        rng: np.random.Generator) -> ResidualPool:
-    experts = [init_residual_expert(kind, feat_dim, d_e, rng) for kind in kinds]
-    gammas = [Tensor([[0.1]], requires_grad=True) for _ in experts]
-    return ResidualPool(experts=experts, gammas=gammas)
+    inits = [_residual_kind(kind)[1] for kind in kinds]     # every kind known before a draw
+    return ResidualPool(kinds=tuple(kinds), params=[init(feat_dim, d_e, rng) for init in inits],
+                        gammas=[Tensor([[0.1]], requires_grad=True) for _ in inits])
+
+
+def residual_outputs(pool: ResidualPool, x: Tensor, view: AdjacencyView) -> list[Tensor]:
+    """The output r_k of every expert of ``pool``, in pool order."""
+    return [_residual_kind(kind)[0](p, x, view) for kind, p in zip(pool.kinds, pool.params)]
 
 
 def residual_forward(pool: ResidualPool, h_b: Tensor, x: Tensor,
@@ -241,9 +234,9 @@ def residual_forward(pool: ResidualPool, h_b: Tensor, x: Tensor,
     """(h_b + sum_k gamma_k r_k, [r_k]): the backbone output plus the scaled
     outputs r_k of all residual experts, one :func:`engine.residual_sum`
     record; ``h_b`` itself for an empty pool."""
-    if not pool.experts:
+    if not pool.kinds:
         return h_b, []
-    outs = [ex.forward(x, view) for ex in pool.experts]
+    outs = residual_outputs(pool, x, view)
     return engine.residual_sum(h_b, outs, pool.gammas), outs
 
 

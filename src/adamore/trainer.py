@@ -154,8 +154,8 @@ class Model:
             for i, p in enumerate(group):
                 named[f"{prefix}.{i}"] = p
         for (channel, _), pool in zip(CHANNELS, self.pools):
-            for k, expert in enumerate(pool.experts):
-                for key, p in expert.params.items():
+            for k, params in enumerate(pool.params):
+                for key, p in params.items():
                     named[f"pool_{channel}.{k}.{key}"] = p
             for k, gamma in enumerate(pool.gammas):
                 named[f"pool_{channel}.gamma.{k}"] = gamma
@@ -503,7 +503,9 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
     objective: one gate routes each node to its top-1 expert among
     heterogeneous ones through the backbone's router (no backbone, no
     residual decomposition, no diversity loss)."""
-    kinds = tuple(kinds) if kinds is not None else experts.RESIDUAL_KINDS
+    kinds = tuple(kinds) if kinds is not None else tuple(experts.RESIDUAL_KINDS)
+    if not kinds:
+        raise ValueError("the flat MoE needs at least one expert kind")
     g = training_graph(g, cfg)
     s = graphs.structural_embeddings(graphs.normalize(g), d_s=cfg.d_s)
     view = filters.raw_view(g)
@@ -511,10 +513,10 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
     f_dim, d_e = g.feat_dim, cfg.hidden
     gate_w = engine.glorot(init, f_dim + cfg.d_s, len(kinds))
     gate_b = engine.zeros_param((1, len(kinds)))
-    pool = [experts.init_residual_expert(kind, f_dim, d_e, init) for kind in kinds]
+    pool = experts.init_residual_pool(kinds, f_dim, d_e, init)
     decoder = engine.init_mlp(init, d_e, d_e, f_dim)
     token = engine.zeros_param((1, f_dim))
-    params = [gate_w, gate_b, token, *(p for ex in pool for p in ex.parameters()),
+    params = [gate_w, gate_b, token, *(p for table in pool.params for p in table.values()),
               *decoder.parameters()]
     adam = AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
@@ -527,7 +529,7 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
 
         def forward():
             weights, _, _ = experts.route(gate_w, gate_b, x_input, s, 1)
-            return engine.mixture([ex.forward(x_input, view) for ex in pool], weights)
+            return engine.mixture(experts.residual_outputs(pool, x_input, view), weights)
 
         h = _guard("naive forward", epoch, forward)
         l_mae = _guard("l_mae", epoch, lambda: mae_loss(h, decoder, g.features, mask, cfg.gamma))

@@ -27,6 +27,19 @@ def test_oracle_distinctiveness_assignment(sbm):
     assert np.array_equal(w[~same], np.full((~same).sum(), 0.1))
 
 
+def test_noise_free_oracle_is_the_distinctiveness_oracle():
+    """noise_robustness's ratio-0 spec gives distinctiveness_study's 0.9/0.1
+    weights bit for bit at every seed, so the acceptance suite trains that
+    row once for criteria 10 and 11."""
+    g = graphs.gen_sbm(100, 2, 0.3, 0.1, feat_dim=16, feat_signal=0.8, seed=0)
+    for seed in range(5):
+        noise_free = experiments.oracle_weights(
+            g, OracleWeightSpec(noise_ratio=0.0, noise_std=0.0), seed=seed)
+        pair = experiments.oracle_weights(
+            g, OracleWeightSpec(mode="distinctiveness", w_same=0.9, w_diff=0.1), seed=seed)
+        assert np.array_equal(noise_free, pair)
+
+
 def test_oracle_accuracy_mode_perfect_and_inverted(sbm):
     spec = OracleWeightSpec(mode="accuracy", p_coh_correct=1.0, p_disp_correct=1.0)
     w = experiments.oracle_weights(sbm, spec)

@@ -25,6 +25,12 @@ def dense_view_matrix(g, w_und, self_loop=True):
     return a
 
 
+def residual_expert(kind, feat_dim, d_e, rng):
+    """(layer, params) of one residual expert of ``kind``."""
+    layer, init = experts.RESIDUAL_KINDS[kind]
+    return layer, init(feat_dim, d_e, rng)
+
+
 def sgc_bank(g, emb, rng, n_exp=4, top_k=2, d_e=5):
     return experts.init_expert_bank("sgc", n_exp, top_k, g.feat_dim, emb.shape[1], d_e, rng)
 
@@ -181,9 +187,9 @@ def test_residual_two_identical_experts_average():
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
     g, _ = setup_graph(seed=8)
-    e1 = experts.init_residual_expert("gcn-layer", g.feat_dim, 4, rng_a)
-    e2 = experts.init_residual_expert("gcn-layer", g.feat_dim, 4, rng_b)
-    pool = experts.ResidualPool(experts=[e1, e2],
+    _, p1 = residual_expert("gcn-layer", g.feat_dim, 4, rng_a)
+    _, p2 = residual_expert("gcn-layer", g.feat_dim, 4, rng_b)
+    pool = experts.ResidualPool(kinds=("gcn-layer", "gcn-layer"), params=[p1, p2],
                                 gammas=[Tensor([[0.5]], requires_grad=True),
                                         Tensor([[0.5]], requires_grad=True)])
     h_r, outs = experts.residual_forward(pool, Tensor(np.zeros((g.n_nodes, 4))),
@@ -193,19 +199,53 @@ def test_residual_two_identical_experts_average():
 
 def test_residual_empty_pool():
     g, _ = setup_graph(seed=9)
-    pool = experts.ResidualPool(experts=[], gammas=[])
+    pool = experts.ResidualPool(kinds=(), params=[], gammas=[])
     h_b = Tensor(np.ones((g.n_nodes, 6)), requires_grad=True)
     h_enh, outs = experts.residual_forward(pool, h_b, Tensor(g.features), filters.raw_view(g))
     assert h_enh is h_b and outs == []
 
 
 def test_residual_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        experts.init_residual_expert("mystery", 3, 4, np.random.default_rng(0))
-    bad = experts.ResidualExpert(kind="mystery", params={})
-    with pytest.raises(ValueError):
-        bad.forward(Tensor(np.ones((2, 3))), filters.raw_view(
-            graphs.make_graph(2, [(0, 1)], np.eye(3)[:2])))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="'mystery'"):
+        experts.init_residual_pool(["gcn-layer", "mystery"], 3, 4, rng)
+    # refused before any parameter was drawn
+    assert rng.random() == np.random.default_rng(0).random()
+    bad = experts.ResidualPool(kinds=("mystery",), params=[{}],
+                               gammas=[Tensor([[0.1]], requires_grad=True)])
+    with pytest.raises(ValueError, match="'mystery'"):
+        experts.residual_forward(bad, Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3))),
+                                 filters.raw_view(graphs.make_graph(2, [(0, 1)], np.eye(3)[:2])))
+
+
+@pytest.mark.parametrize("feat_dim,d_e", [(5, 3), (4, 1)])
+def test_every_kind_draws_its_parameter_table_in_order(feat_dim, d_e):
+    """Each kind's parameters, name by name and bit for bit, are the glorot /
+    zeros_param draws below in this order from one generator; the 0.1
+    gammas draw nothing, and at d_e = 1 GAT's attention vectors are drawn."""
+    f, d = feat_dim, d_e
+    rng = np.random.default_rng(21)
+    glorot, zeros = (lambda rows, cols: engine.glorot(rng, rows, cols)), engine.zeros_param
+    expect = {
+        "gcn-layer": {"w": glorot(f, d), "b": zeros((1, d))},
+        "sage-mean": {"w_self": glorot(f, d), "w_nb": glorot(f, d), "b": zeros((1, d))},
+        "gin0": {"w1": glorot(f, d), "b1": zeros((1, d)), "w2": glorot(d, d),
+                 "b2": zeros((1, d))},
+        "gat-1head": {"w": glorot(f, d), "a_src": glorot(d, 1), "a_dst": glorot(d, 1)},
+    }
+    shapes = {"gcn-layer": [(f, d), (1, d)], "sage-mean": [(f, d), (f, d), (1, d)],
+              "gin0": [(f, d), (1, d), (d, d), (1, d)],
+              "gat-1head": [(f, d), (d, 1), (d, 1)]}
+    pool_rng = np.random.default_rng(21)
+    pool = experts.init_residual_pool(tuple(experts.RESIDUAL_KINDS), f, d, pool_rng)
+    assert pool.kinds == tuple(expect)
+    for kind, table in zip(pool.kinds, pool.params):
+        assert list(table) == list(expect[kind])
+        assert [p.shape for p in table.values()] == shapes[kind]
+        for name, p in table.items():
+            assert p.requires_grad and np.array_equal(p.values, expect[kind][name].values)
+    assert [gamma.values.tolist() for gamma in pool.gammas] == [[[0.1]]] * 4
+    assert pool_rng.random() == rng.random()
 
 
 def test_gcn_and_sage_match_dense_oracles():
@@ -215,21 +255,20 @@ def test_gcn_and_sage_match_dense_oracles():
     a_coh, _ = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
     x = Tensor(g.features)
 
-    gcn = experts.init_residual_expert("gcn-layer", g.feat_dim, 4, rng)
-    out = gcn.forward(x, a_coh)
+    gcn, p = residual_expert("gcn-layer", g.feat_dim, 4, rng)
+    out = gcn(p, x, a_coh)
     aw = dense_view_matrix(g, w_und)
     d = aw.sum(axis=1)
     at = aw / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
-    expect = np.maximum(at @ g.features @ gcn.params["w"].values + gcn.params["b"].values, 0.0)
+    expect = np.maximum(at @ g.features @ p["w"].values + p["b"].values, 0.0)
     assert np.allclose(out.values, expect, atol=1e-12)
 
-    sage = experts.init_residual_expert("sage-mean", g.feat_dim, 4, rng)
-    out = sage.forward(x, a_coh)
+    sage, p = residual_expert("sage-mean", g.feat_dim, 4, rng)
+    out = sage(p, x, a_coh)
     a_edge = dense_view_matrix(g, w_und, self_loop=False)
     mean_nb = (a_edge @ g.features) / (a_edge.sum(axis=1, keepdims=True) + engine.EPS)
     expect = np.maximum(
-        g.features @ sage.params["w_self"].values
-        + mean_nb @ sage.params["w_nb"].values + sage.params["b"].values, 0.0)
+        g.features @ p["w_self"].values + mean_nb @ p["w_nb"].values + p["b"].values, 0.0)
     assert np.allclose(out.values, expect, atol=1e-12)
 
 
@@ -238,12 +277,12 @@ def test_gin_matches_dense_oracle():
     g, _ = setup_graph(seed=11)
     w_und = rng.uniform(0.2, 0.9, size=g.n_edges)
     a_coh, _ = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
-    gin = experts.init_residual_expert("gin0", g.feat_dim, 4, rng)
-    out = gin.forward(Tensor(g.features), a_coh)
+    gin, p = residual_expert("gin0", g.feat_dim, 4, rng)
+    out = gin(p, Tensor(g.features), a_coh)
     a_edge = dense_view_matrix(g, w_und, self_loop=False)
     agg = g.features + a_edge @ g.features
-    h = np.maximum(agg @ gin.params["w1"].values + gin.params["b1"].values, 0.0)
-    expect = np.maximum(h @ gin.params["w2"].values + gin.params["b2"].values, 0.0)
+    h = np.maximum(agg @ p["w1"].values + p["b1"].values, 0.0)
+    expect = np.maximum(h @ p["w2"].values + p["b2"].values, 0.0)
     assert np.allclose(out.values, expect, atol=1e-12)
 
 
@@ -253,12 +292,12 @@ def test_gat_matches_dense_oracle(feat_dim, d_e):
     g, _ = setup_graph(seed=12, feat_dim=feat_dim)
     w_und = rng.uniform(0.2, 0.9, size=g.n_edges)
     a_coh, _ = gating.build_views(g, Tensor(w_und.reshape(-1, 1)))
-    gat = experts.init_residual_expert("gat-1head", g.feat_dim, d_e, rng)
-    out = gat.forward(Tensor(g.features), a_coh)
+    gat, p = residual_expert("gat-1head", g.feat_dim, d_e, rng)
+    out = gat(p, Tensor(g.features), a_coh)
 
-    xe = g.features @ gat.params["w"].values
-    s_src = (xe @ gat.params["a_src"].values).ravel()
-    s_dst = (xe @ gat.params["a_dst"].values).ravel()
+    xe = g.features @ p["w"].values
+    s_src = (xe @ p["a_src"].values).ravel()
+    s_dst = (xe @ p["a_dst"].values).ravel()
     aw = dense_view_matrix(g, w_und, self_loop=False) + np.eye(g.n_nodes)
     expect = np.zeros_like(xe)
     for i in range(g.n_nodes):
@@ -277,18 +316,18 @@ def test_residual_experts_gradients_match_finite_differences(feat_dim, d_e):
     g, _ = setup_graph(seed=13, feat_dim=feat_dim)
     target = Tensor(rng.normal(size=(g.n_nodes, d_e)))
     for kind in experts.RESIDUAL_KINDS:
-        expert = experts.init_residual_expert(kind, g.feat_dim, d_e, rng)
-        for p in expert.parameters():
+        layer, params = residual_expert(kind, g.feat_dim, d_e, rng)
+        for p in params.values():
             # keep pre-activations away from exact relu kinks under FD
             p.values = p.values + rng.uniform(0.05, 0.15, size=p.values.shape)
         w_und = Tensor(rng.uniform(0.3, 0.8, size=(g.n_edges, 1)), requires_grad=True)
 
         def loss_fn():
             a_coh, _ = gating.build_views(g, w_und)
-            out = expert.forward(Tensor(g.features), a_coh)
+            out = layer(params, Tensor(g.features), a_coh)
             return engine.frobenius(out, target)
 
-        err = check_grad(loss_fn, expert.parameters() + [w_und], seed=13, n_entries=3)
+        err = check_grad(loss_fn, [*params.values(), w_und], seed=13, n_entries=3)
         assert err <= 1e-4, f"{kind}: {err}"
 
 

@@ -112,7 +112,7 @@ def test_mixture_equals_sliced_weight_products_summed(n_out, repeat):
                  [*outs[:n_out], weights])
 
 
-@pytest.mark.parametrize("kinds", [("gcn-layer",), experts.RESIDUAL_KINDS],
+@pytest.mark.parametrize("kinds", [("gcn-layer",), tuple(experts.RESIDUAL_KINDS)],
                          ids=["one_kind", "four_kinds"])
 def test_residual_forward_equals_scaled_sum_added_to_the_backbone(kinds):
     g = graphs.gen_sbm(8, 3, 0.5, 0.2, feat_dim=5, seed=4)
@@ -120,7 +120,7 @@ def test_residual_forward_equals_scaled_sum_added_to_the_backbone(kinds):
     pool = experts.init_residual_pool(kinds, g.feat_dim, 3, rng)
     h_b, x = _leaf(rng, (g.n_nodes, 3)), _leaf(rng, (g.n_nodes, g.feat_dim))
     w = _leaf(rng, (2 * g.n_edges, 1), low=0.0)
-    params = [p for ex in pool.experts for p in ex.parameters()] + pool.gammas
+    params = [p for table in pool.params for p in table.values()] + pool.gammas
 
     def fused():
         view = filters.AdjacencyView(graph=g, weights=w)
@@ -128,7 +128,7 @@ def test_residual_forward_equals_scaled_sum_added_to_the_backbone(kinds):
 
     def chain():
         view = filters.AdjacencyView(graph=g, weights=w)
-        outs = [ex.forward(x, view) for ex in pool.experts]
+        outs = experts.residual_outputs(pool, x, view)
         return engine.add(h_b, reduce(engine.add, map(_scale_by, outs, pool.gammas)))
 
     _assert_same(fused, chain, [h_b, x, w, *params])

@@ -393,7 +393,7 @@ def test_disabled_residual_paths_are_equivalent(sbm):
         gamma.values = np.zeros((1, 1))
     via_zero_gamma = trainer.embed(state)
     for pool in state.model.pools:
-        pool.experts, pool.gammas = [], []
+        pool.kinds, pool.params, pool.gammas = (), [], []
     via_empty_pool = trainer.embed(state)
     assert np.array_equal(via_zero_gamma, via_empty_pool)
 
@@ -588,6 +588,11 @@ def test_naive_baseline_homogeneous_variant(sbm):
     het = trainer.naive_moe_baseline(sbm, cfg)
     assert len(hom) == 2 and len(het) == 2
     assert hom != het
+
+
+def test_naive_baseline_refuses_an_empty_expert_list(sbm):
+    with pytest.raises(ValueError, match="flat MoE needs at least one expert"):
+        trainer.naive_moe_baseline(sbm, tiny_cfg(epochs=2), kinds=())
 
 
 # ---------------------------------------------------------------------------
