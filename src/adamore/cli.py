@@ -162,7 +162,7 @@ def build_parser() -> _Parser:
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seeds", type=_count, default=seeds)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_count, default=1)
         _add_config_flags(p)
         return p
 
@@ -437,7 +437,7 @@ def main(argv=None) -> int:
     except (UsageError, graphs.GraphFormatError) as err:
         print(err, file=sys.stderr)
         return 1
-    except (ValueError, OSError, trainer.TrainingError) as err:
+    except (ValueError, OSError, trainer.TrainingError, engine.NonFiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

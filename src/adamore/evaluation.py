@@ -57,9 +57,11 @@ def predict(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (x @ w + b).argmax(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_logreg(x: np.ndarray, y: np.ndarray, n_classes: int,
                 steps: int = 500, lr: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch gradient descent on softmax cross-entropy."""
+    """Full-batch gradient descent on softmax cross-entropy; a non-finite value
+    raises :class:`engine.NonFiniteError` naming the op, with no numpy warning."""
     engine.reset_tape()
     w = engine.zeros_param((x.shape[1], n_classes))
     b = engine.zeros_param((1, n_classes))

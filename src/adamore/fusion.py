@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sps
 
-from . import engine
+from . import engine, graphs
 from .engine import Tensor
 from .graphs import Graph
 
@@ -25,15 +25,9 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
     Uses original (non-self-looped) neighborhoods; isolated nodes get the
     neutral blend 0.5; raw cosine is clamped to [0, 1]. The per-edge dots
     run in row blocks (:func:`engine.gathered_pairs`), each row summed as
-    ``(a * b).sum(axis=1)``. A row whose norm overflows is divided by its
-    max |value| before its norm is taken.
+    ``(a * b).sum(axis=1)``, over the rows of :func:`graphs.unit_rows`.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(h_coh, axis=1, keepdims=True)
-    unit = h_coh / np.maximum(norms, engine.EPS)
-    big = ~np.isfinite(norms[:, 0])
-    rows = h_coh[big] / np.abs(h_coh[big]).max(axis=1, keepdims=True)
-    unit[big] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    unit = graphs.unit_rows(h_coh, engine.EPS)
     # the cosine is symmetric: one per undirected edge, counted at both ends
     per_edge = np.empty(g.n_edges)
     for lo, hi, a, b in engine.gathered_pairs(unit, unit, g.edges[:, 0], g.edges[:, 1]):

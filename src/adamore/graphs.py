@@ -161,6 +161,20 @@ def normalize(g: Graph) -> sps.csr_matrix:
     return sps.csr_matrix((dinv_sqrt[rows] * dinv_sqrt[cols], (rows, cols)), shape=(n, n))
 
 
+def unit_rows(x: np.ndarray, floor: float) -> np.ndarray:
+    """``x`` with each row divided by its norm, or by ``floor`` when the
+    norm is smaller. A row whose norm overflows is divided by its max
+    |value| before its norm is taken, so it too comes out unit-norm."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / np.maximum(norms, floor)
+    big = ~np.isfinite(norms[:, 0])
+    if big.any():
+        rows = x[big] / np.abs(x[big]).max(axis=1, keepdims=True)
+        unit[big] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return unit
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):

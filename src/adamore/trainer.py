@@ -10,8 +10,8 @@ masked feature rows, and updates every main-model parameter (gating
 excluded) by the composite masked-reconstruction objective. The
 fusion coefficient is recomputed once per epoch from eval-mode edge weights
 and the current cohesive embeddings, and is constant on the tape. Every
-step freezes the parameter groups it does not update, so its tape and
-backward hold only what it differentiates; eval passes record nothing.
+step, also of fine-tuning and the flat MoE, is one :func:`_optimize` call,
+which freezes what it does not update; eval passes record nothing.
 Every pass reads its edge weights from one gate path, :func:`_edge_weights`,
 and the gate reads a constant array there, never a taped input: the raw
 features in step 1 and the eval passes, and in the masked steps (step 2
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -278,18 +278,17 @@ def masked_objective(fwd: ForwardResult, model: Model, mask: np.ndarray,
     l_div = _guard("l_div", epoch, lambda: _channel_mean(
         [experts.diversity_loss(outs) for outs in fwd.diversity_targets if len(outs) >= 2]))
     total = _guard("total", epoch, lambda: composite_loss(l_mae, l_load, l_div, cfg))
-    return total, {"l_mae": l_mae, "l_load": l_load, "l_div": l_div}
+    return total, {"l_mae": l_mae, "l_load": l_load, "l_div": l_div, "total": total}
 
 
-def _masked_forward(state: TrainState, cfg: TrainConfig) -> tuple[np.ndarray, ForwardResult]:
-    """Start a step: fresh tape, resampled node mask, training-mode forward."""
-    model = state.model
-    engine.reset_tape()
-    engine.zero_grads(model.all_parameters())
+def _masked_step(state: TrainState, cfg: TrainConfig):
+    """A masked step's objective: a resampled node mask, the training-mode
+    forward and :func:`masked_objective`; returns ``(total, (fwd, parts))``."""
+    model, epoch = state.model, state.epoch
     mask = sample_mask(state.rng, model.graph.n_nodes, cfg.mask_ratio)
-    fwd = _guard("reconstruction forward", state.epoch,
-                 lambda: full_forward(model, state.rng, mask))
-    return mask, fwd
+    fwd = _guard("reconstruction forward", epoch, lambda: full_forward(model, state.rng, mask))
+    total, parts = masked_objective(fwd, model, mask, cfg, epoch)
+    return total, (fwd, parts)
 
 
 @dataclass
@@ -301,7 +300,6 @@ class TrainState:
     history: list[dict] = field(default_factory=list)
     routing_log: list[tuple] = field(default_factory=list)
     epoch: int = 0
-    adam_head: AdamState | None = None
 
 
 def training_graph(g: Graph, cfg: TrainConfig) -> Graph:
@@ -309,8 +307,7 @@ def training_graph(g: Graph, cfg: TrainConfig) -> Graph:
     ``cfg.normalize_features`` is set."""
     if not cfg.normalize_features:
         return g
-    norms = np.linalg.norm(g.features, axis=1, keepdims=True)
-    return replace(g, features=g.features / np.maximum(norms, 1e-12))
+    return replace(g, features=graphs.unit_rows(g.features, 1e-12))
 
 
 def init_state(g: Graph, cfg: TrainConfig,
@@ -333,11 +330,19 @@ def _guard(component: str, epoch: int | None, fn):
         raise TrainingError(f"{where}non-finite {component}: {err}") from err
 
 
-def _updating(model: Model, params: Sequence[Tensor]):
-    """Freeze every model parameter outside ``params`` for one step, so the
-    tape holds and backward forms only what the step updates."""
+def _optimize(every: Sequence[Tensor], params: Sequence[Tensor], adam: AdamState, objective):
+    """The one optimization step of every training loop: a fresh tape and
+    cleared gradients of ``every``; ``loss, result = objective()`` and backward with
+    the rest of ``every`` frozen, so the tape holds and backward forms only
+    what ``params`` need; one Adam step on ``params``. Returns ``result``."""
+    engine.reset_tape()
+    engine.zero_grads(every)
     keep = {id(p) for p in params}
-    return engine.frozen([p for p in model.all_parameters() if id(p) not in keep])
+    with engine.frozen([p for p in every if id(p) not in keep]):
+        loss, result = objective()
+        engine.backward(loss)
+    engine.adam_step(params, adam)
+    return result
 
 
 def svg_step(state: TrainState) -> float:
@@ -356,8 +361,6 @@ def svg_step(state: TrainState) -> float:
     """
     model, cfg = state.model, state.model.cfg
     g, epoch = model.graph, state.epoch
-    engine.reset_tape()
-    engine.zero_grads(model.all_parameters())
     x_raw = Tensor(g.features)
 
     def forward():
@@ -366,28 +369,24 @@ def svg_step(state: TrainState) -> float:
         return views, [(experts.bank_mixture(b, x_raw, model.s, v)[0], b.proj_w, b.proj_b)
                        for b, v in zip(model.banks, held)]
 
-    with _updating(model, model.gating_parameters()):
+    def objective():
         views, (coh, disp) = _guard("l_svg forward", epoch, forward)
         l_svg = _guard("l_svg", epoch, lambda: gating.svg_loss(
             views, coh, disp, cfg.gamma_svg))
-        engine.backward(engine.scale(l_svg, -1.0))
-    engine.adam_step(model.gating_parameters(), state.adam_svg)
-    return l_svg.item()
+        return engine.scale(l_svg, -1.0), l_svg.item()
+
+    return _optimize(model.all_parameters(), model.gating_parameters(), state.adam_svg, objective)
 
 
 def reconstruction_step(state: TrainState) -> dict:
     """Step 2: resample the mask and update all main-model parameters."""
-    model, cfg = state.model, state.model.cfg
-    with _updating(model, model.main_parameters()):
-        mask, fwd = _masked_forward(state, cfg)
-        total, parts = masked_objective(fwd, model, mask, cfg, state.epoch)
-        engine.backward(total)
-    engine.adam_step(model.main_parameters(), state.adam_main)
-
+    model = state.model
+    fwd, parts = _optimize(model.all_parameters(), model.main_parameters(), state.adam_main,
+                           lambda: _masked_step(state, model.cfg))
     for (channel, _), stats in zip(CHANNELS, fwd.stats):
         state.routing_log += [(state.epoch, channel, k, float(f), float(p))
                               for k, (f, p) in enumerate(zip(stats.f, stats.p.values.ravel()))]
-    return {**{name: part.item() for name, part in parts.items()}, "total": total.item()}
+    return {name: part.item() for name, part in parts.items()}
 
 
 def train_epoch(state: TrainState) -> dict:
@@ -421,7 +420,7 @@ def eval_forward(state: TrainState,
     """
     model = state.model
     engine.reset_tape()
-    with _updating(model, []):
+    with engine.frozen(model.all_parameters()):
         return _guard("eval forward", None,
                       lambda: full_forward(model, None, alpha_override=alpha_override))
 
@@ -435,7 +434,7 @@ def eval_edge_weights(state: TrainState) -> np.ndarray:
     """Eval-mode per-edge weights (deterministic; records nothing)."""
     model = state.model
     engine.reset_tape()
-    with _updating(model, []):
+    with engine.frozen(model.all_parameters()):
         _, w_eval = _guard("eval edge weights", None,
                            lambda: _edge_weights(model, model.graph.features, None))
     return w_eval.ravel().copy()
@@ -470,19 +469,19 @@ def finetune_fewshot(state: TrainState, g: Graph, support: np.ndarray,
 
     model.add_head(g.n_classes, state.rng)
     trainable = model.gating_parameters() + model.head_parameters()
-    state.adam_head = AdamState(lr=cfg.lr)
+    adam = AdamState(lr=cfg.lr)
+
+    def objective():
+        loss, (fwd, _) = _masked_step(state, cfg)
+        if cfg.lambda_cls:
+            logits = engine.linear(engine.gather_rows(fwd.h_final, support),
+                                   model.head_w, model.head_b)
+            l_cls = evaluation.softmax_cross_entropy(logits, g.labels[support.idx])
+            loss = engine.add(loss, engine.scale(l_cls, cfg.lambda_cls))
+        return loss, None
 
     for _ in range(cfg.finetune_epochs):
-        with _updating(model, trainable):
-            mask, fwd = _masked_forward(state, cfg)
-            loss, _ = masked_objective(fwd, model, mask, cfg, state.epoch)
-            if cfg.lambda_cls:
-                logits = engine.linear(engine.gather_rows(fwd.h_final, support),
-                                       model.head_w, model.head_b)
-                l_cls = evaluation.softmax_cross_entropy(logits, g.labels[support.idx])
-                loss = engine.add(loss, engine.scale(l_cls, cfg.lambda_cls))
-            engine.backward(loss)
-        engine.adam_step(trainable, state.adam_head)
+        _optimize(model.all_parameters(), trainable, adam, objective)
     engine.reset_tape()
     return state
 
@@ -520,10 +519,8 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
               *decoder.parameters()]
     adam = AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
-    history = []
-    for epoch in range(cfg.epochs):
-        engine.reset_tape()
-        engine.zero_grads(params)
+
+    def objective(epoch):
         mask = sample_mask(rng, g.n_nodes, cfg.mask_ratio)
         _, x_input = masked_input(g.features, mask, token)
 
@@ -533,10 +530,11 @@ def naive_moe_baseline(g: Graph, cfg: TrainConfig,
 
         h = _guard("naive forward", epoch, forward)
         l_mae = _guard("l_mae", epoch, lambda: mae_loss(h, decoder, g.features, mask, cfg.gamma))
-        engine.backward(l_mae)
-        engine.adam_step(params, adam)
-        history.append({"epoch": epoch, "l_mae": l_mae.item(), "l_load": 0.0,
-                        "l_div": 0.0, "l_svg": 0.0, "total": l_mae.item()})
+        return l_mae, {"epoch": epoch, "l_mae": l_mae.item(), "l_load": 0.0, "l_div": 0.0,
+                       "l_svg": 0.0, "total": l_mae.item()}
+
+    history = [_optimize(params, params, adam, partial(objective, epoch))
+               for epoch in range(cfg.epochs)]
     engine.reset_tape()
     return history
 

@@ -2,11 +2,12 @@ import dataclasses
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from adamore import cli, engine
+from adamore import cli, engine, graphs
 from adamore.trainer import TrainConfig
 
 TINY = ("--epochs", "1", "--hidden", "8", "--d-s", "3", "--edge-hidden", "8", "--n-exp", "2")
@@ -286,6 +287,20 @@ def test_eval_passes_name_a_non_finite_op(model_dir, tmp_path, capsys, entry):
     assert not (tmp_path / "e.tsv").exists()
 
 
+def test_motivate_names_an_overflowing_probe_op(tmp_path, capsys):
+    """Features at 1e200 overflow the linear probe: motivate exits 2 with one
+    line naming the op, not a traceback or a numpy warning."""
+    g = graphs.gen_sbm(20, 2, 0.3, 0.05, seed=0)
+    data = tmp_path / "huge"
+    graphs.save_graph(dataclasses.replace(g, features=g.features * 1e200), str(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("motivate", "--data", str(data), "--out", str(tmp_path / "out")) == 2
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "operation '" in err and err.count("\n") == 1, err
+
+
 def test_train_rejects_zero_hidden_width(sbm_dir, tmp_path, capsys):
     assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
                    "--hidden", "0") == 1
@@ -350,6 +365,8 @@ def test_malformed_list_flags_are_usage_errors(sbm_dir, tmp_path, capsys, argv, 
     (("eval-probe", "--model-dir", "{model}", "--repeats", "0"), "--repeats"),
     (("eval-fewshot", "--model-dir", "{model}", "--tasks", "0"), "--tasks"),
     (("eval-fewshot", "--model-dir", "{model}", "--k", "0"), "--k"),
+    (("bench-stability", "--data", "{data}", "--out", "{out}", "--jobs", "0"), "--jobs"),
+    (("exp-noise", "--data", "{data}", "--out", "{out}", "--jobs", "-2"), "--jobs"),
 ])
 def test_counts_below_one_are_usage_errors(sbm_dir, model_dir, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

@@ -245,6 +245,14 @@ def test_normalize_isolated_node():
     assert np.array_equal(self_looped(g)[1], g.degrees() + 1)
 
 
+def test_unit_rows_floor_keeps_zero_rows_and_zero_width():
+    """A zero row stays zero under the floor, and a matrix without columns
+    passes through."""
+    got = graphs.unit_rows(np.array([[0.0, 0.0], [0.0, -2.0]]), 1e-12)
+    assert np.array_equal(got, [[0.0, 0.0], [0.0, -1.0]])
+    assert graphs.unit_rows(np.zeros((3, 0)), 1e-12).shape == (3, 0)
+
+
 def _walk_matrix(g, a_tilde):
     """D^-1 (A+I) = D^-1/2 A~ D^1/2 from the A~ normalize returns."""
     d = np.sqrt(self_looped(g)[1])

@@ -238,24 +238,26 @@ def test_recon_edge_weights_ignore_the_token_and_the_masked_rows(sbm, monkeypatc
     its edge weights are constants that neither the mask token nor the
     masked rows' features move."""
     state = trainer.init_state(sbm, tiny_cfg())
-    model, cfg = state.model, state.model.cfg
-    weights = []
-    original = gating.build_views
+    model = state.model
+    weights, masks = [], []
+    original, sample = gating.build_views, trainer.sample_mask
     monkeypatch.setattr(gating, "build_views", lambda g, w: (
         weights.append(w), original(g, w))[1])
+    monkeypatch.setattr(trainer, "sample_mask", lambda *args: (
+        masks.append(sample(*args)), masks[-1])[1])
 
-    def recon_forward():
+    def recon_mask():
         state.rng = np.random.default_rng(5)
-        with trainer._updating(model, model.main_parameters()):
-            return trainer._masked_forward(state, cfg)[0]
+        trainer.reconstruction_step(state)
+        return masks[-1]
 
     model.mask_token.values = np.full((1, sbm.feat_dim), 3.0)
-    mask = recon_forward()
+    mask = recon_mask()
     model.mask_token.values = np.zeros((1, sbm.feat_dim))
     poked = sbm.features.copy()
     poked[mask] = -5.0
     model.graph = replace(sbm, features=poked)
-    assert np.array_equal(recon_forward(), mask)
+    assert np.array_equal(recon_mask(), mask)
 
     assert len(weights) == 2
     assert np.array_equal(weights[0].values, weights[1].values)
@@ -327,13 +329,16 @@ def test_gate_tape_holds_no_edge_concatenation(sbm, monkeypatch):
     assert (2 * sbm.n_edges, cfg.edge_hidden) not in shapes
 
 
-@pytest.mark.parametrize("poisoned", ["gate", "main"])
+@pytest.mark.parametrize("poisoned", ["gate", "main", "finetune"])
 def test_failed_step_restores_gradient_flags(sbm, poisoned):
     """A step aborted by a non-finite value leaves no parameter frozen."""
     state = trainer.init_state(sbm, tiny_cfg())
     model = state.model
     if poisoned == "gate":
         target, step = model.gate.w1, trainer.svg_step
+    elif poisoned == "finetune":
+        target = model.gate.w1
+        step = lambda state: trainer.finetune_fewshot(state, sbm, support_set(sbm))
     else:
         target, step = model.banks[0].proj_w, trainer.reconstruction_step
     target.values = np.full_like(target.values, np.nan)
@@ -558,6 +563,17 @@ def test_finetune_reconstructs_the_features_the_model_trained_on(sbm):
                       + state.model.gating_parameters()])
     for a, b in zip(*tuned):
         assert np.array_equal(a, b)
+
+
+def test_normalized_features_scale_a_row_whose_norm_overflows():
+    """A feature row whose norm overflows still comes out unit-norm, with no
+    warning; a row with a finite norm is divided by it."""
+    g = graphs.make_graph(2, [[0, 1]], np.array([[1e200, 2e200], [3.0, 4.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = trainer.training_graph(g, tiny_cfg(normalize_features=True)).features
+    assert np.allclose(got[0], [1 / np.sqrt(5), 2 / np.sqrt(5)], rtol=1e-15, atol=0)
+    assert np.array_equal(got[1], [0.6, 0.8])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@
 
 ``collect`` trains the fixed two-block SBM of ``adamore gen-sbm --blocks 2
 --per-block 100 --p-in 0.5 --p-out 0.05 --seed 0`` for 20 epochs at lr 0.01
-under four configs: the default, all four residual kinds with diversity
-targets ``both``, ``hidden=8`` (F >= d_e, the projected-first basis) and an
-empty residual pool. A fifth run trains the default config under fixed
-oracle edge weights. Per config it stores the metrics records, the routing
+under five configs: the default, all four residual kinds with diversity
+targets ``both``, ``hidden=8`` (F >= d_e, the projected-first basis), an
+empty residual pool and unit-norm feature rows (``normalize_features``). A
+sixth run trains the default config under fixed oracle edge weights. Per config it stores the metrics records, the routing
 log, the eval-mode edge weights, alpha and embeddings, the checkpoint
 arrays as written and read back, the tape length at every ``backward``
 and a sha256 of the tape's op-name sequence there (so a reorder of
@@ -67,6 +67,7 @@ CONFIGS = {
                             diversity_targets="both"),
     "hidden8": dict(hidden=8),
     "no_residual": dict(residual_kinds=()),
+    "normalized": dict(normalize_features=True),
     "oracle": {},
 }
 STUDY = dict(epochs=3, hidden=8, d_s=3, edge_hidden=8, n_exp=2, top_k=1)
