@@ -211,8 +211,8 @@ def _write_run_config(cfg: TrainConfig, path: str) -> None:
 
 
 def _load_model_dir(model_dir: str):
-    """(state, graph) of a trained model directory; the graph its
-    data_path.txt names must still be the one the model was trained on."""
+    """(state, graph) of a trained model directory; its config.txt must set
+    every key, and data_path.txt still name the graph it was trained on."""
     cfg_path = os.path.join(model_dir, "config.txt")
     data_path = os.path.join(model_dir, "data_path.txt")
     sha_path = os.path.join(model_dir, "graph_sha256.txt")
@@ -220,7 +220,11 @@ def _load_model_dir(model_dir: str):
     for required in (cfg_path, data_path, sha_path, ckpt_path):
         if not os.path.exists(required):
             raise UsageError(f"missing model file: {required}")
-    cfg = TrainConfig(**read_config_file(cfg_path))
+    values = read_config_file(cfg_path)
+    missing = [key for key in FIELD_TYPES if key not in values]
+    if missing:     # a default may differ from the value the model was trained with
+        raise UsageError(f"{cfg_path} does not set {', '.join(missing)}")
+    cfg = TrainConfig(**values)
     with open(data_path) as fh:
         graph_dir = fh.read().strip()
     g = graphs.load_graph(graph_dir)

@@ -24,7 +24,8 @@ stands for, and keeps only what its backward needs: :func:`linear` (a w + b)
 and :func:`mixture`, :func:`residual_sum` and :func:`blend` (the weighted
 sums of expert and channel outputs) nothing beyond their inputs, :func:`hop`
 (one normalized propagation) the edge sum only when the degree term needs
-a gradient and h * D^-1/2 only when the edge weights do.
+a gradient and h * D^-1/2 only when the edge weights do, :func:`attention`
+(GAT's coefficients) five columns of one entry per pair and the n sums.
 
 A training session owns one tape and is single-threaded. Call
 :func:`reset_tape` at the start of each optimization step; a tape is
@@ -518,6 +519,40 @@ def pair_mlp(a: Tensor, b: Tensor, v: Tensor, src, dst) -> Tensor:
     return _record("pair_mlp", out, (a, b, v), back)
 
 
+def attention(s_src: Tensor, s_dst: Tensor, weights: Tensor, src, dst) -> Tensor:
+    """GAT coefficients over the pairs (src[e], dst[e]) as a column: one record
+    for the chain of gathers, add, leaky ReLU (slope 0.2), shift by the largest
+    score, exp, times w (``weights``, then 1 for each pair past them: the
+    self-loops), segment sum over dst + EPS and division, bit for bit."""
+    n_pairs, m = len(src), weights.shape[0]
+    if {s_src.shape[1], s_dst.shape[1], weights.shape[1]} != {1} or not m <= n_pairs == len(dst):
+        raise ShapeError(f"operation 'attention' needs score and weight columns, at most "
+                         f"{n_pairs} weights and {n_pairs} destinations, got {s_src.shape}, "
+                         f"{s_dst.shape}, {weights.shape} and {len(dst)}")
+    src, dst = _as_index(src, s_src.shape[0]), _as_index(dst, s_dst.shape[0])
+    scores = s_src.values[src.idx] + s_dst.values[dst.idx]
+    _check_finite(scores, "attention")
+    positive = scores > 0.0
+    scores = np.where(positive, scores, 0.2 * scores)
+    e = np.exp(scores - float(scores.max()))
+    w_all = np.vstack([weights.values + 0.0, np.ones((n_pairs - m, 1))])  # + 0.0: no -0.0
+    z = e * w_all
+    denom = _csr_matmul(*dst.layout, n_pairs, z) + EPS
+    inv = np.power(denom[dst.idx], -1.0)
+    need_src, need_dst, need_w = s_src.requires_grad, s_dst.requires_grad, weights.requires_grad
+
+    def back(g):
+        g_z = g * inv
+        g_z += _csr_matmul(*dst.layout, n_pairs,
+                           g * z * -1.0 * np.power(denom[dst.idx], -2.0))[dst.idx]
+        g_s = g_z * w_all * e * np.where(positive, 1.0, 0.2) if need_src or need_dst else None
+        return (_csr_matmul(*src.layout, n_pairs, g_s) if need_src else None,
+                _csr_matmul(*dst.layout, n_pairs, g_s) if need_dst else None,
+                g_z[:m] * e[:m] if need_w else None)
+
+    return _record("attention", Tensor(z * inv), (s_src, s_dst, weights), back)
+
+
 def scatter_rows(a: Tensor, index, n_rows: int) -> Tensor:
     """Segment-sum rows of ``a`` into ``n_rows`` buckets given by ``index``."""
     idx = _as_index(index, n_rows)
@@ -616,24 +651,10 @@ def relu(a: Tensor) -> Tensor:
     return _record("relu", out, (a,), lambda g: (g * (av > 0.0),))
 
 
-def leaky_relu(a: Tensor) -> Tensor:
-    """Leaky ReLU with GAT's negative slope 0.2."""
-    av = a.values
-    out = Tensor(np.where(av > 0.0, av, 0.2 * av))
-    return _record("leaky_relu", out, (a,),
-                   lambda g: (g * np.where(av > 0.0, 1.0, 0.2),))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     sv = expit(a.values)
     out = Tensor(sv)
     return _record("sigmoid", out, (a,), lambda g: (g * sv * (1.0 - sv),))
-
-
-def exp(a: Tensor) -> Tensor:
-    ev = np.exp(a.values)
-    out = Tensor(ev)
-    return _record("exp", out, (a,), lambda g: (g * ev,))
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -820,8 +841,8 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """The named matrices of a :func:`save_checkpoint` archive. A file cut
-    short, not an archive or with a malformed manifest raises ValueError
-    naming ``path``."""
+    short, not an archive, with a malformed manifest (an entry named twice
+    too) or payload bytes past the last entry raises ValueError naming ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     start = 8 + int.from_bytes(raw[:8], "little")
@@ -843,6 +864,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     named = {}
     end = 0
     for name, rows, cols, off in entries:
+        if name in named:
+            raise ValueError(f"{path}: malformed checkpoint manifest: '{name}' listed twice")
         if min(rows, cols) < 0 or off != end:
             raise ValueError(f"{path}: malformed checkpoint manifest: entry '{name}' has "
                              f"rows {rows}, cols {cols} and offset {off}; the previous "
@@ -852,4 +875,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: truncated checkpoint: entry '{name}' needs payload "
                              f"bytes {off}-{end}, the file holds {size}")
         named[name] = np.frombuffer(raw[start + off:start + end]).reshape(rows, cols).copy()
+    if end != size:
+        raise ValueError(f"{path}: checkpoint payload holds {size} bytes, its entries end at {end}")
     return named

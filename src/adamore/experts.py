@@ -160,28 +160,16 @@ def _gin0(p: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
 def _gat_1head(p: dict[str, Tensor], x: Tensor, view: AdjacencyView) -> Tensor:
     """Single-head attention over view-weighted neighbors plus self.
 
-    Scores are x (W a) and the message sum_j alpha_ij x_j is projected by W
+    Scores are x (W a), coefficients alpha from :func:`engine.attention`, and
+    the message sum_j alpha_ij x_j, one sparse product, is projected by W
     after the sum, so every per-edge product is F wide, not d_e wide.
     """
-    n = view.graph.n_nodes
-    src_all, dst_all, pair_rows = view.graph.looped_pairs
+    src, dst = view.graph.looped_pairs
     w = p["w"]
     s_src = engine.matmul(x, engine.matmul(w, p["a_src"]))
     s_dst = engine.matmul(x, engine.matmul(w, p["a_dst"]))
-    scores = engine.leaky_relu(engine.add(engine.gather_rows(s_src, src_all),
-                                          engine.gather_rows(s_dst, dst_all)))
-    # constant shift keeps exp bounded; softmax ratios are shift-invariant
-    shift = float(scores.values.max())
-    e = engine.exp(engine.add_scalar(scores, -shift))
-    # the view weights, then a unit weight per self-loop
-    m2 = len(pair_rows)
-    w_all = engine.add(engine.scatter_rows(view.weights, pair_rows, m2 + n),
-                       Tensor(np.repeat([[0.0], [1.0]], (m2, n), axis=0)))
-    z = engine.mul(e, w_all)
-    denom = engine.add_scalar(engine.scatter_rows(z, dst_all, n), engine.EPS)
-    alpha = engine.mul(z, engine.power(engine.gather_rows(denom, dst_all), -1.0))
-    # the message step sum_j alpha_ij x_j is one sparse product
-    return engine.matmul(engine.edge_sum(x, alpha, src_all, dst_all, n), w)
+    alpha = engine.attention(s_src, s_dst, view.weights, src, dst)
+    return engine.matmul(engine.edge_sum(x, alpha, src, dst, view.graph.n_nodes), w)
 
 
 # kind -> (layer (params, x, view) -> n x d_e, initializer (F, d_e, rng) -> params);

@@ -107,14 +107,12 @@ class Graph:
         return engine.Index(np.concatenate([np.arange(m), np.arange(m)]), m)
 
     @cached_property
-    def looped_pairs(self) -> tuple[engine.Index, engine.Index, engine.Index]:
-        """The directed pairs, then a self-loop per node: (src, dst) of length
-        2m + n, and the rows of the 2m pairs among them."""
+    def looped_pairs(self) -> tuple[engine.Index, engine.Index]:
+        """The directed pairs, then a self-loop per node: (src, dst), length 2m + n."""
         src, dst = self.pairs
         loops = np.arange(self.n_nodes)
         return (engine.Index(np.concatenate([src.idx, loops]), self.n_nodes),
-                engine.Index(np.concatenate([dst.idx, loops]), self.n_nodes),
-                engine.Index(np.arange(len(src)), len(src) + self.n_nodes))
+                engine.Index(np.concatenate([dst.idx, loops]), self.n_nodes))
 
     def degrees(self) -> np.ndarray:
         """Raw degrees without self-loops."""

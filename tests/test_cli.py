@@ -267,6 +267,21 @@ def test_embed_names_a_truncated_checkpoint(model_dir, tmp_path, capsys):
     assert run_cli("embed", "--model-dir", str(run), "--out", str(tmp_path / "e.tsv")) == 0
 
 
+def test_embed_refuses_a_config_that_lacks_keys(model_dir, tmp_path, capsys):
+    """Without its tau= and hidden= lines, config.txt would fill both with
+    defaults the model was perhaps not trained with: embed exits 1 naming
+    the two keys and writes nothing."""
+    run = tmp_path / "run"
+    shutil.copytree(model_dir, run)
+    cfg = run / "config.txt"
+    lines = cfg.read_text().splitlines(keepends=True)
+    cfg.write_text("".join(x for x in lines if not x.startswith(("tau=", "hidden="))))
+    out = tmp_path / "e.tsv"
+    assert run_cli("embed", "--model-dir", str(run), "--out", str(out)) == 1
+    assert f"{cfg} does not set hidden, tau" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["bank_coh.2", "gate.0"])
 def test_eval_passes_name_a_non_finite_op(model_dir, tmp_path, capsys, entry):
     """A checkpoint entry at 1e308 overflows the eval forward: embed and the

@@ -278,22 +278,10 @@ def _(rng):
     return [a], lambda: engine.mean_all(engine.relu(a))
 
 
-@op_case("leaky_relu")
-def _(rng):
-    a = _param(rng, (4, 4))
-    return [a], lambda: engine.mean_all(engine.leaky_relu(a))
-
-
 @op_case("sigmoid")
 def _(rng):
     a = _param(rng, (4, 4))
     return [a], lambda: engine.mean_all(engine.sigmoid(a))
-
-
-@op_case("exp")
-def _(rng):
-    a = _param(rng, (4, 4))
-    return [a], lambda: engine.mean_all(engine.exp(a))
 
 
 @op_case("power")
@@ -393,6 +381,40 @@ def _(rng):
 @op_case("pair_mlp")
 def _(rng):
     return _pair_mlp_case(rng, a_grad=True, b_grad=True, v_grad=True)
+
+
+def _attention_case(rng, src_grad: bool, dst_grad: bool, w_grad: bool):
+    # the edge_sum case's pairs, then a self-loop per node; node 4 has no
+    # edges. Every score sits at least 0.4 from leaky ReLU's kink, on both sides
+    src = np.array([0, 1, 1, 3, 2, 0, 3, 0, 1, 2, 3, 4])
+    dst = np.array([1, 0, 3, 1, 0, 2, 2, 0, 1, 2, 3, 4])
+    s_src = Tensor(rng.uniform(0.6, 1.0, size=(5, 1)), requires_grad=src_grad)
+    s_dst = Tensor(np.where(rng.random((5, 1)) < 0.5, rng.uniform(-2.0, -1.4, size=(5, 1)),
+                            rng.uniform(0.2, 0.5, size=(5, 1))), requires_grad=dst_grad)
+    w = Tensor(rng.uniform(0.2, 1.0, size=(7, 1)), requires_grad=w_grad)
+    c = Tensor(rng.normal(size=(12, 1)))
+    params = [t for t in (s_src, s_dst, w) if t.requires_grad]
+    return params, lambda: engine.frobenius(engine.attention(s_src, s_dst, w, src, dst), c)
+
+
+@op_case("attention_src_frozen")
+def _(rng):
+    return _attention_case(rng, src_grad=False, dst_grad=True, w_grad=True)
+
+
+@op_case("attention_dst_frozen")
+def _(rng):
+    return _attention_case(rng, src_grad=True, dst_grad=False, w_grad=True)
+
+
+@op_case("attention_weights_frozen")
+def _(rng):
+    return _attention_case(rng, src_grad=True, dst_grad=True, w_grad=False)
+
+
+@op_case("attention")
+def _(rng):
+    return _attention_case(rng, src_grad=True, dst_grad=True, w_grad=True)
 
 
 def _hop_case(rng, h_grad: bool, w_grad: bool, deg_grad: bool):
@@ -962,6 +984,23 @@ def test_malformed_checkpoint_manifest_is_refused_naming_the_file(tmp_path, mani
     path = tmp_path / "model.ckpt"
     path.write_bytes(struct_pack_header(manifest) + np.zeros(2).tobytes())
     with pytest.raises(ValueError, match=re.escape(str(path))):
+        engine.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_an_entry_named_twice(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(struct_pack_header(b"ADAMORE-CKPT-1\n2\nw 1 1 0\nw 1 1 8\n")
+                     + np.array([1.0, 2.0]).tobytes())
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*'w' listed twice"):
+        engine.load_checkpoint(path)
+
+
+def test_checkpoint_refuses_payload_bytes_no_entry_accounts_for(tmp_path):
+    path = tmp_path / "model.ckpt"
+    engine.save_checkpoint(path, {"w": np.ones((2, 3))})
+    path.write_bytes(path.read_bytes() + np.zeros(1).tobytes())
+    with pytest.raises(ValueError,
+                       match=re.escape(str(path)) + ".*56 bytes, its entries end at 48"):
         engine.load_checkpoint(path)
 
 

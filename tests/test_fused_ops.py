@@ -145,6 +145,65 @@ def test_fuse_equals_concatenated_column_products():
                  [h_coh, h_disp])
 
 
+def _segment_sum(values: np.ndarray, index: np.ndarray, n_rows: int) -> np.ndarray:
+    """Rows of ``values`` summed into ``index``, each row in ascending entry order."""
+    out = np.zeros((n_rows, 1))
+    for e, i in enumerate(index):
+        out[i] += values[e]
+    return out
+
+
+def _attention_chain(s_src, s_dst, w, src, dst, g):
+    """Output and (s_src, s_dst, w) gradients, for the output gradient g, of the
+    GAT chain the engine once recorded op by op: gathers, add, leaky ReLU,
+    shift by the largest score, exp, times the weights padded with a 1 per
+    self-loop, segment sum + EPS, gather and times its reciprocal."""
+    n, n_pairs, m = s_src.shape[0], len(src), w.shape[0]
+    pre = s_src[src] + s_dst[dst]
+    scores = np.where(pre > 0.0, pre, 0.2 * pre)
+    e = np.exp(scores + -float(scores.max()))
+    w_all = (_segment_sum(w, np.arange(m), n_pairs)       # scattered to 2m + n rows
+             + np.repeat([[0.0], [1.0]], (m, n_pairs - m), axis=0))
+    z = e * w_all
+    gathered = (_segment_sum(z, dst, n) + engine.EPS)[dst]
+    inv = np.power(gathered, -1.0)
+    g_z = g * inv + _segment_sum(g * z * -1.0 * np.power(gathered, -2.0), dst, n)[dst]
+    g_pre = g_z * w_all * e * np.where(pre > 0.0, 1.0, 0.2)
+    return z * inv, _segment_sum(g_pre, src, n), _segment_sum(g_pre, dst, n), (g_z * e)[:m]
+
+
+@pytest.mark.parametrize("needs", [(True, True, True), (False, True, True), (True, False, True),
+                                   (True, True, False)],
+                         ids=["all", "src_frozen", "dst_frozen", "weights_frozen"])
+def test_attention_equals_the_numpy_chain_bitwise(needs):
+    """Node 5 has no edge, so only its self-loop reaches it; weights hold 0,
+    -0.0 and 1, so a pair can be dropped and a zero's sign must not show."""
+    g = graphs.make_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)],
+                          np.zeros((6, 1)))
+    src, dst = g.looped_pairs
+    rng = np.random.default_rng(6)
+    s_src, s_dst = (_leaf(rng, (6, 1), need, low=-2.0, high=2.0) for need in needs[:2])
+    w = _leaf(rng, (2 * g.n_edges, 1), needs[2], low=0.0)
+    w.values[[0, 3, 7], 0] = [0.0, 1.0, -0.0]
+    got = _run(lambda: engine.attention(s_src, s_dst, w, src, dst), [s_src, s_dst, w])
+    c = np.random.default_rng(0).normal(size=(len(src), 1))   # the output gradient _run uses
+    c[0] = -np.abs(c[0])
+    want = _attention_chain(s_src.values, s_dst.values, w.values, src.idx, dst.idx, c)
+    assert got == [(x.shape, x.tobytes()) if need else None
+                   for x, need in zip(want, (True, *needs))]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["to_inf", "to_minus_inf"])
+def test_attention_names_itself_on_overflowing_scores(sign):
+    """s_src + s_dst overflows on the first pair; the -inf case would leave
+    the coefficients finite (exp(-inf) = 0), so the scores are screened."""
+    big = Tensor([[sign * 1e308], [0.0]], requires_grad=True)
+    loops = np.array([0, 1])
+    with pytest.raises(engine.NonFiniteError, match="'attention'"):
+        engine.attention(big, big, Tensor([[1.0]]), loops, loops)
+
+
 def test_fused_ops_name_themselves_on_a_non_finite_input():
     nan = Tensor([[1.0, np.nan], [0.5, 2.0]])
     ones = Tensor(np.ones((2, 2)))
@@ -156,6 +215,8 @@ def test_fused_ops_name_themselves_on_a_non_finite_input():
         "mixture": lambda: engine.mixture([ones, nan], ones),
         "residual_sum": lambda: engine.residual_sum(ones, [nan], [Tensor([[2.0]])]),
         "blend": lambda: engine.blend(ones, nan, np.full((2, 1), 0.5)),
+        "attention": lambda: engine.attention(Tensor(nan.values[:, 1:]), col, Tensor([[1.0]]),
+                                              pair, pair[::-1]),
     }
     for op, run in cases.items():
         with pytest.raises(engine.NonFiniteError, match=f"'{op}'"):

@@ -54,7 +54,7 @@ def test_tape_op_hash_sees_record_order(tmp_path):
     tool = _load_tool()
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     paths = []
-    for first, second in ((engine.exp, engine.relu), (engine.relu, engine.exp)):
+    for first, second in ((engine.sigmoid, engine.relu), (engine.relu, engine.sigmoid)):
         engine.reset_tape()
         first(x)
         second(x)
@@ -103,3 +103,30 @@ def test_compare_rel_accepts_a_perturbed_digest_within_tolerance(tmp_path):
     assert tool.main(["compare", "--rel", "1e-8", a, b]) == 0
     np.savez(b, **dict(perturbed, label=np.array("other")))
     assert tool.main(["compare", "--rel", "1", a, b]) == 1      # not numeric
+
+
+def test_compare_lists_the_entries_it_does_not_accept(tmp_path):
+    """The closing JSON line names each entry outside the tolerance: a
+    changed tape count and op hash, a NaN and a missing entry, not a
+    rounding-level change that --rel accepts."""
+    tool = _load_tool()
+    ref = {"loss": np.array([0.75, -2.0]), "run.tape_at_backward": np.array([263]),
+           "run.tape_ops_at_backward": np.array(["0" * 64]), "grad": np.array([1.0, 2.0]),
+           "gone": np.zeros(1)}
+    changed = dict(ref, loss=ref["loss"] * (1.0 + 1e-15), grad=np.array([1.0, np.nan]),
+                   **{"run.tape_at_backward": np.array([241]),
+                      "run.tape_ops_at_backward": np.array(["1" * 64])})
+    del changed["gone"]
+    a, b = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+    np.savez(a, **ref)
+    np.savez(b, **changed)
+    for rel, loss in ((0.0, ["loss"]), (1e-12, [])):
+        report = io.StringIO()
+        assert not tool.compare(a, b, out=report, rel=rel)
+        closing = json.loads(report.getvalue().splitlines()[-1])
+        assert closing["differ"] == ["gone", "grad", *loss, "run.tape_at_backward",
+                                     "run.tape_ops_at_backward"]
+        assert closing["same"] is False
+    report = io.StringIO()
+    assert tool.compare(a, a, out=report)
+    assert json.loads(report.getvalue().splitlines()[-1])["differ"] == []

@@ -229,7 +229,7 @@ def test_step_tape_record_counts(sbm, monkeypatch):
     trainer.embed(state)
     trainer.finetune_fewshot(state, sbm, support_set(sbm),
                              tiny_cfg(finetune_epochs=1))
-    assert at_backward == [34, 222, 213]   # svg, recon, fine-tune
+    assert at_backward == [34, 200, 199]   # svg, recon, fine-tune
     assert at_forward[1] == 0                # embed
 
 

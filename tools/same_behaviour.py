@@ -35,7 +35,10 @@ training run depend on the BLAS thread count.
 (for ``environment``, the settings that differ), and exits 0 only when
 every entry of both files is identical. With
 ``--rel TOL`` it also accepts a numeric entry whose ratio is at most TOL,
-the proof for a change that reorders a sum. Run ``collect`` once with the
+the proof for a change that reorders a sum. Its closing JSON line lists
+the entries it does not accept under ``differ``, so a change that only
+alters the tape reads as exactly its ``*.tape_at_backward`` and
+``*.tape_ops_at_backward`` entries. Run ``collect`` once with the
 parent commit's ``src`` on PYTHONPATH and once with the change's, then
 ``compare`` the two files.
 """
@@ -267,16 +270,17 @@ def compare(path_a: str, path_b: str, out=sys.stdout, rel: float = 0.0) -> bool:
     """True when every entry is identical, or numeric and within ``rel``."""
     with np.load(path_a) as fa, np.load(path_b) as fb:
         a, b = dict(fa), dict(fb)
-    same = True
+    differ = []
     for key in sorted(a.keys() | b.keys()):
         diff = _difference(a.get(key), b.get(key))
         if diff and key == "environment" and key in a and key in b:
             diff = _settings_difference(a[key], b[key]), np.inf
-        same &= diff is None or bool(diff[1] <= rel)
+        if diff and not diff[1] <= rel:
+            differ.append(key)
         print(f"{key}: {diff[0] if diff else 'identical'}", file=out)
-    print(json.dumps({"entries": len(a.keys() | b.keys()), "rel": rel, "same": same}),
-          file=out)
-    return same
+    print(json.dumps({"entries": len(a.keys() | b.keys()), "rel": rel, "same": not differ,
+                      "differ": differ}), file=out)
+    return not differ
 
 
 def main(argv=None) -> int:
