@@ -10,6 +10,7 @@ by --seed, and primary output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import typing
@@ -43,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config_file(path: str) -> dict:
-    values = {}
+    values, set_on = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -54,6 +55,9 @@ def read_config_file(path: str) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in PARSERS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_on:
+                raise UsageError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+            set_on[key] = lineno
             try:
                 values[key] = PARSERS[key](raw)
             except (KeyError, ValueError):
@@ -62,13 +66,13 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args) -> TrainConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in PARSERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = read_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in PARSERS
+                  if getattr(args, key) is not None)
+    return _train_config(values)
+
+
+def _train_config(values: dict) -> TrainConfig:
     try:
         return TrainConfig(**values)
     except (TypeError, ValueError) as err:
@@ -95,15 +99,17 @@ def _floats(raw: str, sep: str = ",") -> tuple[float, ...]:
             f"expected numbers separated by {sep!r}, got {raw!r}") from None
 
 
-def _count(raw: str) -> int:
-    """A positive whole number, as an argparse type."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return value
+def _at_least(low: int, kind: str):
+    """An argparse type: a whole number >= ``low``, called a ``kind`` integer."""
+    def parse(raw: str) -> int:
+        with contextlib.suppress(ValueError):
+            if int(raw) >= low:
+                return int(raw)
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {raw!r}")
+    return parse
+
+
+_count, _seed = _at_least(1, "positive"), _at_least(0, "non-negative")
 
 
 def _pairs(raw: str) -> tuple[tuple[float, ...], ...]:
@@ -120,13 +126,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("gen-sbm", help="generate a stochastic block model graph directory")
-    p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--per-block", type=int, required=True)
+    p.add_argument("--blocks", type=_count, required=True)
+    p.add_argument("--per-block", type=_count, required=True)
     p.add_argument("--p-in", type=float, required=True)
     p.add_argument("--p-out", type=float, required=True)
-    p.add_argument("--feat-dim", type=int, default=16)
+    p.add_argument("--feat-dim", type=_count, default=16)
     p.add_argument("--feat-signal", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="unsupervised training; writes metrics and checkpoint")
@@ -141,19 +147,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-probe", help="linear probe accuracy of a trained model")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--repeats", type=_count, default=5)
-    p.add_argument("--seed", type=int, default=100)
+    p.add_argument("--seed", type=_seed, default=100)
     p.add_argument("--out")
 
     p = sub.add_parser("eval-cluster", help="k-means clustering metrics of a trained model")
     p.add_argument("--model-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     p = sub.add_parser("eval-fewshot", help="prototype few-shot accuracy of a trained model")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--k", type=_count, default=1)
     p.add_argument("--tasks", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
 
     def study(name: str, summary: str, seeds: int) -> argparse.ArgumentParser:
@@ -162,7 +168,6 @@ def build_parser() -> _Parser:
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seeds", type=_count, default=seeds)
-        p.add_argument("--jobs", type=_count, default=1)
         _add_config_flags(p)
         return p
 
@@ -189,7 +194,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("motivate", help="per-bucket filter/depth comparison")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     sub.add_parser("print-config", help="print every config default with its module")
     return parser
@@ -224,7 +229,7 @@ def _load_model_dir(model_dir: str):
     missing = [key for key in FIELD_TYPES if key not in values]
     if missing:     # a default may differ from the value the model was trained with
         raise UsageError(f"{cfg_path} does not set {', '.join(missing)}")
-    cfg = TrainConfig(**values)
+    cfg = _train_config(values)
     with open(data_path) as fh:
         graph_dir = fh.read().strip()
     g = graphs.load_graph(graph_dir)
@@ -331,8 +336,7 @@ def cmd_bench_stability(args) -> int:
     cfg = build_config(args)
     g = graphs.load_graph(args.data)
     report = experiments.stability_bench(g, cfg, seeds=tuple(range(args.seeds)),
-                                         include_homogeneous=args.include_homogeneous,
-                                         jobs=args.jobs)
+                                         include_homogeneous=args.include_homogeneous)
     os.makedirs(args.out, exist_ok=True)
     experiments.write_curves_csv(report.curve_rows(),
                                  os.path.join(args.out, "curves.csv"))
@@ -354,22 +358,20 @@ def _study_inputs(args):
 def cmd_exp_oracle_weights(args) -> int:
     g, cfg, seeds = _study_inputs(args)
     if args.mode == "distinctiveness":
-        rows = experiments.distinctiveness_study(g, cfg, pairs=args.pairs, seeds=seeds,
-                                                 jobs=args.jobs)
+        rows = experiments.distinctiveness_study(g, cfg, pairs=args.pairs, seeds=seeds)
     else:
         cases = [(f"{p_coh}/{p_disp}", cfg,
                   experiments.OracleWeightSpec(mode="accuracy", p_coh_correct=p_coh,
                                                p_disp_correct=p_disp))
                  for p_coh, p_disp in args.pairs]
-        rows = experiments.probe_study(g, cases, seeds=seeds, jobs=args.jobs)
+        rows = experiments.probe_study(g, cases, seeds=seeds)
     _write_rows(rows, args.out, "")
     return 0
 
 
 def cmd_exp_noise(args) -> int:
     g, cfg, seeds = _study_inputs(args)
-    rows = experiments.noise_robustness(g, cfg, ratios=args.ratios, stddev=args.stddev,
-                                        seeds=seeds, jobs=args.jobs)
+    rows = experiments.noise_robustness(g, cfg, ratios=args.ratios, stddev=args.stddev, seeds=seeds)
     _write_rows(rows, args.out, "ratio ")
     return 0
 
@@ -382,8 +384,7 @@ def cmd_exp_sensitivity(args) -> int:
                          f"{FIELD_TYPES[args.axis].__name__} values "
                          f"for --axis {args.axis}, got {args.values!r}") from None
     g, cfg, seeds = _study_inputs(args)
-    rows = experiments.sensitivity_sweep(g, args.axis, values, cfg, seeds=seeds,
-                                         jobs=args.jobs)
+    rows = experiments.sensitivity_sweep(g, args.axis, values, cfg, seeds=seeds)
     _write_rows(rows, args.out, f"{args.axis}=")
     return 0
 

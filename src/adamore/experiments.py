@@ -1,19 +1,20 @@
 """Experiment harnesses: oracle edge weights, noise robustness, training
 stability, per-bucket filter comparisons, and hyperparameter sweeps.
 
-Every run is an independent seeded training session, so multi-seed and
-multi-value studies can execute in parallel processes; report assembly is
-single-threaded and deterministic.
+Every run is an independent seeded training session, so a study runs them on one
+process per usable CPU, each with one BLAS thread; report assembly is deterministic.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -92,13 +93,13 @@ class StabilityReport:
 
 
 def stability_bench(g: Graph, cfg: TrainConfig, seeds=(0, 1, 2, 3, 4),
-                    include_homogeneous: bool = False, jobs: int = 1) -> StabilityReport:
+                    include_homogeneous: bool = False) -> StabilityReport:
     """Backbone-residual vs naive flat MoE under matched seeds and budgets."""
     arms = ["backbone-residual", "naive-heterogeneous"]
     if include_homogeneous:
         arms.append("naive-homogeneous")
     tasks = [(arm, seed, g, cfg) for arm in arms for seed in seeds]
-    results = _map_jobs(_stability_worker, tasks, jobs)
+    results = _map_jobs(_stability_worker, tasks)
     curves: dict[str, dict[int, list[float]]] = {arm: {} for arm in arms}
     for (arm, seed, _, _), curve in zip(tasks, results):
         curves[arm][seed] = curve
@@ -117,10 +118,9 @@ def _stability_worker(task):
     run_cfg = replace(cfg, seed=seed)
     if arm == "backbone-residual":
         history = trainer.train(g, run_cfg).history
-    elif arm == "naive-heterogeneous":
-        history = trainer.naive_moe_baseline(g, run_cfg)
     else:
-        history = trainer.naive_moe_baseline(g, run_cfg, kinds=("gcn-layer",) * 4)
+        kinds = ("gcn-layer",) * 4 if arm == "naive-homogeneous" else None
+        history = trainer.naive_moe_baseline(g, run_cfg, kinds=kinds)
     return [rec["l_mae"] for rec in history]
 
 
@@ -195,8 +195,7 @@ def motivation_analysis(g: Graph, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # sweeps
 
-def sensitivity_sweep(g: Graph, axis: str, values, cfg: TrainConfig,
-                      seeds=(0, 1, 2), jobs: int = 1) -> list[dict]:
+def sensitivity_sweep(g: Graph, axis: str, values, cfg: TrainConfig, seeds=(0, 1, 2)) -> list[dict]:
     """One trained session per (value, seed), with config key ``axis`` set
     to the value; probe accuracy table. Any key but ``seed``, which each
     run sets, is an axis; an ablation is a sweep such as ``svg_steps=0``."""
@@ -205,10 +204,10 @@ def sensitivity_sweep(g: Graph, axis: str, values, cfg: TrainConfig,
     if not values:
         raise ValueError("sweep values must be nonempty")
     cases = [(v, replace(cfg, **{axis: v}), None) for v in values]
-    return probe_study(g, cases, seeds, jobs)
+    return probe_study(g, cases, seeds)
 
 
-def probe_study(g: Graph, cases, seeds=(0, 1, 2, 3, 4), jobs: int = 1) -> list[dict]:
+def probe_study(g: Graph, cases, seeds=(0, 1, 2, 3, 4)) -> list[dict]:
     """Probe accuracy over seeds, one row per ``(value, cfg, spec)`` case.
 
     Each (case, seed) trains ``cfg`` at that seed, on the oracle weights of
@@ -216,7 +215,7 @@ def probe_study(g: Graph, cases, seeds=(0, 1, 2, 3, 4), jobs: int = 1) -> list[d
     unless ``spec`` is None, and probes the embedding over three splits.
     """
     tasks = [(g, replace(cfg, seed=int(s)), spec) for _, cfg, spec in cases for s in seeds]
-    accs = _map_jobs(_probe_worker, tasks, jobs)
+    accs = _map_jobs(_probe_worker, tasks)
     rows = []
     for i, (value, _, _) in enumerate(cases):
         per_seed = accs[i * len(seeds):(i + 1) * len(seeds)]
@@ -233,29 +232,43 @@ def _probe_worker(task):
 
 
 def noise_robustness(g: Graph, cfg: TrainConfig, ratios=(0.0, 0.2, 0.5, 0.8),
-                     stddev: float = 0.5, seeds=(0, 1, 2, 3, 4),
-                     jobs: int = 1) -> list[dict]:
+                     stddev: float = 0.5, seeds=(0, 1, 2, 3, 4)) -> list[dict]:
     """Probe accuracy as the 0.9/0.1 oracle weights get progressively corrupted."""
     cases = [(float(ratio), cfg, OracleWeightSpec(noise_ratio=float(ratio),
                                                   noise_std=stddev if ratio > 0 else 0.0))
              for ratio in ratios]
-    return probe_study(g, cases, seeds, jobs)
+    return probe_study(g, cases, seeds)
 
 
-def distinctiveness_study(g: Graph, cfg: TrainConfig,
-                          pairs=((0.9, 0.1), (0.7, 0.3), (0.5, 0.5)),
-                          seeds=(0, 1, 2, 3, 4), jobs: int = 1) -> list[dict]:
+def distinctiveness_study(g: Graph, cfg: TrainConfig, pairs=((0.9, 0.1), (0.7, 0.3), (0.5, 0.5)),
+                          seeds=(0, 1, 2, 3, 4)) -> list[dict]:
     """Probe accuracy as the oracle weight separation shrinks."""
     cases = [(f"{w_same}/{w_diff}", cfg,
               OracleWeightSpec(mode="distinctiveness", w_same=w_same, w_diff=w_diff))
              for w_same, w_diff in pairs]
-    return probe_study(g, cases, seeds, jobs)
+    return probe_study(g, cases, seeds)
 
 
-def _map_jobs(worker, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS bundled with numpy, or None."""
+    for lib in sorted(Path(np.__file__).resolve().parents[1].glob("numpy.libs/*openblas*")):
+        setter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            return setter
+    return None
+
+
+def _one_blas_thread() -> None:
+    _blas_thread_setter()(1)
+
+
+def _map_jobs(worker, tasks) -> list:
+    """``worker`` over ``tasks`` in order, on ``min(usable CPUs, tasks)`` processes with
+    one BLAS thread each; in this process if that is one or the BLAS setter is missing."""
+    procs = min(graphs.usable_cpus(), len(tasks))
+    if procs <= 1 or _blas_thread_setter() is None:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=procs, initializer=_one_blas_thread) as pool:
         return list(pool.map(worker, tasks))
 
 

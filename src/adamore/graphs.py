@@ -173,8 +173,8 @@ def unit_rows(x: np.ndarray, floor: float) -> np.ndarray:
     return unit
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
+def usable_cpus() -> int:
+    """CPUs this process may run on; caps probe threads and study processes."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -216,7 +216,7 @@ def structural_embeddings(a_tilde: sps.csr_matrix, d_s: int = 8,
             s[start:stop, p - 1] = np.einsum("ij,ij->j", lo, cur)
 
     starts = range(0, n, block)
-    workers = min(_usable_cpus(), len(starts))
+    workers = min(usable_cpus(), len(starts))
     if workers <= 1:
         for start in starts:
             probe(start)

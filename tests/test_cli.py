@@ -10,6 +10,9 @@ import pytest
 from adamore import cli, engine, graphs
 from adamore.trainer import TrainConfig
 
+# gen-sbm's required flags but the counts, each of which a test may append
+SBM_FLAGS = ("--blocks", "2", "--per-block", "5", "--p-in", "0.5", "--p-out", "0.1",
+             "--out", "{out}")
 TINY = ("--epochs", "1", "--hidden", "8", "--d-s", "3", "--edge-hidden", "8", "--n-exp", "2")
 # a value unlike the default for every config key, cheap to train with TINY
 NON_DEFAULT = {
@@ -154,13 +157,17 @@ def test_exp_sensitivity_sweeps_an_ablation_axis(sbm_dir, tmp_path, axis, values
     assert [str(row["value"]) for row in rows] == values.split(",")
 
 
-def test_exp_oracle_weights_accuracy_mode_jobs_agree(sbm_dir, tmp_path):
+def test_exp_oracle_weights_accuracy_mode_pooled_agrees_in_process(sbm_dir, tmp_path,
+                                                                   monkeypatch):
+    """One usable CPU runs the study in this process, two on a pool of
+    worker processes; both write the same report bytes."""
     reports = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
+    for cpus in (1, 2):
+        monkeypatch.setattr(graphs, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
         code = run_cli("exp-oracle-weights", "--data", sbm_dir, "--out", str(out),
                        "--mode", "accuracy", "--pairs", "1.0/1.0,0.6/0.6",
-                       "--seeds", "2", "--jobs", jobs, "--epochs", "2",
+                       "--seeds", "2", "--epochs", "2",
                        "--hidden", "8", "--d-s", "3", "--edge-hidden", "8",
                        "--n-exp", "2", "--top-k", "1")
         assert code == 0
@@ -222,6 +229,43 @@ def test_config_file_rejects_unparsable_value(sbm_dir, tmp_path, capsys, line):
     assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
                    "--config", str(cfg_file)) == 1
     assert f"{cfg_file}:2: invalid value" in capsys.readouterr().err
+
+
+def test_config_file_rejects_a_key_set_twice(sbm_dir, model_dir, tmp_path, capsys):
+    """A second hidden= line is refused, naming both lines, in a --config
+    file and in a model directory's config.txt alike."""
+    cfg_file = tmp_path / "twice.cfg"
+    cfg_file.write_text("epochs=2\nhidden=8\nhidden=16\n")
+    assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
+                   "--config", str(cfg_file)) == 1
+    assert f"{cfg_file}:3: hidden is already set on line 2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    run = tmp_path / "run"
+    shutil.copytree(model_dir, run)
+    cfg = run / "config.txt"
+    lines = cfg.read_text().splitlines(keepends=True)
+    cfg.write_text("".join(lines) + "hidden=16\n")
+    first = 1 + next(i for i, x in enumerate(lines) if x.startswith("hidden="))
+    assert run_cli("embed", "--model-dir", str(run), "--out", str(tmp_path / "e.tsv")) == 1
+    assert (f"{cfg}:{len(lines) + 1}: hidden is already set on line {first}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "e.tsv").exists()
+
+
+def test_invalid_config_value_reads_alike_from_config_file_and_model_dir(
+        sbm_dir, model_dir, tmp_path, capsys):
+    """hidden=0 in a model directory's config.txt exits 1 with the message
+    ``train --config`` gives for the same file."""
+    run = tmp_path / "run"
+    shutil.copytree(model_dir, run)
+    cfg = run / "config.txt"
+    cfg.write_text("".join("hidden=0\n" if x.startswith("hidden=") else x
+                           for x in cfg.read_text().splitlines(keepends=True)))
+    assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
+                   "--config", str(cfg)) == 1
+    from_train = capsys.readouterr().err
+    assert run_cli("embed", "--model-dir", str(run), "--out", str(tmp_path / "e.tsv")) == 1
+    assert capsys.readouterr().err == from_train == "invalid configuration: hidden must be >= 1\n"
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
@@ -316,6 +360,20 @@ def test_motivate_names_an_overflowing_probe_op(tmp_path, capsys):
     assert err.startswith("error: ") and "operation '" in err and err.count("\n") == 1, err
 
 
+def test_a_pooled_worker_error_exits_two(tmp_path, capsys, monkeypatch):
+    """Features at 1e300 make each run's loss non-finite: the error raised in
+    a worker process reaches the CLI, which exits 2 with one line."""
+    monkeypatch.setattr(graphs, "usable_cpus", lambda: 2)
+    g = graphs.gen_sbm(10, 2, 0.5, 0.1, feat_dim=4, seed=0)
+    data = tmp_path / "huge"
+    graphs.save_graph(dataclasses.replace(g, features=g.features * 1e300), str(data))
+    assert run_cli("bench-stability", "--data", str(data), "--out", str(tmp_path / "out"),
+                   "--seeds", "2", *TINY) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 0: non-finite") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_rejects_zero_hidden_width(sbm_dir, tmp_path, capsys):
     assert run_cli("train", "--data", sbm_dir, "--out", str(tmp_path / "x"),
                    "--hidden", "0") == 1
@@ -380,12 +438,29 @@ def test_malformed_list_flags_are_usage_errors(sbm_dir, tmp_path, capsys, argv, 
     (("eval-probe", "--model-dir", "{model}", "--repeats", "0"), "--repeats"),
     (("eval-fewshot", "--model-dir", "{model}", "--tasks", "0"), "--tasks"),
     (("eval-fewshot", "--model-dir", "{model}", "--k", "0"), "--k"),
-    (("bench-stability", "--data", "{data}", "--out", "{out}", "--jobs", "0"), "--jobs"),
-    (("exp-noise", "--data", "{data}", "--out", "{out}", "--jobs", "-2"), "--jobs"),
+    (("gen-sbm", *SBM_FLAGS, "--blocks", "0"), "--blocks"),
+    (("gen-sbm", *SBM_FLAGS, "--per-block", "0"), "--per-block"),
+    (("gen-sbm", *SBM_FLAGS, "--feat-dim", "0"), "--feat-dim"),
 ])
 def test_counts_below_one_are_usage_errors(sbm_dir, model_dir, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     code = run_cli(*(a.format(data=sbm_dir, out=out, model=model_dir) for a in argv))
     assert code == 1
     assert f"argument {flag}: expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-sbm", *SBM_FLAGS),
+    ("eval-probe", "--model-dir", "{model}"),
+    ("eval-cluster", "--model-dir", "{model}"),
+    ("eval-fewshot", "--model-dir", "{model}"),
+    ("motivate", "--data", "{data}", "--out", "{out}"),
+], ids=lambda argv: argv[0])
+def test_negative_seeds_are_usage_errors(sbm_dir, model_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = run_cli(*(a.format(data=sbm_dir, out=out, model=model_dir) for a in argv),
+                   "--seed", "-1")
+    assert code == 1
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
     assert not out.exists()

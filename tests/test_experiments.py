@@ -1,3 +1,8 @@
+import ctypes
+import os
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,12 +176,62 @@ def test_sensitivity_rejects_bad_axis(sbm):
         experiments.sensitivity_sweep(sbm, "hidden", (), tiny_cfg())
 
 
-def test_sensitivity_parallel_jobs_match_serial(sbm):
+def test_sensitivity_pooled_matches_in_process(sbm, monkeypatch):
     cfg = tiny_cfg(epochs=2)
-    serial = experiments.sensitivity_sweep(sbm, "hidden", (8, 12), cfg, seeds=(0,))
-    parallel = experiments.sensitivity_sweep(sbm, "hidden", (8, 12), cfg,
-                                             seeds=(0,), jobs=2)
-    assert serial == parallel
+    rows = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(graphs, "usable_cpus", lambda: cpus)
+        rows.append(experiments.sensitivity_sweep(sbm, "hidden", (8, 12), cfg, seeds=(0,)))
+    assert rows[0] == rows[1]
+
+
+def _blas_threads():
+    """The thread count numpy's bundled OpenBLAS reports, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+
+def _pid_and_blas_threads(_task):
+    return os.getpid(), _blas_threads()
+
+
+def test_pooled_workers_run_in_other_processes_on_one_blas_thread(monkeypatch):
+    """At most one worker per usable CPU, each in its own process with one
+    BLAS thread; this process keeps its own thread count."""
+    if _blas_threads() is None or experiments._blas_thread_setter() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    started = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            started.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(graphs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    before = _blas_threads()
+    out = experiments._map_jobs(_pid_and_blas_threads, range(5))
+    assert started == [2]
+    assert len(out) == 5 and os.getpid() not in {pid for pid, _ in out}
+    assert {threads for _, threads in out} == {1}
+    assert _blas_threads() == before
+
+
+@pytest.mark.parametrize("cpus, tasks, has_setter", [(2, 3, False), (1, 3, True), (2, 1, True)],
+                         ids=["no-blas-setter", "one-cpu", "one-task"])
+def test_map_jobs_stays_in_process(monkeypatch, cpus, tasks, has_setter):
+    """Without the BLAS setter, on one CPU or with one task no pool starts."""
+    monkeypatch.setattr(graphs, "usable_cpus", lambda: cpus)
+    if not has_setter:
+        monkeypatch.setattr(experiments, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)    # would fail if called
+    out = experiments._map_jobs(_pid_and_blas_threads, range(tasks))
+    assert [pid for pid, _ in out] == [os.getpid()] * tasks
 
 
 def test_noise_robustness_rows(sbm):

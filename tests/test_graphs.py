@@ -372,7 +372,7 @@ def test_structural_embedding_threads_match_serial_loop(monkeypatch, cpus, n, bl
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(graphs, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(graphs, "ThreadPoolExecutor", Recording)
     rng = np.random.default_rng(100 * n + block)
     adj = random_adjacency(rng, n, p=0.3)
