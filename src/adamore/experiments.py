@@ -258,17 +258,20 @@ def _blas_thread_setter():
     return None
 
 
-def _one_blas_thread() -> None:
+def _pool_worker() -> None:
+    """A pool worker shares the CPUs with its siblings: one BLAS thread, and
+    its probe blocks in its own thread."""
     _blas_thread_setter()(1)
+    graphs._SHARED_CPUS = True
 
 
 def _map_jobs(worker, tasks) -> list:
     """``worker`` over ``tasks`` in order, on ``min(usable CPUs, tasks)`` processes with
-    one BLAS thread each; in this process if that is one or the BLAS setter is missing."""
+    one thread each; in this process if that is one or the BLAS setter is missing."""
     procs = min(graphs.usable_cpus(), len(tasks))
     if procs <= 1 or _blas_thread_setter() is None:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=procs, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=procs, initializer=_pool_worker) as pool:
         return list(pool.map(worker, tasks))
 
 

@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import os
 import re
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,6 +174,10 @@ def unit_rows(x: np.ndarray, floor: float) -> np.ndarray:
     return unit
 
 
+# set in a study's pool worker, whose sibling processes share its CPUs
+_SHARED_CPUS = False
+
+
 def usable_cpus() -> int:
     """CPUs this process may run on; caps probe threads and study processes."""
     if hasattr(os, "sched_getaffinity"):
@@ -180,8 +185,13 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# bytes of one n x block probe buffer; a sweep of 128 KiB to 16 MiB at n = 2 000
+# and 8 000 found 2 MiB (131 and 32 probes) at or near the best of both
+_PROBE_BYTES = 1 << 21
+
+
 def structural_embeddings(a_tilde: sps.csr_matrix, d_s: int = 8,
-                          block: int = 256) -> np.ndarray:
+                          block: int | None = None) -> np.ndarray:
     """Per-node return probabilities of 1..d_s step self-looped random
     walks, (n, d_s) in [0, 1]: the diagonals of T, T^2, ..., T^d_s via
     blocked indicator probes.
@@ -189,34 +199,58 @@ def structural_embeddings(a_tilde: sps.csr_matrix, d_s: int = 8,
     T = D^-1 (A+I) = D^-1/2 A~ D^1/2 shares its power diagonals with the
     symmetric A~, so with the probe columns e_i the half-power identity
     diag(T^p)_i = <A~^floor(p/2) e_i, A~^ceil(p/2) e_i> (for even p the
-    squared norm of A~^(p/2) e_i) needs only ceil(d_s / 2) products with A~
-    per block of ``block`` probes.
+    squared norm of A~^(p/2) e_i) needs A~ e_i, which is A~'s own row i,
+    and ceil(d_s / 2) - 1 products with A~ per block of ``block`` probes.
+    By default a block fills ``_PROBE_BYTES``, so n <= 512 is one block.
 
-    Blocks run on one thread per usable CPU (at most one per block). The
-    sparse product and the column dots release the GIL, and each block
-    writes only its own rows of ``s``, so the values equal a serial loop's
-    bit for bit. The default block size is the fastest of a sweep at
-    n = 2 000, and small blocks keep peak memory low.
+    Blocks run on one thread per usable CPU (at most one per block), and
+    on the calling thread alone in a study's pool worker, whose siblings
+    share the CPUs. Each thread computes its blocks in two n x block
+    buffers it keeps. The sparse product and the column dots release the
+    GIL, and each block writes only its own rows of ``s``, so the values
+    equal a serial loop's bit for bit.
     """
     if d_s < 1:
         raise ValueError("d_s must be >= 1")
-    n = a_tilde.shape[0]
+    if block is not None and block < 1:
+        raise ValueError("block must be >= 1")
+    a = sps.csr_matrix(a_tilde).astype(np.float64, copy=False)
+    if not a.has_canonical_format:   # the scatter below would keep one of repeated entries
+        a = a.copy()
+        a.sum_duplicates()
+    n = a.shape[0]
+    if block is None:
+        # at least two probes: a one-column einsum sums in another order
+        block = max(2, _PROBE_BYTES // (8 * max(n, 1)))
+    width = max(1, min(block, n))
     s = np.zeros((n, d_s))
+    own = threading.local()
 
     def probe(start: int) -> None:
-        stop = min(start + block, n)
-        cur = np.zeros((n, stop - start))
-        cur[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        for p in range(1, d_s + 1):
+        stop = min(start + width, n)
+        w = stop - start
+        if not hasattr(own, "buffers"):
+            own.buffers = np.empty((2, n * width))
+        cur, nxt = (buf[:n * w].reshape(n, w) for buf in own.buffers)
+        # cur = A~ e_i, scattered from rows start..stop of the symmetric A~
+        # into C order (a transposed view would sum the dots in another order)
+        cur.fill(0.0)
+        entries = slice(a.indptr[start], a.indptr[stop])
+        cur[a.indices[entries], np.repeat(np.arange(w), np.diff(a.indptr[start:stop + 1]))] = \
+            a.data[entries]
+        s[start:stop, 0] = cur[np.arange(start, stop), np.arange(w)]
+        for p in range(2, d_s + 1):
             # lo = A~^floor(p/2) e_i, cur = A~^ceil(p/2) e_i
             if p % 2:
-                lo, cur = cur, a_tilde @ cur
+                nxt.fill(0.0)
+                engine._csr_matmul(a.indptr, a.indices, a.data, n, cur, out=nxt)
+                lo, cur, nxt = cur, nxt, cur
             else:
                 lo = cur
             s[start:stop, p - 1] = np.einsum("ij,ij->j", lo, cur)
 
-    starts = range(0, n, block)
-    workers = min(usable_cpus(), len(starts))
+    starts = range(0, n, width)
+    workers = 1 if _SHARED_CPUS else min(usable_cpus(), len(starts))
     if workers <= 1:
         for start in starts:
             probe(start)

@@ -1,7 +1,8 @@
 import ctypes
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -220,6 +221,34 @@ def test_pooled_workers_run_in_other_processes_on_one_blas_thread(monkeypatch):
     assert len(out) == 5 and os.getpid() not in {pid for pid, _ in out}
     assert {threads for _, threads in out} == {1}
     assert _blas_threads() == before
+
+
+class _RecordingThreads(ThreadPoolExecutor):
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+        super().__init__(max_workers)
+
+
+def _probe_thread_pools(_task):
+    """The thread pools that 300 nodes' probes in six blocks start on two CPUs."""
+    _RecordingThreads.started = []
+    a_tilde = graphs.normalize(graphs.gen_sbm(150, 2, 0.05, 0.01, seed=0))
+    with mock.patch.object(graphs, "ThreadPoolExecutor", _RecordingThreads), \
+            mock.patch.object(graphs, "usable_cpus", lambda: 2):
+        graphs.structural_embeddings(a_tilde, d_s=3, block=50)
+    return _RecordingThreads.started
+
+
+def test_pooled_workers_run_probe_blocks_in_their_own_thread(monkeypatch):
+    """A pooled worker shares the CPUs with its siblings, so its probe blocks
+    start no threads; this process still starts one per CPU."""
+    if experiments._blas_thread_setter() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    monkeypatch.setattr(graphs, "usable_cpus", lambda: 2)
+    assert experiments._map_jobs(_probe_thread_pools, range(2)) == [[], []]
+    assert _probe_thread_pools(None) == [2]
 
 
 @pytest.mark.parametrize("cpus, tasks, has_setter", [(2, 3, False), (1, 3, True), (2, 1, True)],

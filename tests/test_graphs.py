@@ -1,10 +1,12 @@
 import os
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -304,6 +306,18 @@ def test_structural_embedding_triangle():
     assert np.allclose(emb, 1.0 / 3.0, atol=1e-15)
 
 
+def test_structural_embedding_reads_a_matrix_with_repeated_entries():
+    """Each entry stored as two halves gives the summed matrix's values."""
+    a = graphs.normalize(triangle())
+    halves = sps.csr_matrix((np.repeat(a.data / 2, 2), np.repeat(a.indices, 2), 2 * a.indptr),
+                            shape=a.shape)
+    assert not halves.has_canonical_format
+    assert np.array_equal(graphs.structural_embeddings(halves, d_s=3),
+                          graphs.structural_embeddings(a, d_s=3))
+    with pytest.raises(ValueError):
+        graphs.structural_embeddings(a, block=0)
+
+
 def test_structural_embedding_first_step_is_inverse_degree():
     rng = np.random.default_rng(5)
     adj = random_adjacency(rng, 9)
@@ -387,6 +401,55 @@ def test_structural_embedding_threads_match_serial_loop(monkeypatch, cpus, n, bl
     assert np.array_equal(emb, _serial_probes(a_tilde, 7, block))
     threads = min(cpus, -(-n // block))
     assert started == ([threads] if threads > 1 else [])
+
+
+@pytest.mark.parametrize("d_s", [1, 2, 5])
+@pytest.mark.parametrize("block", [1, 3, 64, None], ids=["1", "3", "64", "default"])
+def test_structural_embedding_every_block_width_matches_serial_probes(d_s, block):
+    """Each width, the default rule's (436 probes) included, gives the old
+    algorithm's bits on 601 nodes: a ragged last block, an isolated node."""
+    n = 601
+    adj = random_adjacency(np.random.default_rng(3), n, p=0.02)
+    adj[n - 1, :] = adj[:, n - 1] = 0.0
+    a_tilde = graphs.normalize(_graph_from_adj(adj, feat=np.ones((n, 1))))
+    width = block or graphs._PROBE_BYTES // (8 * n)
+    assert width == 1 or n % width
+    emb = graphs.structural_embeddings(a_tilde, d_s=d_s, block=block)
+    assert np.array_equal(emb, _serial_probes(a_tilde, d_s, width))
+
+
+def test_structural_embedding_small_graph_is_one_block_on_this_thread(monkeypatch):
+    """n = 200 is one 200-probe block whatever the CPU count: no thread starts."""
+    monkeypatch.setattr(graphs, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(graphs, "ThreadPoolExecutor", None)    # would fail if called
+    operands = []
+    product = graphs.engine._csr_matmul
+
+    def recording(indptr, cols, vals, n_cols, x, out=None):
+        operands.append(x.shape)
+        return product(indptr, cols, vals, n_cols, x, out=out)
+
+    monkeypatch.setattr(graphs.engine, "_csr_matmul", recording)
+    a_tilde = graphs.normalize(graphs.gen_sbm(100, 2, 0.5, 0.05, seed=0))
+    emb = graphs.structural_embeddings(a_tilde, d_s=8)
+    assert operands == [(200, 200)] * 3
+    assert np.array_equal(emb, _serial_probes(a_tilde, 8, 200))
+
+
+def test_structural_embedding_peak_memory_is_two_probe_buffers(monkeypatch):
+    """On one CPU the traced peak is this thread's two buffers of
+    ``_PROBE_BYTES``, the n x d_s output and the block's index arrays,
+    whatever n: no n x block identity or fresh product per block."""
+    monkeypatch.setattr(graphs, "usable_cpus", lambda: 1)
+    a_tilde = graphs.normalize(graphs.gen_sbm(1000, 4, 0.01, 0.0005, seed=0))
+    n, d_s = a_tilde.shape[0], 8
+    tracemalloc.start()
+    try:
+        graphs.structural_embeddings(a_tilde, d_s=d_s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * graphs._PROBE_BYTES + 8 * n * d_s + 8 * a_tilde.nnz
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ def test_same_behaviour_digests(tmp_path):
     assert any(line.startswith("default.svg_grad.gate.0: identical") for line in lines)
     assert any(line.startswith("oracle.recon_grad.") for line in lines)
     for key in ("default.finetune.head.w", "default.finetune.gate.0", "default.finetune.classify",
-                "hidden8.kmeans", "oracle.prototype_1shot", "study.oracle_accuracy"):
+                "hidden8.kmeans", "oracle.prototype_1shot", "study.oracle_accuracy",
+                "structural_embeddings"):
         assert f"{key}: identical" in lines
     assert not any(line.startswith("oracle.finetune.") for line in lines)
     assert all(line.endswith("identical") for line in lines[:-1])

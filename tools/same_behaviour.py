@@ -17,8 +17,9 @@ trained state, the k-means scores and 1-shot prototype accuracies of the
 embeddings, and the flat-MoE ``l_mae`` curve. The ``default`` run is then
 fine-tuned for five epochs on four labeled nodes per class; the digest
 holds its gate and head parameters and the ``classify`` labels. It also
-stores the splits of the graph with its labels dropped. On the same graph
-it stores, as JSON, the rows of ``distinctiveness_study``,
+stores the splits of the graph with its labels dropped, and the structural
+embeddings (d_s 8) of ``gen_sbm(500, 4, 0.02, 0.001, seed=1)``, whose
+2 000 nodes take several probe blocks. On the two-block graph it stores, as JSON, the rows of ``distinctiveness_study``,
 ``noise_robustness``, ``sensitivity_sweep`` and one accuracy-mode
 ``probe_study`` case, the ``stability_bench`` report with all three arms
 (a three-epoch config, one or two seeds) and the ``motivation_analysis``
@@ -178,6 +179,8 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
     unlabeled = graphs.make_graph(g.n_nodes, g.edges, g.features)
     split = graphs.make_splits(unlabeled, (0.2, 0.2, 0.6), seed=seed)
     digest.update({f"unlabeled_split.{k}": getattr(split, k) for k in ("train", "val", "test")})
+    digest["structural_embeddings"] = graphs.structural_embeddings(
+        graphs.normalize(graphs.gen_sbm(500, 4, 0.02, 0.001, seed=1)))
     digest.update({f"study.{k}": np.array(json.dumps(v, sort_keys=True))
                    for k, v in _studies(g, replace(base, **STUDY), (seed,)).items()})
     digest.update({f"cli.{k}": np.array(v) for k, v in _cli_text(seed).items()})
