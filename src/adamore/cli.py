@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 import typing
@@ -90,13 +91,17 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                            metavar="KIND[,KIND...]" if key == "residual_kinds" else None)
 
 
-def _floats(raw: str, sep: str = ",") -> tuple[float, ...]:
-    """A ``sep``-separated list of numbers, as an argparse type."""
-    try:
-        return tuple(float(x) for x in raw.split(sep))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected numbers separated by {sep!r}, got {raw!r}") from None
+def _unit(raw: str) -> float:
+    """A number in [0, 1], as an argparse type."""
+    with contextlib.suppress(ValueError):
+        if 0.0 <= float(raw) <= 1.0:
+            return float(raw)
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {raw!r}")
+
+
+def _units(raw: str, sep: str = ",") -> tuple[float, ...]:
+    """A ``sep``-separated list of numbers in [0, 1], as an argparse type."""
+    return tuple(_unit(x) for x in raw.split(sep))
 
 
 def _at_least(low: int, kind: str):
@@ -113,8 +118,8 @@ _count, _seed = _at_least(1, "positive"), _at_least(0, "non-negative")
 
 
 def _pairs(raw: str) -> tuple[tuple[float, ...], ...]:
-    """A comma list of a/b number pairs, as an argparse type."""
-    pairs = tuple(_floats(token, "/") for token in raw.split(","))
+    """A comma list of a/b pairs of numbers in [0, 1], as an argparse type."""
+    pairs = tuple(_units(token, "/") for token in raw.split(","))
     if any(len(pair) != 2 for pair in pairs):
         raise argparse.ArgumentTypeError(f"expected a comma list of a/b pairs, got {raw!r}")
     return pairs
@@ -128,8 +133,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-sbm", help="generate a stochastic block model graph directory")
     p.add_argument("--blocks", type=_count, required=True)
     p.add_argument("--per-block", type=_count, required=True)
-    p.add_argument("--p-in", type=float, required=True)
-    p.add_argument("--p-out", type=float, required=True)
+    p.add_argument("--p-in", type=_unit, required=True)
+    p.add_argument("--p-out", type=_unit, required=True)
     p.add_argument("--feat-dim", type=_count, default=16)
     p.add_argument("--feat-signal", type=float, default=2.0)
     p.add_argument("--seed", type=_seed, default=0)
@@ -181,7 +186,7 @@ def build_parser() -> _Parser:
                    help="comma list of w_same/w_diff (or p_coh/p_disp) pairs")
 
     p = study("exp-noise", "probe accuracy vs noise on oracle weights", 5)
-    p.add_argument("--ratios", type=_floats, default="0,0.2,0.5,0.8")
+    p.add_argument("--ratios", type=_units, default="0,0.2,0.5,0.8")
     p.add_argument("--stddev", type=float, default=0.5)
 
     p = study("exp-sensitivity", "sweep one config key, e.g. an ablation", 3)
@@ -244,6 +249,9 @@ def _load_model_dir(model_dir: str):
 
 
 def cmd_gen_sbm(args) -> int:
+    if args.feat_dim < args.blocks:
+        raise UsageError(f"--feat-dim {args.feat_dim} is below --blocks {args.blocks}: "
+                         "each block mean needs its own feature")
     g = graphs.gen_sbm(args.per_block, args.blocks, args.p_in, args.p_out,
                        feat_dim=args.feat_dim, feat_signal=args.feat_signal,
                        seed=args.seed)
@@ -370,6 +378,8 @@ def cmd_exp_oracle_weights(args) -> int:
 
 
 def cmd_exp_noise(args) -> int:
+    if not args.stddev >= 0.0:
+        raise UsageError(f"--stddev must be >= 0, got {args.stddev}")
     g, cfg, seeds = _study_inputs(args)
     rows = experiments.noise_robustness(g, cfg, ratios=args.ratios, stddev=args.stddev, seeds=seeds)
     _write_rows(rows, args.out, "ratio ")
@@ -384,6 +394,8 @@ def cmd_exp_sensitivity(args) -> int:
                          f"{FIELD_TYPES[args.axis].__name__} values "
                          f"for --axis {args.axis}, got {args.values!r}") from None
     g, cfg, seeds = _study_inputs(args)
+    for value in values:    # refuse a value outside its domain before any training
+        _train_config({**dataclasses.asdict(cfg), args.axis: value})
     rows = experiments.sensitivity_sweep(g, args.axis, values, cfg, seeds=seeds)
     _write_rows(rows, args.out, f"{args.axis}=")
     return 0

@@ -91,10 +91,6 @@ class Tensor:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.values[0, 0])
 
-    def detach(self) -> "Tensor":
-        """Constant copy of this tensor, cut off from the tape."""
-        return Tensor(self.values.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

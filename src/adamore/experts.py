@@ -234,21 +234,6 @@ def residual_forward(pool: ResidualPool, h_b: Tensor, x: Tensor,
 Output = Tensor | tuple[Tensor, Tensor]   # plain, or factored as (Y, W)
 
 
-def cka(e_i: Tensor, e_j: Tensor) -> Tensor:
-    """Linear-kernel centered kernel alignment in [0, 1].
-
-    Computed in feature space: with column-centered matrices Xc and Yc,
-    HSIC(X, Y) = ||Xc^T Yc||_F^2, identical to tr(Kc_i Kc_j) for the linear
-    kernel but O(n d^2) instead of O(n^2 d). Returns a constant 0 when
-    either self-HSIC falls below ``engine.EPS``.
-    """
-    if e_i.shape[0] != e_j.shape[0]:
-        raise engine.ShapeError(f"cka row mismatch: {e_i.shape} vs {e_j.shape}")
-    if e_i.shape[0] < 2:
-        raise ValueError("cka needs at least 2 rows")
-    return _centered_cka(_centered(e_i, {}), _centered(e_j, {}))
-
-
 def _centered(e: Output, grams: dict) -> tuple[Tensor, Tensor, Tensor | None, Tensor]:
     """(Xc^T, Xc, S, HSIC(X, X)) of one output, Xc its column-centered copy.
 
@@ -292,10 +277,15 @@ def _centered_cka(a: tuple, b: tuple) -> Tensor:
 
 
 def diversity_loss(outputs: list[Output]) -> Tensor:
-    """Mean pairwise CKA over all unordered output pairs.
+    """Mean pairwise linear-kernel CKA, each in [0, 1], over all unordered
+    output pairs; for one pair, that pair's CKA bit for bit.
 
-    Each output is centered, and its self-HSIC computed, once for all the
-    pairs it is in; each projection's S = W W^T is formed once.
+    Computed in feature space: with column-centered matrices Xc and Yc,
+    HSIC(X, Y) = ||Xc^T Yc||_F^2, identical to tr(Kc_i Kc_j) for the linear
+    kernel but O(n d^2) instead of O(n^2 d). A pair's CKA is a constant 0
+    when either self-HSIC falls below ``engine.EPS``. Each output is
+    centered, and its self-HSIC computed, once for all the pairs it is in;
+    each projection's S = W W^T is formed once.
     """
     if len(outputs) < 2:
         warnings.warn("diversity_loss needs at least 2 outputs; returning 0",

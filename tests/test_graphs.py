@@ -205,12 +205,15 @@ def test_make_graph_dedup_matches_row_unique(n, pairs):
     assert np.array_equal(g.edges, expect)
 
 
-def test_graph_sorts_canonical_edges_and_rejects_duplicates():
-    g = graphs.Graph(n_nodes=4, edges=np.array([[2, 3], [1, 0], [0, 2]]), features=np.zeros((4, 1)))
-    assert np.array_equal(g.edges, [[0, 1], [0, 2], [2, 3]])
-    for dup in ([[0, 1], [1, 2], [1, 0]], [[0, 1], [0, 1]]):
-        with pytest.raises(graphs.GraphFormatError, match="duplicate edge"):
-            graphs.Graph(n_nodes=3, edges=np.array(dup), features=np.zeros((3, 1)))
+def test_graph_refuses_non_canonical_edges():
+    for raw in ([[1, 0], [0, 2], [2, 3]],       # reversed
+                [[2, 3], [0, 1], [0, 2]],       # unsorted
+                [[0, 1], [1, 2], [1, 2]],       # duplicate
+                [[0, 1], [1, 1], [2, 3]]):      # self-loop
+        with pytest.raises(graphs.GraphFormatError, match="not canonical.*make_graph"):
+            graphs.Graph(n_nodes=4, edges=np.array(raw), features=np.zeros((4, 1)))
+        expect = np.unique(np.sort([p for p in raw if p[0] != p[1]], axis=1), axis=0)
+        assert np.array_equal(graphs.make_graph(4, raw, np.zeros((4, 1))).edges, expect)
     with pytest.raises(graphs.GraphFormatError, match="out of range"):
         graphs.make_graph(3, [(0, 3)], np.zeros((3, 1)))
 

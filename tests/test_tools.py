@@ -33,7 +33,8 @@ def test_same_behaviour_digests(tmp_path):
     assert any(line.startswith("oracle.recon_grad.") for line in lines)
     for key in ("default.finetune.head.w", "default.finetune.gate.0", "default.finetune.classify",
                 "hidden8.kmeans", "oracle.prototype_1shot", "study.oracle_accuracy",
-                "structural_embeddings"):
+                "structural_embeddings", "loaded_graph.edges", "loaded_graph.fingerprint",
+                "local_homophily", "local_homophily_heterophilous"):
         assert f"{key}: identical" in lines
     assert not any(line.startswith("oracle.finetune.") for line in lines)
     assert all(line.endswith("identical") for line in lines[:-1])
@@ -45,6 +46,7 @@ def test_same_behaviour_digests(tmp_path):
     assert "environment: identical" in lines
     with np.load(a) as digest:
         counts, ops = digest["default.tape_at_backward"], digest["default.tape_ops_at_backward"]
+        assert np.array_equal(digest["loaded_graph.edges"], [[0, 1], [0, 4], [1, 3], [2, 4]])
     assert ops.shape == counts.shape and all(len(h) == 64 for h in ops)
     assert "default.tape_ops_at_backward: identical" in lines
 

@@ -19,11 +19,16 @@ fine-tuned for five epochs on four labeled nodes per class; the digest
 holds its gate and head parameters and the ``classify`` labels. It also
 stores the splits of the graph with its labels dropped, and the structural
 embeddings (d_s 8) of ``gen_sbm(500, 4, 0.02, 0.001, seed=1)``, whose
-2 000 nodes take several probe blocks. On the two-block graph it stores, as JSON, the rows of ``distinctiveness_study``,
+2 000 nodes take several probe blocks. It stores the edges and the
+``fingerprint`` of ``load_graph`` on a five-node directory whose edges.tsv
+holds reversed pairs, unsorted lines, a duplicate and a self-loop (the
+``make_graph`` path), and the per-node ``local_homophily`` of the two-block
+graph and of a heterophilous four-block SBM. On the two-block graph it
+stores, as JSON, the rows of ``distinctiveness_study``,
 ``noise_robustness``, ``sensitivity_sweep`` and one accuracy-mode
 ``probe_study`` case, the ``stability_bench`` report with all three arms
 (a three-epoch config, one or two seeds) and the ``motivation_analysis``
-report, which it also stores for a heterophilous four-block SBM. Last, it
+report, which it also stores for the heterophilous graph. Last, it
 stores the CLI's text forms: the ``print-config`` output, and the
 ``config.txt`` of one ``adamore train`` run on a tiny SBM with a non-default
 float, int, str, bool and tuple key, as written and as ``read_config_file``
@@ -181,11 +186,26 @@ def collect(path: str, epochs: int = 20, per_block: int = 100, seed: int = 0) ->
     digest.update({f"unlabeled_split.{k}": getattr(split, k) for k in ("train", "val", "test")})
     digest["structural_embeddings"] = graphs.structural_embeddings(
         graphs.normalize(graphs.gen_sbm(500, 4, 0.02, 0.001, seed=1)))
+    digest.update({f"loaded_graph.{k}": v for k, v in _loaded_graph().items()})
+    heterophilous = graphs.gen_sbm(50, 4, 0.01, 0.08, feat_dim=8, feat_signal=0.8, seed=3)
+    digest["local_homophily"] = graphs.local_homophily(g)
+    digest["local_homophily_heterophilous"] = graphs.local_homophily(heterophilous)
     digest.update({f"study.{k}": np.array(json.dumps(v, sort_keys=True))
-                   for k, v in _studies(g, replace(base, **STUDY), (seed,)).items()})
+                   for k, v in _studies(g, heterophilous, replace(base, **STUDY),
+                                        (seed,)).items()})
     digest.update({f"cli.{k}": np.array(v) for k, v in _cli_text(seed).items()})
     digest["environment"] = np.array(json.dumps(environment(), sort_keys=True))
     np.savez(path, **digest)
+
+
+def _loaded_graph() -> dict[str, np.ndarray]:
+    """Edges and fingerprint of ``load_graph`` on a directory whose edges.tsv
+    holds reversed pairs, unsorted lines, a duplicate and a self-loop."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "edges.tsv").write_text("3 1\n0 4\n2 2\n1 3\n4 2\n1 0\n")
+        Path(tmp, "features.tsv").write_text("".join(f"{i} {0.5 * i}\n" for i in range(5)))
+        g = graphs.load_graph(tmp)
+    return {"edges": g.edges, "fingerprint": np.array(graphs.fingerprint(g))}
 
 
 def _cli_text(seed: int) -> dict[str, str]:
@@ -208,13 +228,13 @@ def _cli_text(seed: int) -> dict[str, str]:
             "config_read_back": repr(read_back)}
 
 
-def _studies(g: graphs.Graph, cfg: TrainConfig, seeds: tuple[int, ...]) -> dict:
+def _studies(g: graphs.Graph, heterophilous: graphs.Graph, cfg: TrainConfig,
+             seeds: tuple[int, ...]) -> dict:
     """Rows of the probe studies, the stability report and the motivation
     reports, through the public functions alone so that a parent commit's
     ``src`` runs them too."""
     stability = experiments.stability_bench(g, cfg, seeds=(seeds[0], seeds[0] + 1),
                                             include_homogeneous=True)
-    heterophilous = graphs.gen_sbm(50, 4, 0.01, 0.08, feat_dim=8, feat_signal=0.8, seed=3)
     accuracy_mode = experiments.OracleWeightSpec(mode="accuracy", p_coh_correct=0.8,
                                                  p_disp_correct=0.7)
     return {
